@@ -22,7 +22,7 @@ from .equivalence import he_check, he_search, sfe_bounded_search, sfe_check, \
     sse_verify
 from .errors import BudgetError, CertificateError, FlipPairError, \
     MatrixShapeError, SchemaError, SpecError
-from .matrices import IntMatrix, char_poly, mat_pow, rank_over_rationals
+from .matrices import IntMatrix, char_poly, mat_mul, rank_over_rationals
 from .refchecks import run_reference_checks
 from .report import Report
 from .series import DEFAULT_ORDER
@@ -130,8 +130,11 @@ def _cmd_charpoly(args, inputs):
 def _cmd_rank_profile(args, inputs):
     m = jsonio.matrix_from_doc(_load_json(args.matrix, inputs))
     shifted = m - IntMatrix.identity(m.row_labels).scale(args.shift)
-    profile = [rank_over_rationals(mat_pow(shifted, j))
-               for j in range(1, args.max_power + 1)]
+    profile = []
+    power = shifted
+    for _ in range(args.max_power):
+        profile.append(rank_over_rationals(power))
+        power = mat_mul(shifted, power)
     payload = {"rank": rank_over_rationals(m), "shift": args.shift,
                "profile": profile}
     rows = [["power", "rank"]] + [[j + 1, r] for j, r in enumerate(profile)]
@@ -389,6 +392,7 @@ def run_cli(argv: list[str]) -> int:
     started = time.monotonic()
     try:
         code, payload, csv_rows, plain = _HANDLERS[args.command](args, inputs)
+        _emit(args, _wrap(args, inputs, payload, started), csv_rows, plain)
     except json.JSONDecodeError as e:
         print(f"error: malformed JSON at line {e.lineno}, column {e.colno}: {e.msg}",
               file=sys.stderr)
@@ -414,7 +418,6 @@ def run_cli(argv: list[str]) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    _emit(args, _wrap(args, inputs, payload, started), csv_rows, plain)
     return code
 
 

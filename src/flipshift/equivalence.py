@@ -199,8 +199,8 @@ def he_search(src: FlipPair, dst: FlipPair, max_solutions: int = 16,
         raise BudgetError(f"{na}x{nb} exceeds the search budget of {cell_budget} cells")
     aj = mat_mul(src.A, src.J).entries
     kb = mat_mul(dst.J, dst.A).entries
-    tau_j = [src.alphabet.index(src.tau[a]) for a in src.alphabet]
-    tau_k = [dst.alphabet.index(dst.tau[b]) for b in dst.alphabet]
+    tau_j = src.tau_index
+    tau_k = dst.tau_index
     row_candidates = list(product((0, 1), repeat=nb))
     rows: list[tuple[int, ...]] = []
     found: list[HalfElemCert] = []

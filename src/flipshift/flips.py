@@ -12,7 +12,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import FlipPairError
-from .matrices import IntMatrix, mat_mul
+from .matrices import IntMatrix
 
 Word = tuple[str, ...]
 
@@ -33,20 +33,31 @@ class FlipPair:
             raise FlipPairError("labels", "the two matrices must share one alphabet")
         if any(lab == "" for lab in A.row_labels):
             raise FlipPairError("labels", "empty symbol label")
-        ident = IntMatrix.identity(J.row_labels)
-        if mat_mul(J, J) != ident:
+        # A zero-one J has J*J == I exactly when every row holds a single 1 and
+        # the map tau it encodes squares to the identity.
+        tau_index = []
+        for row in J.entries:
+            ones = [j for j, x in enumerate(row) if x]
+            if len(ones) != 1:
+                raise FlipPairError("J_involution", "J*J != I")
+            tau_index.append(ones[0])
+        if any(tau_index[t] != i for i, t in enumerate(tau_index)):
             raise FlipPairError("J_involution", "J*J != I")
-        if mat_mul(A, J) != mat_mul(J, A.transpose()):
-            raise FlipPairError("flip_symmetry", "A*J != J*A^T")
+        # (A*J)(a, c) == A(a, tau c) and (J*A^T)(a, c) == A(c, tau a), so the
+        # axiom reads A(a, b) == A(tau b, tau a).  That map on index pairs is an
+        # involution, so it suffices that it sends every nonzero to a nonzero.
+        rows = A.entries
+        for a, row in enumerate(rows):
+            ta = tau_index[a]
+            for b, x in enumerate(row):
+                if x and not rows[tau_index[b]][ta]:
+                    raise FlipPairError("flip_symmetry", "A*J != J*A^T")
         self._A = A
         self._J = J
         self.name = name
-        # J*J == I for a zero-one J forces exactly one 1 per row.
-        tau = {}
-        for i, a in enumerate(J.row_labels):
-            j = J.entries[i].index(1)
-            tau[a] = J.col_labels[j]
-        self._tau = MappingProxyType(tau)
+        self._tau_index = tuple(tau_index)
+        self._tau = MappingProxyType({a: J.col_labels[t]
+                                      for a, t in zip(J.row_labels, tau_index)})
 
     # -- data access ---------------------------------------------------------
 
@@ -70,6 +81,11 @@ class FlipPair:
     def tau(self) -> Mapping[str, str]:
         """The symbol involution encoded by J: tau(a) = b iff J(a, b) == 1."""
         return self._tau
+
+    @property
+    def tau_index(self) -> tuple[int, ...]:
+        """The symbol involution by position: tau_index[i] == j iff J[i][j] == 1."""
+        return self._tau_index
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FlipPair) and self._A == other._A and self._J == other._J

@@ -1,8 +1,11 @@
-"""Exact dense linear algebra over arbitrary-precision integers.
+"""Exact linear algebra over arbitrary-precision integers.
 
 Everything here is pure and immutable; no floating point is used anywhere.
 Matrices carry row and column labels so that alphabets built downstream
-(blocks, pair symbols) stay readable in output.
+(blocks, pair symbols) stay readable in output.  Entries are stored as full
+tuple rows, but the algorithms skip zeros: the matrices of shifts of finite
+type are sparse zero-one matrices, so products visit only the nonzeros of
+their factors.
 """
 
 from __future__ import annotations
@@ -47,6 +50,16 @@ class IntMatrix:
             raise MatrixShapeError("duplicate column labels")
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, row_labels: Labels, col_labels: Labels,
+                 entries: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+        """Build without re-checking; for results computed from checked matrices."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "row_labels", row_labels)
+        object.__setattr__(m, "col_labels", col_labels)
+        object.__setattr__(m, "entries", entries)
+        return m
 
     @classmethod
     def square(cls, labels: Iterable[str], rows: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -129,9 +142,9 @@ class IntMatrix:
                          tuple(tuple(c * x for x in row) for row in self.entries))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.col_labels, self.row_labels,
-                         tuple(tuple(self.entries[i][j] for i in range(self.nrows))
-                               for j in range(self.ncols)))
+        return IntMatrix._trusted(self.col_labels, self.row_labels,
+                                  tuple(zip(*self.entries)) if self.nrows
+                                  else tuple(() for _ in self.col_labels))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         return mat_mul(self, other)
@@ -226,7 +239,7 @@ class IntPolynomial:
         for c in self.coeffs:
             if c:
                 acc = acc + power.scale(c)
-            power = mat_mul(power, a)
+            power = mat_mul(a, power)
         return acc
 
     def __str__(self) -> str:
@@ -252,15 +265,26 @@ class IntPolynomial:
 # -- module-level operations -------------------------------------------------
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Exact product; labels are inherited from the outer factors."""
+    """Exact product; labels are inherited from the outer factors.
+
+    Only nonzero pairs are multiplied, so the cost is the number of nonzeros of
+    ``a`` times the row density of ``b``: put the sparser factor on the left.
+    """
     if a.ncols != b.nrows or a.col_labels != b.row_labels:
         raise MatrixShapeError(
             f"cannot multiply {a.nrows}x{a.ncols} by {b.nrows}x{b.ncols} "
             "(inner labels must match)")
-    bt = b.transpose().entries
-    rows = tuple(tuple(sum(x * y for x, y in zip(arow, bcol)) for bcol in bt)
-                 for arow in a.entries)
-    return IntMatrix(a.row_labels, b.col_labels, rows)
+    ncols = b.ncols
+    b_nonzeros = [[(j, y) for j, y in enumerate(brow) if y] for brow in b.entries]
+    rows = []
+    for arow in a.entries:
+        acc = [0] * ncols
+        for k, x in enumerate(arow):
+            if x:
+                for j, y in b_nonzeros[k]:
+                    acc[j] += x * y
+        rows.append(tuple(acc))
+    return IntMatrix._trusted(a.row_labels, b.col_labels, tuple(rows))
 
 
 def mat_pow(a: IntMatrix, k: int) -> IntMatrix:
@@ -322,6 +346,7 @@ def char_poly(a: IntMatrix) -> IntPolynomial:
     coeffs[0] = 1
     acc = IntMatrix.identity(a.row_labels)
     for k in range(1, n + 1):
+        # the sparse factor goes on the left of the dense accumulator
         acc = mat_mul(a, acc)
         t = trace(acc)
         q, r = divmod(-t, k)
@@ -329,7 +354,8 @@ def char_poly(a: IntMatrix) -> IntPolynomial:
             raise ArithmeticError("inexact division in characteristic polynomial")
         coeffs[k] = q
         if k < n:
-            acc = acc + IntMatrix.identity(a.row_labels).scale(coeffs[k])
+            acc = IntMatrix._trusted(acc.row_labels, acc.col_labels, tuple(
+                row[:i] + (row[i] + q,) + row[i + 1:] for i, row in enumerate(acc.entries)))
     # ascending order: coeffs[k] is the coefficient of t^(n-k)
     return IntPolynomial.from_coeffs(list(reversed(coeffs)))
 

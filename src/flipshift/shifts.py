@@ -103,6 +103,35 @@ def is_admissible(a: IntMatrix, w: Word) -> bool:
     return all(a.entries[i][j] == 1 for i, j in zip(ix, ix[1:]))
 
 
+def _walks(succ: list[tuple[int, ...]], start: int, length: int):
+    """Yield every path of ``length`` symbol indices from ``start``, in lex order.
+
+    The walk is iterative, so word length is not bounded by the recursion
+    limit.  The yielded list is reused between paths; copy what you keep.
+    """
+    path = [start]
+    if length == 1:
+        yield path
+        return
+    pending = [iter(succ[start])]  # successors still to try, one per depth
+    while pending:
+        for j in pending[-1]:
+            path.append(j)
+            if len(path) == length:
+                yield path
+                path.pop()
+            else:
+                pending.append(iter(succ[j]))
+                break
+        else:
+            pending.pop()
+            path.pop()
+
+
+def _successors(a: IntMatrix) -> list[tuple[int, ...]]:
+    return [tuple(j for j, x in enumerate(row) if x == 1) for row in a.entries]
+
+
 @lru_cache(maxsize=256)
 def blocks(a: IntMatrix, n: int) -> tuple[Word, ...]:
     """All length-n words occurring in some bi-infinite point, in canonical order.
@@ -118,27 +147,10 @@ def blocks(a: IntMatrix, n: int) -> tuple[Word, ...]:
         warnings.warn("matrix has stranded symbols; they contribute no blocks",
                       stacklevel=2)
     labels = a.row_labels
-    succ = [tuple(j for j in range(a.nrows) if a.entries[i][j] == 1)
-            for i in range(a.nrows)]
-    out: list[Word] = []
-    stack: list[int] = []
-
-    def extend():
-        if len(stack) == n:
-            if future[stack[-1]]:
-                out.append(tuple(labels[i] for i in stack))
-            return
-        for j in succ[stack[-1]]:
-            stack.append(j)
-            extend()
-            stack.pop()
-
-    for i in range(a.nrows):
-        if past[i]:
-            stack.append(i)
-            extend()
-            stack.pop()
-    return tuple(out)
+    succ = _successors(a)
+    return tuple(tuple(labels[i] for i in path)
+                 for start in range(a.nrows) if past[start]
+                 for path in _walks(succ, start, n) if future[path[-1]])
 
 
 # -- periodic points ----------------------------------------------------------
@@ -160,26 +172,11 @@ def enumerate_periodic(a: IntMatrix, m: int, cap: int = DEFAULT_PERIOD_CAP
     if m > cap:
         raise ValueError(f"period {m} exceeds the enumeration cap {cap}")
     labels = a.row_labels
-    succ = [tuple(j for j in range(a.nrows) if a.entries[i][j] == 1)
-            for i in range(a.nrows)]
-    out: list[Point] = []
-    stack: list[int] = []
-
-    def extend(start: int):
-        if len(stack) == m:
-            if a.entries[stack[-1]][start] == 1:
-                out.append(tuple(labels[i] for i in stack))
-            return
-        for j in succ[stack[-1]]:
-            stack.append(j)
-            extend(start)
-            stack.pop()
-
-    for i in range(a.nrows):
-        stack.append(i)
-        extend(i)
-        stack.pop()
-    return tuple(out)
+    rows = a.entries
+    succ = _successors(a)
+    return tuple(tuple(labels[i] for i in path)
+                 for start in range(a.nrows)
+                 for path in _walks(succ, start, m) if rows[path[-1]][start] == 1)
 
 
 def is_periodic_point(a: IntMatrix, x: Point) -> bool:

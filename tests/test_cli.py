@@ -208,3 +208,78 @@ def test_data_files_match_embedded_fixtures():
                          ("example2_J.json", fixtures.example2_matrix("J"))]:
         doc = json.loads((DATA / name).read_text())
         assert jsonio.matrix_from_doc(doc) == matrix
+
+
+@pytest.fixture()
+def every_command(write):
+    """One invocation of each subcommand, on the bundled examples."""
+    gm = golden_mean_pair()
+    hb2, chain2 = higher_block(gm, 1)
+    hb3, chain3 = higher_block(gm, 2)
+    gm_path = str(DATA / "golden_mean.json")
+    ex1, ex1i = str(DATA / "example1_AJ.json"), str(DATA / "example1_AI.json")
+    hb2_path = write("hb2.json", jsonio.pair_to_doc(hb2))
+    rule = [{"block": " ".join(w), "image": w[2]} for w in blocks(gm.A, 3)]
+    psi = {lab: word_center(tuple(lab.split(" "))) for lab in hb3.alphabet}
+    return {
+        "validate": [str(DATA / "example2_AJ.json")],
+        "count": ["--pair", ex1i, "--m-max", "3"],
+        "zeta": ["--pair", str(DATA / "example2_CJ.json"), "--order", "6"],
+        "charpoly": [str(DATA / "example2_C.json")],
+        "rank-profile": [str(DATA / "example2_B.json")],
+        "he-check": ["--from", gm_path, "--to", hb2_path, "--R",
+                     write("r.json", {"rows": chain2.links[0].R.to_rows()})],
+        "he-search": ["--from", gm_path, "--to", hb2_path],
+        "sse-verify": [write("chain.json", jsonio.chain_to_doc(chain3))],
+        "sfe-check": ["--from", ex1, "--to", ex1i, "--lag", "2", "--R",
+                      write("r1.json", {"rows": example1_pair().A.to_rows()})],
+        "sfe-search": ["--from", ex1, "--to", ex1i, "--lag-max", "2",
+                       "--entry-max", "1"],
+        "higher-block": ["--pair", gm_path, "--n", "2"],
+        "build-pair": [write("spec.json", {"A": jsonio.matrix_to_doc(gm.A),
+                                           "window": 1, "phi": rule})],
+        "decompose": [write("conj.json", {"from": jsonio.pair_to_doc(hb3),
+                                          "to": jsonio.pair_to_doc(gm),
+                                          "psi": psi, "inverse_window": 1})],
+        "paper-examples": ["--order", "4"],
+    }
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+def test_every_command_in_every_format(every_command, fmt, capsys):
+    from flipshift.cli import _HANDLERS
+    assert set(every_command) == set(_HANDLERS)
+    for command, args in every_command.items():
+        code = run_cli([command, *args, "--format", fmt])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), command
+        assert "Traceback" not in err, command
+        if code == 2:
+            assert err.startswith("error: "), command
+
+
+def test_csv_without_rows_is_usage_error(capsys):
+    code = run_cli(["higher-block", "--pair", str(DATA / "golden_mean.json"),
+                    "--n", "1", "--format", "csv"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --format: csv output is not defined for this command\n"
+
+
+ONE_SYMBOL = {"alphabet": ["a"], "A": [[1]], "J": [[1]]}
+
+
+def test_long_block_words_do_not_hit_the_recursion_limit(write, capsys):
+    path = write("one.json", ONE_SYMBOL)
+    assert run_cli(["higher-block", "--pair", path, "--n", "1200"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["pair"]["alphabet"] == [" ".join(["a"] * 1201)]
+
+
+def test_long_periods_do_not_hit_the_recursion_limit(write, capsys):
+    path = write("one.json", ONE_SYMBOL)
+    assert run_cli(["count", "--pair", path, "--m-max", "1100",
+                    "--cap", "2000"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert len(rows) == 2200 and all(r["count"] == 1 for r in rows)

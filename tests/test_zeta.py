@@ -125,3 +125,14 @@ def test_verify_prop31():
     rng = random.Random(41)
     for _ in range(4):
         assert verify_prop31(random_flip_pair(rng), 2).passed
+
+
+def test_verify_prop31_composed_rows_use_an_independent_flip(monkeypatch):
+    import flipshift.zeta as zeta_mod
+    monkeypatch.setattr(zeta_mod, "count_pmn_bruteforce",
+                        lambda pair, m, n, cap=12: 100 * m + n)
+    report = verify_prop31(example1_symmetric_pair(), 2)
+    row3 = [c for c in report.checks if ",1) == p(" in c.name]
+    assert [c.name for c in row3] == ["p(2,1) == p(2,0 of composed)",
+                                      "p(4,1) == p(4,0 of composed)"]
+    assert not any(c.passed for c in row3)
