@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success / all checks passed, 1 a mathematical check failed,
-2 usage or input error (malformed JSON, schema violation, exceeded budget).
+2 usage or input error (unreadable path, malformed JSON, schema violation,
+exceeded budget).
 Reports are deterministic byte for byte for fixed inputs and flags; timing is
 only included when --timing is given.
 """
@@ -20,8 +21,8 @@ from .constructions import build_flip_pair, decompose_conjugacy, higher_block, \
     verify_decomposition
 from .equivalence import he_check, he_search, sfe_bounded_search, sfe_check, \
     sse_verify
-from .errors import BudgetError, CertificateError, FlipPairError, \
-    MatrixShapeError, SchemaError, SpecError
+from .errors import CertificateError, FlipPairError, MatrixShapeError, \
+    SchemaError, SpecError
 from .matrices import IntMatrix, char_poly, mat_mul, rank_over_rationals
 from .refchecks import run_reference_checks
 from .report import Report
@@ -397,25 +398,14 @@ def run_cli(argv: list[str]) -> int:
         print(f"error: malformed JSON at line {e.lineno}, column {e.colno}: {e.msg}",
               file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except SchemaError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except BudgetError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except MatrixShapeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except FlipPairError as e:
         print(f"error: input is not a flip pair ({e.axiom}): {e}", file=sys.stderr)
         return 2
     except (SpecError, CertificateError) as e:
         print(f"check failed: {e}", file=sys.stderr)
         return 1
-    except ValueError as e:
+    except (OSError, ValueError) as e:
+        # also SchemaError, BudgetError and MatrixShapeError, which are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return 2
     return code

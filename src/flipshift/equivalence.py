@@ -2,21 +2,22 @@
 
 A single splitting step is witnessed by a zero-one matrix R; the companion
 matrix S is always derived as S = K R^T J, which halves both the certificate
-format and every search space.  Chains of such steps, and the lag-k analogue
-with nonnegative integral R, are verified identity by identity with the first
-violation reported by name.
+format and every search space.  J and K are read as the symbol involutions
+they encode, so S is R transposed and re-indexed.  Chains of such steps, and
+the lag-k analogue with nonnegative integral R, are verified identity by
+identity with the first violation reported by name; identities implied by
+the earlier ones are not re-checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import product
 
 from .errors import BudgetError, CertificateError
 from .flips import FlipPair
-from .matrices import IntMatrix, mat_mul, mat_pow
+from .matrices import IntMatrix, _integral_kernel, mat_mul, mat_pow
 from .report import Report
 from .shifts import (DEFAULT_PERIOD_CAP, Point, enumerate_periodic, flip_point,
                      shift_point)
@@ -86,29 +87,33 @@ class ShiftFlipCert:
 # -- single-step checking ------------------------------------------------------
 
 
+def _companion(src: FlipPair, dst: FlipPair, R: IntMatrix) -> IntMatrix:
+    """S = K R^T J read through the involutions: S[b][a] == R[tau_J a][tau_K b]."""
+    rows = R.entries
+    tau_j = src.tau_index
+    return IntMatrix._trusted(dst.alphabet, src.alphabet, tuple(
+        tuple(rows[ta][tb] for ta in tau_j) for tb in dst.tau_index))
+
+
 def he_check(src: FlipPair, dst: FlipPair, R: IntMatrix,
              supplied_S: IntMatrix | None = None) -> HalfElemCert:
     """Check R as a single splitting step from src to dst.
 
     Derives S = K R^T J, then verifies A == R*S and B == S*R.  A supplied S is
-    only cross-validated against the derived one.
+    only cross-validated against the derived one.  S is zero-one because it
+    re-indexes R, and R == J S^T K because J and K are involutions.
     """
     if R.row_labels != src.alphabet or R.col_labels != dst.alphabet:
         raise CertificateError("shape", "R must map the source alphabet to the target alphabet")
     if not R.is_zero_one:
         raise CertificateError("R zero-one", "R has an entry outside {0,1}")
-    s = mat_mul(mat_mul(dst.J, R.transpose()), src.J)
-    if not s.is_zero_one:
-        raise CertificateError("S zero-one", "derived S has an entry outside {0,1}")
+    s = _companion(src, dst, R)
     if supplied_S is not None and supplied_S != s:
         raise CertificateError("S == K*R^T*J", "supplied S differs from the derived one")
     if mat_mul(R, s) != src.A:
         raise CertificateError("A == R*S", "A != R*S")
     if mat_mul(s, R) != dst.A:
         raise CertificateError("B == S*R", "B != S*R")
-    # equivalent restatement of the derivation; cheap sanity check
-    if mat_mul(mat_mul(src.J, s.transpose()), dst.J) != R:
-        raise CertificateError("R == J*S^T*K", "derived S does not invert back to R")
     return HalfElemCert(source=src, target=dst, R=R, S=s)
 
 
@@ -197,10 +202,11 @@ def he_search(src: FlipPair, dst: FlipPair, max_solutions: int = 16,
     na, nb = src.size, dst.size
     if na * nb > cell_budget:
         raise BudgetError(f"{na}x{nb} exceeds the search budget of {cell_budget} cells")
-    aj = mat_mul(src.A, src.J).entries
-    kb = mat_mul(dst.J, dst.A).entries
     tau_j = src.tau_index
     tau_k = dst.tau_index
+    # (A*J)[a][c] == A[a][tau c] and (K*B)[b] == B[tau b]
+    aj = [[row[t] for t in tau_j] for row in src.A.entries]
+    kb = [dst.A.entries[t] for t in tau_k]
     row_candidates = list(product((0, 1), repeat=nb))
     rows: list[tuple[int, ...]] = []
     found: list[HalfElemCert] = []
@@ -257,8 +263,9 @@ def sfe_check(src: FlipPair, dst: FlipPair, R: IntMatrix, lag: int,
               supplied_S: IntMatrix | None = None) -> ShiftFlipCert:
     """Check R as a lag-k equivalence witness from src to dst.
 
-    Derives S = K R^T J and verifies A^k == R*S, B^k == S*R and A*R == R*B;
-    the derived identity S*A == B*S is asserted as a consistency self-check.
+    Derives S = K R^T J and verifies A^k == R*S, B^k == S*R and A*R == R*B.
+    S*A == B*S then holds as well: S*A == K (A R)^T J == K (R B)^T J == B*S by
+    the flip symmetry of both pairs.
     """
     if lag < 1:
         raise CertificateError("lag", "lag must be >= 1")
@@ -266,7 +273,7 @@ def sfe_check(src: FlipPair, dst: FlipPair, R: IntMatrix, lag: int,
         raise CertificateError("shape", "R must map the source alphabet to the target alphabet")
     if any(x < 0 for row in R.entries for x in row):
         raise CertificateError("R nonnegative", "R has a negative entry")
-    s = mat_mul(mat_mul(dst.J, R.transpose()), src.J)
+    s = _companion(src, dst, R)
     if supplied_S is not None and supplied_S != s:
         raise CertificateError("S == K*R^T*J", "supplied S differs from the derived one")
     if mat_mul(R, s) != mat_pow(src.A, lag):
@@ -275,48 +282,7 @@ def sfe_check(src: FlipPair, dst: FlipPair, R: IntMatrix, lag: int,
         raise CertificateError("B^k == S*R", f"B^{lag} != S*R")
     if mat_mul(src.A, R) != mat_mul(R, dst.A):
         raise CertificateError("A*R == R*B", "A*R != R*B")
-    if mat_mul(s, src.A) != mat_mul(dst.A, s):
-        raise CertificateError("S*A == B*S",
-                               "internal: derived identity S*A == B*S failed")
     return ShiftFlipCert(source=src, target=dst, R=R, S=s, lag=lag)
-
-
-def _rational_kernel_basis(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the kernel of a rational matrix, pivot-normalized.
-
-    Each basis vector carries value 1 at its own free coordinate and 0 at the
-    free coordinates of the others, so kernel vectors are recovered from their
-    free coordinates alone.
-    """
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    m = [row[:] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nr):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    free = [c for c in range(nc) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * nc
-        v[f] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            v[pc] = -m[ri][f]
-        basis.append(v)
-    return basis
 
 
 def sfe_bounded_search(src: FlipPair, dst: FlipPair, lag_max: int, entry_max: int,
@@ -324,10 +290,12 @@ def sfe_bounded_search(src: FlipPair, dst: FlipPair, lag_max: int, entry_max: in
     """All lag-k certificates with entries of R bounded by entry_max, k <= lag_max.
 
     The intertwining condition A*R == R*B is linear in R, so candidates are
-    enumerated inside its exact rational kernel: free coordinates of the
-    kernel are entries of R and therefore range over 0..entry_max.  This is
-    complete within the stated bounds; an empty result means "none within
-    bounds", never a non-existence proof.
+    enumerated inside its kernel: free coordinates of the kernel are entries
+    of R and therefore range over 0..entry_max.  The kernel basis is integral
+    with scale d, so a candidate is kept when every coordinate is a multiple
+    of d with quotient in 0..entry_max.  This is complete within the stated
+    bounds; an empty result means "none within bounds", never a non-existence
+    proof.
     """
     if lag_max < 1 or entry_max < 0:
         raise ValueError("need lag_max >= 1 and entry_max >= 0")
@@ -338,29 +306,29 @@ def sfe_bounded_search(src: FlipPair, dst: FlipPair, lag_max: int, entry_max: in
     rows = []
     for i in range(na):
         for b in range(nb):
-            row = [Fraction(0)] * ncell
+            row = [0] * ncell
             for j in range(na):
                 row[j * nb + b] += src.A.entries[i][j]
             for c in range(nb):
                 row[i * nb + c] -= dst.A.entries[c][b]
             rows.append(row)
-    basis = _rational_kernel_basis(rows)
-    d = len(basis)
-    if (entry_max + 1) ** d > budget:
+    d, basis = _integral_kernel(rows, ncell)
+    dim = len(basis)
+    if (entry_max + 1) ** dim > budget:
         raise BudgetError(
-            f"kernel dimension {d} with entries <= {entry_max} exceeds budget {budget}")
+            f"kernel dimension {dim} with entries <= {entry_max} exceeds budget {budget}")
+    nonzeros = [[(k, x) for k, x in enumerate(bvec) if x] for bvec in basis]
     found: list[ShiftFlipCert] = []
-    for coeffs in product(range(entry_max + 1), repeat=d):
-        vec = [Fraction(0)] * ncell
-        for c, bvec in zip(coeffs, basis):
+    for coeffs in product(range(entry_max + 1), repeat=dim):
+        vec = [0] * ncell
+        for c, bvec in zip(coeffs, nonzeros):
             if c:
-                for k, x in enumerate(bvec):
-                    if x:
-                        vec[k] += c * x
-        if not all(x.denominator == 1 and 0 <= x <= entry_max for x in vec):
+                for k, x in bvec:
+                    vec[k] += c * x
+        if any(x % d or not 0 <= x // d <= entry_max for x in vec):
             continue
         r = IntMatrix.rect(src.alphabet, dst.alphabet,
-                           [[int(vec[i * nb + b]) for b in range(nb)] for i in range(na)])
+                           [[vec[i * nb + b] // d for b in range(nb)] for i in range(na)])
         for lag in range(1, lag_max + 1):
             try:
                 found.append(sfe_check(src, dst, r, lag))

@@ -1,106 +1,53 @@
-"""Embedded reference matrices and pairs used by the bundled example checks.
+"""Reference matrices and pairs used by the bundled example checks.
 
-These copies are the ground truth; the JSON files shipped under ``data/`` are
-generated from them and tested for equality.
+They are read from the JSON files shipped under ``data/``, which are the only
+copy of each fixture.
 """
 
 from __future__ import annotations
 
+import json
+from importlib import resources
+
+from . import jsonio
 from .flips import FlipPair
 from .matrices import IntMatrix
 
-EXAMPLE1_LABELS = ("1", "2", "3", "4")
 
-EXAMPLE1_A = (
-    (0, 1, 0, 1),
-    (1, 0, 1, 0),
-    (0, 1, 0, 1),
-    (1, 0, 1, 0),
-)
-
-EXAMPLE1_J = (
-    (0, 0, 1, 0),
-    (0, 0, 0, 1),
-    (1, 0, 0, 0),
-    (0, 1, 0, 0),
-)
-
-EXAMPLE2_LABELS = ("1", "2", "3", "4", "5", "6", "7")
-
-EXAMPLE2_A = (
-    (1, 1, 1, 0, 0, 0, 0),
-    (0, 1, 0, 1, 0, 0, 0),
-    (0, 0, 1, 0, 0, 1, 0),
-    (0, 0, 0, 1, 0, 0, 1),
-    (1, 1, 1, 0, 1, 0, 0),
-    (1, 1, 1, 0, 0, 1, 0),
-    (0, 0, 0, 1, 1, 0, 1),
-)
-
-EXAMPLE2_B = (
-    (1, 1, 0, 0, 0, 0, 0),
-    (0, 1, 1, 0, 1, 0, 0),
-    (0, 0, 1, 0, 0, 1, 1),
-    (0, 0, 0, 1, 0, 1, 1),
-    (1, 1, 0, 0, 1, 0, 0),
-    (0, 0, 0, 0, 1, 1, 0),
-    (0, 0, 0, 1, 0, 0, 1),
-)
-
-EXAMPLE2_C = (
-    (1, 1, 0, 0, 0, 0, 0),
-    (0, 1, 0, 1, 1, 1, 0),
-    (0, 0, 1, 1, 1, 1, 0),
-    (0, 0, 0, 1, 0, 0, 1),
-    (1, 0, 0, 0, 1, 0, 0),
-    (0, 0, 1, 0, 0, 1, 0),
-    (0, 0, 0, 1, 1, 1, 1),
-)
-
-EXAMPLE2_J = (
-    (1, 0, 0, 0, 0, 0, 0),
-    (0, 0, 0, 0, 1, 0, 0),
-    (0, 0, 0, 0, 0, 1, 0),
-    (0, 0, 0, 0, 0, 0, 1),
-    (0, 1, 0, 0, 0, 0, 0),
-    (0, 0, 1, 0, 0, 0, 0),
-    (0, 0, 0, 1, 0, 0, 0),
-)
+def _load(name: str):
+    return json.loads((resources.files(__package__) / "data" / name).read_text("utf-8"))
 
 
 def example1_matrix_A() -> IntMatrix:
-    return IntMatrix.square(EXAMPLE1_LABELS, EXAMPLE1_A)
+    return jsonio.matrix_from_doc(_load("example1_A.json"))
 
 
 def example1_matrix_J() -> IntMatrix:
-    return IntMatrix.square(EXAMPLE1_LABELS, EXAMPLE1_J)
+    return jsonio.matrix_from_doc(_load("example1_J.json"))
 
 
 def example1_pair() -> FlipPair:
     """The fixture pair with the order-reversing involution."""
-    return FlipPair(example1_matrix_A(), example1_matrix_J(), name="example1_AJ")
+    return jsonio.pair_from_doc(_load("example1_AJ.json"))
 
 
 def example1_symmetric_pair() -> FlipPair:
     """The same transition matrix with the identity involution."""
-    a = example1_matrix_A()
-    return FlipPair(a, IntMatrix.identity(EXAMPLE1_LABELS), name="example1_AI")
+    return jsonio.pair_from_doc(_load("example1_AI.json"))
 
 
 def example2_matrix(which: str) -> IntMatrix:
-    rows = {"A": EXAMPLE2_A, "B": EXAMPLE2_B, "C": EXAMPLE2_C, "J": EXAMPLE2_J}[which]
-    return IntMatrix.square(EXAMPLE2_LABELS, rows)
+    """One of the seven-symbol matrices A, B, C, or their involution J."""
+    return jsonio.matrix_from_doc(_load(f"example2_{which}.json"))
 
 
 def example2_pair(which: str) -> FlipPair:
-    return FlipPair(example2_matrix(which), example2_matrix("J"),
-                    name=f"example2_{which}J")
+    return jsonio.pair_from_doc(_load(f"example2_{which}J.json"))
 
 
 def golden_mean_pair() -> FlipPair:
     """Two symbols, no repeated second symbol, identity involution."""
-    a = IntMatrix.square(("1", "2"), ((1, 1), (1, 0)))
-    return FlipPair(a, IntMatrix.identity(("1", "2")), name="golden_mean")
+    return jsonio.pair_from_doc(_load("golden_mean.json"))
 
 
 def one_point_pair() -> FlipPair:

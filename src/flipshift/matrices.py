@@ -360,15 +360,20 @@ def char_poly(a: IntMatrix) -> IntPolynomial:
     return IntPolynomial.from_coeffs(list(reversed(coeffs)))
 
 
-def rank_over_rationals(a: IntMatrix) -> int:
-    """Rank over the rationals by fraction-free (Bareiss) elimination."""
-    m = [list(row) for row in a.entries]
+def _bareiss(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free (Bareiss) forward elimination of an integer matrix.
+
+    Returns the echelon rows and their pivot columns.  Every entry stays a
+    minor of the input, so each division is exact (H. Cohen, *A Course in
+    Computational Algebraic Number Theory*, 1993, section 2.2); the last pivot
+    is the determinant of the pivot minor, up to sign.
+    """
+    m = [list(row) for row in rows]
     nr = len(m)
-    nc = a.ncols
-    rank = 0
+    pivots: list[int] = []
     prev = 1
     row = 0
-    for col in range(nc):
+    for col in range(ncols):
         if row >= nr:
             break
         piv = next((r for r in range(row, nr) if m[r][col] != 0), None)
@@ -378,7 +383,7 @@ def rank_over_rationals(a: IntMatrix) -> int:
         p = m[row][col]
         for r in range(row + 1, nr):
             factor = m[r][col]
-            for c in range(col + 1, nc):
+            for c in range(col + 1, ncols):
                 num = p * m[r][c] - factor * m[row][c]
                 q, rem = divmod(num, prev)
                 if rem:
@@ -387,5 +392,37 @@ def rank_over_rationals(a: IntMatrix) -> int:
             m[r][col] = 0
         prev = p
         row += 1
-        rank += 1
-    return rank
+        pivots.append(col)
+    return m[:row], pivots
+
+
+def _integral_kernel(rows: Sequence[Sequence[int]], ncols: int) -> tuple[int, list[list[int]]]:
+    """An integral kernel basis of an integer matrix, with its common scale d.
+
+    d is the last Bareiss pivot.  The vector for a free column f is d there and
+    0 at the other free columns; its pivot coordinates follow by
+    back-substitution and are integers by Cramer's rule.  The basis is thus d
+    times the pivot-normalized rational one, which is unique for these pivots.
+    """
+    echelon, pivots = _bareiss(rows, ncols)
+    d = echelon[-1][pivots[-1]] if pivots else 1
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        v = [0] * ncols
+        v[f] = d
+        for row, pc in zip(reversed(echelon), reversed(pivots)):
+            total = sum(row[c] * v[c] for c in range(pc + 1, ncols) if v[c])
+            q, rem = divmod(-total, row[pc])
+            if rem:
+                raise ArithmeticError("inexact division in back-substitution")
+            v[pc] = q
+        basis.append(v)
+    return d, basis
+
+
+def rank_over_rationals(a: IntMatrix) -> int:
+    """Rank over the rationals by fraction-free (Bareiss) elimination."""
+    return len(_bareiss(a.entries, a.ncols)[1])

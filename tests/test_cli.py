@@ -165,10 +165,18 @@ def test_paper_examples_cli(capsys):
 
 def test_paper_examples_detects_corruption(monkeypatch, capsys):
     import flipshift.fixtures as fx
-    rows = [list(r) for r in fx.EXAMPLE2_C]
-    # flipping a diagonal entry keeps the flip-pair axioms but changes the polynomial
-    rows[0][0] ^= 1
-    monkeypatch.setattr(fx, "EXAMPLE2_C", tuple(tuple(r) for r in rows))
+    load = fx._load
+
+    def corrupted(name):
+        doc = load(name)
+        if name in ("example2_C.json", "example2_CJ.json"):
+            # flipping a diagonal entry keeps the flip-pair axioms but changes
+            # the polynomial
+            rows = doc["rows"] if "rows" in doc else doc["A"]
+            rows[0][0] ^= 1
+        return doc
+
+    monkeypatch.setattr(fx, "_load", corrupted)
     assert run_cli(["paper-examples"]) == 1
     out = json.loads(capsys.readouterr().out)
     failing = [c["name"] for c in out["report"]["checks"] if not c["passed"]]
@@ -186,28 +194,6 @@ def test_reports_are_deterministic(capsys):
     run_cli(["paper-examples"])
     second = capsys.readouterr().out
     assert first == second
-
-
-def test_data_files_match_embedded_fixtures():
-    from flipshift import fixtures
-    pairs = {
-        "example1_AJ.json": fixtures.example1_pair(),
-        "example1_AI.json": fixtures.example1_symmetric_pair(),
-        "example2_AJ.json": fixtures.example2_pair("A"),
-        "example2_BJ.json": fixtures.example2_pair("B"),
-        "example2_CJ.json": fixtures.example2_pair("C"),
-        "golden_mean.json": fixtures.golden_mean_pair(),
-    }
-    for name, pair in pairs.items():
-        doc = json.loads((DATA / name).read_text())
-        assert jsonio.pair_from_doc(doc) == pair
-    for name, matrix in [("example1_A.json", fixtures.example1_matrix_A()),
-                         ("example2_A.json", fixtures.example2_matrix("A")),
-                         ("example2_B.json", fixtures.example2_matrix("B")),
-                         ("example2_C.json", fixtures.example2_matrix("C")),
-                         ("example2_J.json", fixtures.example2_matrix("J"))]:
-        doc = json.loads((DATA / name).read_text())
-        assert jsonio.matrix_from_doc(doc) == matrix
 
 
 @pytest.fixture()
@@ -283,3 +269,65 @@ def test_long_periods_do_not_hit_the_recursion_limit(write, capsys):
                     "--cap", "2000"]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert len(rows) == 2200 and all(r["count"] == 1 for r in rows)
+
+
+def _error_cases(tmp_path):
+    """Per exception class: argv, exit code and the start of standard error."""
+    def put(name, doc):
+        path = tmp_path / name
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        return str(path)
+
+    ex1 = str(DATA / "example1_AJ.json")
+    not_flip = jsonio.pair_to_doc(example1_pair())
+    not_flip["J"][0][0] = 1
+    gm = golden_mean_pair()
+    bad_rule = [{"block": " ".join(w), "image": "1"} for w in blocks(gm.A, 3)]
+    missing = str(tmp_path / "missing.json")
+    return {
+        "JSONDecodeError": (["validate", put("bad.json", "{")], 2,
+                            "error: malformed JSON at line 1, column 2: "),
+        "FlipPairError": (["count", "--pair", put("nf.json", not_flip), "--m-max", "1"],
+                          2, "error: input is not a flip pair (J_involution): "),
+        "SpecError": (["build-pair", put("spec.json", {"A": jsonio.matrix_to_doc(gm.A),
+                                                       "window": 1, "phi": bad_rule})],
+                      1, "check failed: "),
+        "FileNotFoundError": (["validate", missing], 2,
+                              f"error: [Errno 2] No such file or directory: {missing!r}\n"),
+        "IsADirectoryError": (["validate", str(tmp_path)], 2,
+                              f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"),
+        "SchemaError": (["validate", put("schema.json", {"alphabet": 3})], 2,
+                        "error: pair.alphabet: expected list, got int\n"),
+        "BudgetError": (["sfe-search", "--from", ex1, "--to", ex1, "--lag-max", "1",
+                         "--entry-max", "3", "--budget", "10"], 2,
+                        "error: kernel dimension "),
+        "MatrixShapeError": (["charpoly", put("rect.json", {
+            "row_labels": ["a"], "col_labels": ["a", "b"], "rows": [[1, 0]]})], 2,
+            "error: characteristic polynomial needs a square matrix\n"),
+        "ValueError": (["sfe-search", "--from", ex1, "--to", ex1, "--lag-max", "1",
+                        "--entry-max", "-1"], 2,
+                       "error: need lag_max >= 1 and entry_max >= 0\n"),
+    }
+
+
+@pytest.mark.parametrize("kind", ["JSONDecodeError", "FlipPairError", "SpecError",
+                                  "FileNotFoundError", "IsADirectoryError", "SchemaError",
+                                  "BudgetError", "MatrixShapeError", "ValueError"])
+def test_error_exit_code_and_message(kind, tmp_path, capsys):
+    argv, code, prefix = _error_cases(tmp_path)[kind]
+    assert run_cli(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(prefix)
+
+
+def test_certificate_error_escaping_a_handler_is_a_failed_check(monkeypatch, capsys):
+    import flipshift.cli as cli
+    from flipshift.errors import CertificateError
+
+    def broken(args, inputs):
+        raise CertificateError("chain", "assembled chain failed verification")
+
+    monkeypatch.setitem(cli._HANDLERS, "validate", broken)
+    assert run_cli(["validate", str(DATA / "example1_AJ.json")]) == 1
+    assert capsys.readouterr().err == "check failed: assembled chain failed verification\n"

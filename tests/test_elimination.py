@@ -1,0 +1,144 @@
+"""The one exact elimination against the Gauss-Jordan code it replaced.
+
+``rational_kernel_basis`` is the former Fraction kernel of the lag search,
+kept here only as an oracle: the integral kernel must be exactly d times its
+basis, with the same pivots and so the same rank.
+"""
+
+import random
+from fractions import Fraction
+from itertools import product
+
+from corpus import corpus
+from flipshift.equivalence import sfe_bounded_search, sfe_check
+from flipshift.errors import CertificateError
+from flipshift.matrices import (IntMatrix, _bareiss, _integral_kernel,
+                                rank_over_rationals)
+
+
+def rational_kernel_basis(rows: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Basis of the kernel of a rational matrix, pivot-normalized."""
+    nr = len(rows)
+    nc = len(rows[0]) if nr else 0
+    m = [row[:] for row in rows]
+    pivots: list[int] = []
+    r = 0
+    for c in range(nc):
+        piv = next((i for i in range(r, nr) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nr):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    free = [c for c in range(nc) if c not in pivots]
+    basis = []
+    for f in free:
+        v = [Fraction(0)] * nc
+        v[f] = Fraction(1)
+        for ri, pc in enumerate(pivots):
+            v[pc] = -m[ri][f]
+        basis.append(v)
+    return basis
+
+
+def intertwining_rows(src, dst) -> list[list[int]]:
+    """The rows of A*R - R*B as a linear map on R, one column per cell."""
+    na, nb = src.size, dst.size
+    rows = []
+    for i in range(na):
+        for b in range(nb):
+            row = [0] * (na * nb)
+            for j in range(na):
+                row[j * nb + b] += src.A.entries[i][j]
+            for c in range(nb):
+                row[i * nb + c] -= dst.A.entries[c][b]
+            rows.append(row)
+    return rows
+
+
+def random_int_rows(rng: random.Random) -> list[list[int]]:
+    """Integer rows with negative entries, zero rows and dependent rows or columns."""
+    nr, nc = rng.randint(1, 6), rng.randint(1, 7)
+    rows = [[0 if rng.random() < 0.4 else rng.randint(-4, 4) for _ in range(nc)]
+            for _ in range(nr)]
+    kind = rng.randrange(4)
+    if kind == 0:
+        rows[rng.randrange(nr)] = [0] * nc
+    elif kind == 1 and nr >= 2:
+        i, j = rng.sample(range(nr), 2)
+        s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+        rows.append([s * x + t * y for x, y in zip(rows[i], rows[j])])
+    elif kind == 2 and nc >= 2:
+        i, j = rng.sample(range(nc), 2)
+        for row in rows:
+            row.append(2 * row[i] - 3 * row[j])
+    return rows
+
+
+def check_against_oracle(rows: list[list[int]]):
+    ncols = len(rows[0])
+    d, basis = _integral_kernel(rows, ncols)
+    oracle = rational_kernel_basis([[Fraction(x) for x in row] for row in rows])
+    assert d != 0
+    assert basis == [[d * x for x in v] for v in oracle]
+    for v in basis:
+        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
+    labels = [f"c{c}" for c in range(ncols)]
+    rank = rank_over_rationals(IntMatrix.rect((f"r{i}" for i in range(len(rows))),
+                                              labels, rows))
+    assert rank == len(_bareiss(rows, ncols)[1]) == ncols - len(oracle)
+
+
+def test_integral_kernel_is_d_times_oracle_on_corpus_rows():
+    pairs = corpus(count=30, max_size=4)
+    for src, dst in zip(pairs, pairs[1:] + pairs[:1]):
+        check_against_oracle(intertwining_rows(src, src))
+        check_against_oracle(intertwining_rows(src, dst))
+
+
+def test_integral_kernel_is_d_times_oracle_on_random_integers():
+    rng = random.Random(61)
+    for _ in range(300):
+        check_against_oracle(random_int_rows(rng))
+
+
+def test_integral_kernel_of_full_rank_and_zero_matrices():
+    assert _integral_kernel([[2, 0], [0, 3]], 2) == (6, [])
+    assert _integral_kernel([[0, 0, 0]], 3) == (1, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+def oracle_sfe_search(src, dst, lag_max, entry_max):
+    """The former candidate enumeration over the Fraction kernel, in order."""
+    na, nb = src.size, dst.size
+    rows = intertwining_rows(src, dst)
+    basis = rational_kernel_basis([[Fraction(x) for x in row] for row in rows])
+    found = []
+    for coeffs in product(range(entry_max + 1), repeat=len(basis)):
+        vec = [sum((c * v[k] for c, v in zip(coeffs, basis)), Fraction(0))
+               for k in range(na * nb)]
+        if not all(x.denominator == 1 and 0 <= x <= entry_max for x in vec):
+            continue
+        r = IntMatrix.rect(src.alphabet, dst.alphabet,
+                           [[int(vec[i * nb + b]) for b in range(nb)] for i in range(na)])
+        for lag in range(1, lag_max + 1):
+            try:
+                found.append((lag, sfe_check(src, dst, r, lag).R))
+            except CertificateError:
+                pass
+    return found
+
+
+def test_sfe_search_candidates_and_order_match_the_fraction_kernel():
+    pairs = corpus(seed=71, count=20, max_size=3)
+    for src, dst in zip(pairs, pairs[1:] + pairs[:1]):
+        for s, t in ((src, src), (src, dst)):
+            got = [(c.lag, c.R) for c in sfe_bounded_search(s, t, 2, 2)]
+            assert got == oracle_sfe_search(s, t, 2, 2)

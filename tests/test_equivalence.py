@@ -3,18 +3,21 @@ from itertools import product
 
 import pytest
 
-from corpus import random_flip_pair
-from flipshift.constructions import higher_block
-from flipshift.equivalence import (HalfElemCert, StrongChain, gamma_block,
-                                   gamma_point, he_check, he_search,
-                                   sfe_bounded_search, sfe_check, sse_verify,
-                                   verify_prop22)
+from corpus import corpus, random_flip_pair
+from flipshift.constructions import decompose_conjugacy, higher_block
+from flipshift.equivalence import (HalfElemCert, ShiftFlipCert, StrongChain,
+                                   _companion, gamma_block, gamma_point,
+                                   he_check, he_search, sfe_bounded_search,
+                                   sfe_check, sse_verify, verify_prop22)
 from flipshift.errors import BudgetError, CertificateError
 from flipshift.fixtures import (example1_pair, example1_symmetric_pair,
                                 example2_pair, golden_mean_pair,
                                 one_point_pair)
+from flipshift.flips import FlipPair
 from flipshift.matrices import IntMatrix, mat_mul, mat_pow, trace
 from flipshift.shifts import enumerate_periodic, shift_point
+from test_constructions import _center_read_spec
+from test_sparse_kernel import dense_mul
 
 
 def test_he_check_one_point():
@@ -41,14 +44,97 @@ def test_he_check_rejects_power_witness():
     assert e.value.identity == "A == R*S"
 
 
+def corpus_certificates():
+    """Accepted certificates from every producer, over the seeded corpus."""
+    certs = []
+    for p in corpus(seed=83, count=12, max_size=4):
+        _, chain = higher_block(p, 2)
+        certs += chain.links
+        spec = _center_read_spec(p, 1)
+        certs += decompose_conjugacy(spec).chain.links
+        hb2 = chain.pairs[1]
+        if p.size * hb2.size <= 30:
+            certs += he_search(p, hb2, max_solutions=4)
+        certs += sfe_bounded_search(p, p, lag_max=2, entry_max=1)
+    return certs
+
+
 def test_he_check_derivation_symmetry():
-    # S == K R^T J iff R == J S^T K on every accepted certificate
-    gm = golden_mean_pair()
-    _, chain = higher_block(gm, 2)
-    for link in chain.links:
-        j, k = link.source.J, link.target.J
-        assert link.S == mat_mul(mat_mul(k, link.R.transpose()), j)
-        assert link.R == mat_mul(mat_mul(j, link.S.transpose()), k)
+    # The checkers no longer test S zero-one, R == J S^T K or S*A == B*S,
+    # which follow from the identities they do test; they hold here by dense
+    # products on every certificate that any producer emits.
+    certs = corpus_certificates()
+    kinds = {type(c) for c in certs}
+    assert kinds == {HalfElemCert, ShiftFlipCert}
+    for cert in certs:
+        j, k = cert.source.J, cert.target.J
+        a, b = cert.source.A, cert.target.A
+        assert cert.S == dense_mul(dense_mul(k, cert.R.transpose()), j)
+        assert cert.R == dense_mul(dense_mul(j, cert.S.transpose()), k)
+        assert dense_mul(cert.S, a) == dense_mul(b, cert.S)
+        if isinstance(cert, HalfElemCert):
+            assert cert.S.is_zero_one
+
+
+def test_companion_equals_dense_product():
+    rng = random.Random(89)
+    pairs = corpus(seed=89, count=20, max_size=5)
+    for src, dst in zip(pairs, pairs[1:] + pairs[:1]):
+        rows = [[rng.choice((0, 0, 1, 2, 3)) for _ in dst.alphabet]
+                for _ in src.alphabet]
+        r = IntMatrix.rect(src.alphabet, dst.alphabet, rows)
+        assert _companion(src, dst, r) == \
+            dense_mul(dense_mul(dst.J, r.transpose()), src.J)
+
+
+def _two_cycle_pair():
+    labels = ("1", "2")
+    return FlipPair(IntMatrix.square(labels, [[0, 1], [1, 0]]),
+                    IntMatrix.identity(labels))
+
+
+def _identity_pair(labels):
+    return FlipPair(IntMatrix.identity(labels), IntMatrix.identity(labels))
+
+
+def _failing_inputs():
+    """One input per identity left in the checkers, with the identity it violates."""
+    one, gm = one_point_pair(), golden_mean_pair()
+    p1, p1i = example1_pair(), example1_symmetric_pair()
+    two = _identity_pair(("x", "y"))
+    first_only = IntMatrix.rect(("a",), ("x", "y"), [[1, 0]])
+    eye_gm = IntMatrix.identity(gm.alphabet)
+    wrong_s = IntMatrix.rect(gm.alphabet, gm.alphabet, [[0, 1], [1, 0]])
+    power = IntMatrix.rect(p1.alphabet, p1i.alphabet, p1.A.to_rows())
+    twice = IntMatrix.rect(("a",), ("a",), [[2]])
+    swap, ident2 = _two_cycle_pair(), _identity_pair(("1", "2"))
+    return [
+        (he_check, (gm, gm, IntMatrix.identity(("1", "x"))), {}, "shape"),
+        (he_check, (one, one, twice), {}, "R zero-one"),
+        (he_check, (gm, gm, eye_gm), {"supplied_S": wrong_s}, "S == K*R^T*J"),
+        (he_check, (p1, p1i, power), {}, "A == R*S"),
+        (he_check, (one, two, first_only), {}, "B == S*R"),
+        (sfe_check, (one, one, twice, 0), {}, "lag"),
+        (sfe_check, (gm, gm, IntMatrix.identity(("1", "x")), 1), {}, "shape"),
+        (sfe_check, (one, one, IntMatrix.rect(("a",), ("a",), [[-1]]), 1), {},
+         "R nonnegative"),
+        (sfe_check, (gm, gm, eye_gm, 1), {"supplied_S": wrong_s}, "S == K*R^T*J"),
+        (sfe_check, (p1, p1i, p1.A, 1), {}, "A^k == R*S"),
+        (sfe_check, (one, two, first_only, 1), {}, "B^k == S*R"),
+        (sfe_check, (swap, ident2, IntMatrix.identity(("1", "2")), 2), {},
+         "A*R == R*B"),
+    ]
+
+
+FAILING = _failing_inputs()
+
+
+@pytest.mark.parametrize("checker, args, kwargs, identity", FAILING,
+                         ids=[f"{c.__name__}: {i}" for c, _, _, i in FAILING])
+def test_every_remaining_identity_can_fail(checker, args, kwargs, identity):
+    with pytest.raises(CertificateError) as e:
+        checker(*args, **kwargs)
+    assert e.value.identity == identity
 
 
 def naive_he_search(src, dst):
