@@ -21,13 +21,12 @@ from .constructions import build_flip_pair, decompose_conjugacy, higher_block, \
     verify_decomposition
 from .equivalence import he_check, he_search, sfe_bounded_search, sfe_check, \
     sse_verify
-from .errors import CertificateError, FlipPairError, MatrixShapeError, \
-    SchemaError, SpecError
+from .errors import CertificateError, FlipPairError, SchemaError, SpecError
 from .matrices import IntMatrix, char_poly, mat_mul, rank_over_rationals
 from .refchecks import run_reference_checks
 from .report import Report
 from .series import DEFAULT_ORDER
-from .shifts import DEFAULT_PERIOD_CAP, count_pmn_bruteforce
+from .shifts import count_pmn_bruteforce
 from .zeta import artin_mazur_zeta, generating_function, lind_zeta
 
 
@@ -100,8 +99,7 @@ def _cmd_count(args, inputs):
     rows = []
     for m in range(1, args.m_max + 1):
         for n in args.n:
-            rows.append({"m": m, "n": n,
-                         "count": count_pmn_bruteforce(pair, m, n, cap=args.cap)})
+            rows.append({"m": m, "n": n, "count": count_pmn_bruteforce(pair, m, n)})
     csv_rows = [["m", "n", "count"]] + [[r["m"], r["n"], r["count"]] for r in rows]
     plain = "\n".join(f"p({r['m']},{r['n']}) = {r['count']}" for r in rows)
     return 0, {"rows": rows}, csv_rows, plain
@@ -152,10 +150,7 @@ def _load_endpoints(args, inputs):
 def _load_r(args, inputs, src, dst) -> IntMatrix:
     doc = _load_json(args.R, inputs)
     rows = doc["rows"] if isinstance(doc, dict) and "rows" in doc else doc
-    try:
-        return IntMatrix.rect(src.alphabet, dst.alphabet, rows)
-    except (MatrixShapeError, TypeError) as e:
-        raise SchemaError("R", str(e)) from e
+    return jsonio.rect_from_doc(rows, src.alphabet, dst.alphabet, "R")
 
 
 def _cmd_he_check(args, inputs):
@@ -205,9 +200,7 @@ def _cmd_sfe_check(args, inputs):
         payload = {"valid": False, "identity": e.identity, "message": str(e)}
         return 1, payload, _report_rows(_single_report("lag-k step", False, str(e))), \
             f"lag-{args.lag} equivalence: INVALID ({e.identity})"
-    payload = {"valid": True,
-               "certificate": {"kind": "sfe", "lag": cert.lag,
-                               "R": cert.R.to_rows(), "S": cert.S.to_rows()}}
+    payload = {"valid": True, "certificate": jsonio.cert_to_doc(cert)}
     return 0, payload, _report_rows(_single_report("lag-k step", True)), \
         f"lag-{args.lag} equivalence: valid"
 
@@ -216,8 +209,7 @@ def _cmd_sfe_search(args, inputs):
     src, dst = _load_endpoints(args, inputs)
     sols = sfe_bounded_search(src, dst, lag_max=args.lag_max,
                               entry_max=args.entry_max, budget=args.budget)
-    payload = {"solutions": [{"kind": "sfe", "lag": c.lag, "R": c.R.to_rows(),
-                              "S": c.S.to_rows()} for c in sols],
+    payload = {"solutions": [jsonio.cert_to_doc(c) for c in sols],
                "count": len(sols)}
     if sols:
         plain = f"{len(sols)} solution(s)" + "".join(
@@ -290,8 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="brute-force counts of jointly fixed points")
     p.add_argument("--pair", required=True)
     p.add_argument("--m-max", type=int, required=True)
-    p.add_argument("--n", type=int, nargs="+", default=[0, 1])
-    p.add_argument("--cap", type=int, default=DEFAULT_PERIOD_CAP)
+    p.add_argument("--n", type=int, nargs="+", default=(0, 1))
     common(p)
 
     p = sub.add_parser("zeta", help="zeta or generating-function series of a pair")
@@ -368,6 +359,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
 _HANDLERS = {
     "validate": _cmd_validate,
     "count": _cmd_count,
@@ -387,8 +380,7 @@ _HANDLERS = {
 
 
 def run_cli(argv: list[str]) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     inputs: dict[str, str] = {}
     started = time.monotonic()
     try:

@@ -21,11 +21,11 @@ from .errors import CertificateError, FlipShiftError, SpecError
 from .flips import FlipPair, Word
 from .matrices import IntMatrix
 from .report import Report
-from .shifts import (DEFAULT_PERIOD_CAP, Point, blocks, enumerate_periodic,
-                     essential_symbols, flip_point, is_essential,
-                     is_periodic_point, shift_point, word_center)
+from .shifts import (Point, blocks, enumerate_periodic, essential_symbols,
+                     flip_point, is_essential, is_periodic_point, shift_point,
+                     word_center)
 
-DEFAULT_CHECK_PERIOD = 6
+CHECK_PERIOD = 6  # the spec classes validate on all periods up to this
 
 
 def _join(w: Word) -> str:
@@ -96,12 +96,10 @@ class BlockFlipSpec:
     The rule maps every admissible window of width 2*window+1 to a symbol; the
     induced map applies the rule at mirrored coordinates.  Admissibility of
     images, involutivity, and the time-reversal identity are verified on all
-    periodic points up to ``check_period``.
+    periodic points up to ``CHECK_PERIOD``.
     """
 
-    def __init__(self, A: IntMatrix, window: int, rule: dict[Word, str],
-                 check_period: int = DEFAULT_CHECK_PERIOD,
-                 cap: int = DEFAULT_PERIOD_CAP):
+    def __init__(self, A: IntMatrix, window: int, rule: dict[Word, str]):
         if window < 0:
             raise SpecError("window", "window must be >= 0")
         needed = set(blocks(A, 2 * window + 1))
@@ -118,8 +116,8 @@ class BlockFlipSpec:
         self.A = A
         self.window = window
         self.rule = given
-        for m in range(1, check_period + 1):
-            for x in enumerate_periodic(A, m, cap=cap):
+        for m in range(1, CHECK_PERIOD + 1):
+            for x in enumerate_periodic(A, m):
                 y = self.phi_point(x)
                 if not is_periodic_point(A, y):
                     raise SpecError("phi_into", f"image of {x} leaves the shift")
@@ -138,10 +136,10 @@ class BlockFlipSpec:
             out.append(self.rule[block])
         return tuple(out)
 
-    def count_pmn(self, m: int, n: int, cap: int = DEFAULT_PERIOD_CAP) -> int:
+    def count_pmn(self, m: int, n: int) -> int:
         """Brute-force count of points fixed by shift^m and shift^n o flip."""
         count = 0
-        for x in enumerate_periodic(self.A, m, cap=cap):
+        for x in enumerate_periodic(self.A, m):
             if shift_point(self.phi_point(x), n) == x:
                 count += 1
         return count
@@ -223,14 +221,13 @@ class OneBlockConjugacySpec:
     ``psi`` maps source symbols to target symbols; ``inverse_window`` is the
     radius of target windows that determine the inverse's central symbol.
     Validation checks that psi is total, lands in the target shift, is a
-    flip-intertwining bijection on periodic points up to ``check_period``, and
+    flip-intertwining bijection on periodic points up to ``CHECK_PERIOD``, and
     that images of width-(2m+1) source blocks determine their central symbol
     and exhaust the target's width-(2m+1) blocks.
     """
 
     def __init__(self, source: FlipPair, target: FlipPair, psi: dict[str, str],
-                 inverse_window: int, check_period: int = DEFAULT_CHECK_PERIOD,
-                 cap: int = DEFAULT_PERIOD_CAP):
+                 inverse_window: int):
         if inverse_window < 0:
             raise SpecError("inverse_window", "inverse window must be >= 0")
         if not is_essential(source.A) or not is_essential(target.A):
@@ -258,9 +255,9 @@ class OneBlockConjugacySpec:
             seen.add(img)
         if seen != target_blocks:
             raise SpecError("psi_onto", "images do not exhaust the target blocks")
-        for per in range(1, check_period + 1):
-            src_points = enumerate_periodic(source.A, per, cap=cap)
-            dst_points = set(enumerate_periodic(target.A, per, cap=cap))
+        for per in range(1, CHECK_PERIOD + 1):
+            src_points = enumerate_periodic(source.A, per)
+            dst_points = set(enumerate_periodic(target.A, per))
             images = [self.map_point(x) for x in src_points]
             if not set(images) <= dst_points:
                 raise SpecError("psi_into", f"period-{per} image leaves the target shift")
@@ -451,12 +448,12 @@ def decompose_conjugacy(spec: OneBlockConjugacySpec) -> ConjugacyDecomposition:
 
 
 def verify_decomposition(dec: ConjugacyDecomposition, spec: OneBlockConjugacySpec,
-                         period: int, cap: int = DEFAULT_PERIOD_CAP) -> Report:
+                         period: int) -> Report:
     """Check the decomposition's composed map against the given conjugacy."""
     report = Report(title="decomposition agrees with the conjugacy")
     for per in range(1, period + 1):
         ok, bad = True, ""
-        for x in enumerate_periodic(spec.source.A, per, cap=cap):
+        for x in enumerate_periodic(spec.source.A, per):
             got = dec.map_point(x)
             want = spec.map_point(x)
             if got != want:

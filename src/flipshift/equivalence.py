@@ -19,8 +19,7 @@ from .errors import BudgetError, CertificateError
 from .flips import FlipPair
 from .matrices import IntMatrix, _integral_kernel, mat_mul, mat_pow
 from .report import Report
-from .shifts import (DEFAULT_PERIOD_CAP, Point, enumerate_periodic, flip_point,
-                     shift_point)
+from .shifts import Point, enumerate_periodic, flip_point, shift_point
 
 DEFAULT_CELL_BUDGET = 30
 DEFAULT_SEARCH_BUDGET = 1_000_000
@@ -134,8 +133,7 @@ def gamma_point(cert: HalfElemCert, x: Point) -> Point:
     return tuple(gamma_block(cert, x[i], x[(i + 1) % m]) for i in range(m))
 
 
-def verify_prop22(cert: HalfElemCert, m_max: int,
-                  cap: int = DEFAULT_PERIOD_CAP) -> Report:
+def verify_prop22(cert: HalfElemCert, m_max: int) -> Report:
     """Check the flip-intertwining identity of the induced conjugacy.
 
     On every periodic point of period <= m_max the image of the flipped point
@@ -148,7 +146,7 @@ def verify_prop22(cert: HalfElemCert, m_max: int,
     for m in range(1, m_max + 1):
         bad: str = ""
         ok = True
-        for x in enumerate_periodic(cert.source.A, m, cap=cap):
+        for x in enumerate_periodic(cert.source.A, m):
             try:
                 lhs = gamma_point(cert, flip_point(cert.source, x))
                 rhs = shift_point(flip_point(cert.target, gamma_point(cert, x)), 1)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Any
 
 from .constructions import BlockFlipSpec, OneBlockConjugacySpec
-from .equivalence import HalfElemCert, StrongChain, he_check
+from .equivalence import HalfElemCert, ShiftFlipCert, StrongChain, he_check
 from .errors import FlipShiftError, SchemaError
 from .flips import FlipPair
 from .matrices import IntMatrix
@@ -57,6 +57,16 @@ def _int_rows(doc: Any, path: str) -> list[list[int]]:
             out.append(x)
         rows.append(out)
     return rows
+
+
+def rect_from_doc(doc: Any, row_labels: tuple[str, ...], col_labels: tuple[str, ...],
+                  path: str) -> IntMatrix:
+    """Integer rows labelled by the given alphabets, e.g. a certificate's R or S."""
+    rows = _int_rows(doc, path)
+    try:
+        return IntMatrix.rect(row_labels, col_labels, rows)
+    except FlipShiftError as e:
+        raise SchemaError(path, str(e)) from e
 
 
 # -- matrices --------------------------------------------------------------------
@@ -133,8 +143,9 @@ def series_from_doc(doc: Any, path: str = "series") -> TruncatedSeries:
 
 # -- certificates and chains -----------------------------------------------------------
 
-def cert_to_doc(cert: HalfElemCert) -> dict:
-    return {"kind": "he", "lag": 1, "R": cert.R.to_rows(), "S": cert.S.to_rows()}
+def cert_to_doc(cert: HalfElemCert | ShiftFlipCert) -> dict:
+    kind, lag = ("sfe", cert.lag) if isinstance(cert, ShiftFlipCert) else ("he", 1)
+    return {"kind": kind, "lag": lag, "R": cert.R.to_rows(), "S": cert.S.to_rows()}
 
 
 def chain_to_doc(chain: StrongChain) -> dict:
@@ -159,19 +170,11 @@ def chain_from_doc(doc: Any, path: str = "chain") -> StrongChain:
         _expect(ldoc, dict, lp)
         if ldoc.get("kind", "he") != "he":
             raise SchemaError(f"{lp}.kind", "chain links must have kind 'he'")
-        rows = _int_rows(ldoc.get("R"), f"{lp}.R")
         src, dst = pairs[i], pairs[i + 1]
-        try:
-            r = IntMatrix.rect(src.alphabet, dst.alphabet, rows)
-        except FlipShiftError as e:
-            raise SchemaError(f"{lp}.R", str(e)) from e
+        r = rect_from_doc(ldoc.get("R"), src.alphabet, dst.alphabet, f"{lp}.R")
         supplied = None
         if "S" in ldoc:
-            srows = _int_rows(ldoc["S"], f"{lp}.S")
-            try:
-                supplied = IntMatrix.rect(dst.alphabet, src.alphabet, srows)
-            except FlipShiftError as e:
-                raise SchemaError(f"{lp}.S", str(e)) from e
+            supplied = rect_from_doc(ldoc["S"], dst.alphabet, src.alphabet, f"{lp}.S")
         links.append(he_check(src, dst, r, supplied_S=supplied))
     return StrongChain(pairs=pairs, links=tuple(links))
 

@@ -64,13 +64,13 @@ class IntMatrix:
     @classmethod
     def square(cls, labels: Iterable[str], rows: Sequence[Sequence[int]]) -> "IntMatrix":
         labs = _as_labels(labels)
-        return cls(labs, labs, tuple(tuple(int(x) for x in r) for r in rows))
+        return cls(labs, labs, tuple(tuple(r) for r in rows))
 
     @classmethod
     def rect(cls, row_labels: Iterable[str], col_labels: Iterable[str],
              rows: Sequence[Sequence[int]]) -> "IntMatrix":
         return cls(_as_labels(row_labels), _as_labels(col_labels),
-                   tuple(tuple(int(x) for x in r) for r in rows))
+                   tuple(tuple(r) for r in rows))
 
     @classmethod
     def identity(cls, labels: Iterable[str]) -> "IntMatrix":

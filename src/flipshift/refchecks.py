@@ -79,7 +79,7 @@ def expected_half_power_series(order: int) -> TruncatedSeries:
     return TruncatedSeries(order, tuple(coeffs))
 
 
-def run_reference_checks(order: int = 12, cap: int = 12) -> Report:
+def run_reference_checks(order: int = 12) -> Report:
     report = Report(title="reference example checks")
 
     # ---- four-symbol family ----
@@ -106,9 +106,9 @@ def run_reference_checks(order: int = 12, cap: int = 12) -> Report:
     brute_ok = True
     detail = []
     for m in range(1, 5):
-        even0 = count_pmn_bruteforce(p1i, 2 * m, 0, cap=cap)
-        odd = count_pmn_bruteforce(p1i, 2 * m - 1, 0, cap=cap)
-        even1 = count_pmn_bruteforce(p1i, 2 * m, 1, cap=cap)
+        even0 = count_pmn_bruteforce(p1i, 2 * m, 0)
+        odd = count_pmn_bruteforce(p1i, 2 * m - 1, 0)
+        even1 = count_pmn_bruteforce(p1i, 2 * m, 1)
         detail.append(f"m={m}: {odd},{even0},{even1}")
         brute_ok = brute_ok and even0 == 2 ** (m + 2) and odd == 0 and even1 == 0
     report.add("example1: brute-force counts of (A,I) are (0, 2^(m+2), 0), m=1..4",
@@ -164,9 +164,9 @@ def run_reference_checks(order: int = 12, cap: int = 12) -> Report:
                triples["A"] == triples["B"] == triples["C"],
                f"A: {triples['A']}")
 
-    brute = [(count_pmn_bruteforce(pairs2["A"], 2 * m - 1, 0, cap=cap),
-              count_pmn_bruteforce(pairs2["A"], 2 * m, 0, cap=cap),
-              count_pmn_bruteforce(pairs2["A"], 2 * m, 1, cap=cap))
+    brute = [(count_pmn_bruteforce(pairs2["A"], 2 * m - 1, 0),
+              count_pmn_bruteforce(pairs2["A"], 2 * m, 0),
+              count_pmn_bruteforce(pairs2["A"], 2 * m, 1))
              for m in range(1, 5)]
     report.add("example2: formulas match brute force (m=1..4)",
                triples["A"] == brute, f"brute: {brute}")

@@ -3,7 +3,8 @@
 Admissible blocks, word utilities, periodic-point enumeration, and the
 brute-force counter of points fixed jointly by a shift power and a shifted
 flip.  The enumerations here are deliberately naive: they are the oracle the
-closed-form counting formulas are tested against.
+closed-form counting formulas are tested against.  Their work is counted in
+advance by vector iteration and refused above ``WALK_BUDGET``.
 """
 
 from __future__ import annotations
@@ -11,36 +12,14 @@ from __future__ import annotations
 import warnings
 from functools import lru_cache
 
-from .errors import MatrixShapeError
+from .errors import BudgetError, MatrixShapeError
 from .flips import FlipPair, Word
 from .matrices import IntMatrix
 
-DEFAULT_PERIOD_CAP = 12
+WALK_BUDGET = 1_000_000  # most walk prefixes one enumeration may visit
 
 
 # -- word utilities -----------------------------------------------------------
-
-def reverse_word(w: Word) -> Word:
-    return tuple(reversed(w))
-
-
-def word_left(w: Word) -> Word:
-    """Drop the last symbol."""
-    return w[:-1]
-
-
-def word_right(w: Word) -> Word:
-    """Drop the first symbol."""
-    return w[1:]
-
-
-def word_initial(w: Word) -> str:
-    return w[0]
-
-
-def word_terminal(w: Word) -> str:
-    return w[-1]
-
 
 def word_center(w: Word) -> str:
     if len(w) % 2 == 0:
@@ -132,6 +111,33 @@ def _successors(a: IntMatrix) -> list[tuple[int, ...]]:
     return [tuple(j for j, x in enumerate(row) if x == 1) for row in a.entries]
 
 
+def _step(succ: list[tuple[int, ...]], v: list[int]) -> list[int]:
+    """The row vector v*A, for the zero-one matrix A with successor lists succ."""
+    out = [0] * len(v)
+    for i, x in enumerate(v):
+        if x:
+            for j in succ[i]:
+                out[j] += x
+    return out
+
+
+def _check_walk_budget(succ: list[tuple[int, ...]], starts: list[int],
+                       length: int) -> None:
+    """Refuse a walk to ``length`` symbols from ``starts`` above WALK_BUDGET prefixes.
+
+    ``_walks`` visits every prefix of every path, and the paths of k symbols
+    from the start vector v number v*A^(k-1)*1, so the total is summed by
+    vector iteration and the error comes before any walking.
+    """
+    v, total = starts, 0
+    for _ in range(length):
+        total += sum(v)
+        if total > WALK_BUDGET:
+            raise BudgetError(f"words of length {length} need more than "
+                              f"{WALK_BUDGET} walk prefixes")
+        v = _step(succ, v)
+
+
 @lru_cache(maxsize=256)
 def blocks(a: IntMatrix, n: int) -> tuple[Word, ...]:
     """All length-n words occurring in some bi-infinite point, in canonical order.
@@ -148,6 +154,7 @@ def blocks(a: IntMatrix, n: int) -> tuple[Word, ...]:
                       stacklevel=2)
     labels = a.row_labels
     succ = _successors(a)
+    _check_walk_budget(succ, [int(p) for p in past], n)
     return tuple(tuple(labels[i] for i in path)
                  for start in range(a.nrows) if past[start]
                  for path in _walks(succ, start, n) if future[path[-1]])
@@ -159,21 +166,19 @@ Point = Word  # a period-m point is stored as its cyclic word x_0..x_{m-1}
 
 
 @lru_cache(maxsize=64)
-def enumerate_periodic(a: IntMatrix, m: int, cap: int = DEFAULT_PERIOD_CAP
-                       ) -> tuple[Point, ...]:
+def enumerate_periodic(a: IntMatrix, m: int) -> tuple[Point, ...]:
     """All points fixed by the m-th shift power, as cyclic words, in lex order.
 
-    The count always equals trace(A^m).  Enumeration is exponential, so
-    periods beyond ``cap`` are refused.
+    The count always equals trace(A^m).  Enumeration is exponential, so a
+    period whose walk exceeds ``WALK_BUDGET`` prefixes is refused.
     """
     _check_graph_matrix(a)
     if m < 1:
         raise ValueError("period must be >= 1")
-    if m > cap:
-        raise ValueError(f"period {m} exceeds the enumeration cap {cap}")
     labels = a.row_labels
     rows = a.entries
     succ = _successors(a)
+    _check_walk_budget(succ, [1] * a.nrows, m)
     return tuple(tuple(labels[i] for i in path)
                  for start in range(a.nrows)
                  for path in _walks(succ, start, m) if rows[path[-1]][start] == 1)
@@ -204,8 +209,7 @@ def flip_point(pair: FlipPair, x: Point) -> Point:
     return tuple(tau[x[(-i) % m]] for i in range(m))
 
 
-def count_pmn_bruteforce(pair: FlipPair, m: int, n: int,
-                         cap: int = DEFAULT_PERIOD_CAP) -> int:
+def count_pmn_bruteforce(pair: FlipPair, m: int, n: int) -> int:
     """Count points fixed by the m-th shift power and the n-shifted flip.
 
     Filters the full period-m enumeration by x_i == tau(x_(-i-n)); n is taken
@@ -215,7 +219,7 @@ def count_pmn_bruteforce(pair: FlipPair, m: int, n: int,
         raise ValueError("m must be >= 1")
     tau = pair.tau
     count = 0
-    for x in enumerate_periodic(pair.A, m, cap=cap):
+    for x in enumerate_periodic(pair.A, m):
         if all(tau[x[(-i - n) % m]] == x[i] for i in range(m)):
             count += 1
     return count

@@ -9,6 +9,7 @@ from flipshift.constructions import higher_block
 from flipshift.fixtures import (example1_pair, example1_symmetric_pair,
                                 golden_mean_pair)
 from flipshift.shifts import blocks, word_center
+from flipshift.zeta import p_flip_counts
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "flipshift" / "data"
 
@@ -265,10 +266,39 @@ def test_long_block_words_do_not_hit_the_recursion_limit(write, capsys):
 
 def test_long_periods_do_not_hit_the_recursion_limit(write, capsys):
     path = write("one.json", ONE_SYMBOL)
-    assert run_cli(["count", "--pair", path, "--m-max", "1100",
-                    "--cap", "2000"]) == 0
+    assert run_cli(["count", "--pair", path, "--m-max", "1100"]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert len(rows) == 2200 and all(r["count"] == 1 for r in rows)
+
+
+def test_count_runs_cheap_long_periods(capsys):
+    assert run_cli(["count", "--pair", str(DATA / "golden_mean.json"),
+                    "--m-max", "20"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    closed = p_flip_counts(golden_mean_pair(), 10)
+    assert [r["count"] for r in rows if r["m"] == 20] == [closed.p_even0, closed.p_even1]
+
+
+def test_count_refuses_a_walk_over_budget(write, capsys):
+    # the full 16-symbol shift walks 16 + 16^2 + ... + 16^5 = 1,118,480 prefixes at period 5
+    full = {"alphabet": [f"s{i}" for i in range(16)], "A": [[1] * 16] * 16,
+            "J": [[int(i == j) for j in range(16)] for i in range(16)]}
+    assert run_cli(["count", "--pair", write("full.json", full), "--m-max", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: words of length 5 need more than 1000000 walk prefixes\n"
+
+
+@pytest.mark.parametrize("entry", [1.9, True, "1"])
+@pytest.mark.parametrize("command", [["he-check"], ["sfe-check", "--lag", "1"]],
+                         ids=["he-check", "sfe-check"])
+def test_non_integer_r_entries_are_schema_errors(command, entry, write, capsys):
+    one = write("one.json", ONE_SYMBOL)
+    r = write("r.json", [[entry]])
+    assert run_cli([*command, "--from", one, "--to", one, "--R", r]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: R[0][0]: expected integer")
 
 
 def _error_cases(tmp_path):

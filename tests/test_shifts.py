@@ -1,25 +1,23 @@
 import random
+import warnings
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import flipshift.shifts as shifts
 from corpus import random_flip_pair
+from flipshift.errors import BudgetError
 from flipshift.fixtures import (example1_pair, example1_symmetric_pair,
                                 golden_mean_pair, one_point_pair)
 from flipshift.matrices import IntMatrix, mat_pow, trace
 from flipshift.shifts import (blocks, count_pmn_bruteforce, enumerate_periodic,
                               essential_symbols, flip_point, is_essential,
-                              reverse_word, shift_point, word_center,
-                              word_initial, word_left, word_right,
-                              word_terminal)
+                              shift_point, word_center)
 
 
 def test_word_ops():
     w = ("a", "b", "c")
-    assert reverse_word(w) == ("c", "b", "a")
-    assert word_left(w) == ("a", "b")
-    assert word_right(w) == ("b", "c")
-    assert word_initial(w) == "a"
-    assert word_terminal(w) == "c"
     assert word_center(w) == "b"
     with pytest.raises(ValueError):
         word_center(("a", "b"))
@@ -64,9 +62,62 @@ def test_enumeration_matches_trace():
             assert len(enumerate_periodic(p.A, m)) == trace(mat_pow(p.A, m))
 
 
-def test_enumeration_cap():
-    with pytest.raises(ValueError):
-        enumerate_periodic(golden_mean_pair().A, 13)
+def test_walk_budget_refuses_before_walking(monkeypatch):
+    full = IntMatrix.square("abcd", [[1] * 4] * 4)
+
+    def no_walk(*args):
+        raise AssertionError("walked past the budget")
+
+    monkeypatch.setattr(shifts, "_walks", no_walk)
+    for enumerate_words in (blocks, enumerate_periodic):
+        with pytest.raises(BudgetError):
+            enumerate_words(full, 40)
+
+
+def _counting_walks(tally: list[int]):
+    """shifts._walks, adding one to tally[0] per prefix it visits."""
+    walks = shifts._walks
+
+    class Successors:
+        def __init__(self, js):
+            self.js = js
+
+        def __iter__(self):
+            for j in self.js:
+                tally[0] += 1
+                yield j
+
+    def counting(succ, start, length):
+        tally[0] += 1
+        return walks([Successors(js) for js in succ], start, length)
+
+    return counting
+
+
+def _enumerate_within(budget, enumerate_words, a, length, walks=shifts._walks):
+    enumerate_words.cache_clear()
+    with patch.object(shifts, "WALK_BUDGET", budget), \
+            patch.object(shifts, "_walks", walks), warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # stranded symbols
+        return enumerate_words(a, length)
+
+
+@st.composite
+def zero_one_matrices(draw):
+    n = draw(st.integers(1, 6))
+    row = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    return IntMatrix.square("abcdef"[:n], draw(st.lists(row, min_size=n, max_size=n)))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(a=zero_one_matrices(), length=st.integers(1, 8))
+def test_walk_budget_is_the_prefix_count(a, length):
+    for enumerate_words in (blocks, enumerate_periodic):
+        tally = [0]
+        _enumerate_within(10 ** 9, enumerate_words, a, length, _counting_walks(tally))
+        _enumerate_within(tally[0], enumerate_words, a, length)
+        with pytest.raises(BudgetError):
+            _enumerate_within(tally[0] - 1, enumerate_words, a, length)
 
 
 def test_count_pmn_examples():

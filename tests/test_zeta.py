@@ -130,7 +130,7 @@ def test_verify_prop31():
 def test_verify_prop31_composed_rows_use_an_independent_flip(monkeypatch):
     import flipshift.zeta as zeta_mod
     monkeypatch.setattr(zeta_mod, "count_pmn_bruteforce",
-                        lambda pair, m, n, cap=12: 100 * m + n)
+                        lambda pair, m, n: 100 * m + n)
     report = verify_prop31(example1_symmetric_pair(), 2)
     row3 = [c for c in report.checks if ",1) == p(" in c.name]
     assert [c.name for c in row3] == ["p(2,1) == p(2,0 of composed)",
