@@ -4,9 +4,8 @@ from .errors import (BudgetError, CertificateError, FlipPairError,
                      FlipShiftError, MatrixShapeError, OrderMismatchError,
                      SchemaError, SpecError)
 from .flips import FlipPair, validate_flip_pair
-from .matrices import (IntMatrix, IntPolynomial, IntVector, bilinear,
-                       char_poly, delta, mat_mul, mat_pow,
-                       rank_over_rationals, trace)
+from .matrices import (IntMatrix, IntPolynomial, char_poly, mat_mul,
+                       mat_pow, rank_over_rationals, trace)
 from .series import (TruncatedSeries, series_add, series_exp, series_log,
                      series_mul, substitute_t_squared)
 from .shifts import (blocks, count_pmn_bruteforce, enumerate_periodic,
@@ -28,11 +27,11 @@ __all__ = [
     "BlockCode", "BlockFlipSpec", "BudgetError", "CertificateError",
     "ConjugacyDecomposition", "FlipCountTriple", "FlipPair", "FlipPairError",
     "FlipShiftError", "HalfElemCert", "IntMatrix", "IntPolynomial",
-    "IntVector", "MatrixShapeError", "OneBlockConjugacySpec",
-    "OrderMismatchError", "SchemaError", "ShiftFlipCert", "SpecError",
-    "StrongChain", "TruncatedSeries", "artin_mazur_zeta", "bilinear",
-    "blocks", "build_flip_pair", "char_poly", "count_pmn_bruteforce",
-    "decompose_conjugacy", "delta", "enumerate_periodic", "essential_symbols",
+    "MatrixShapeError", "OneBlockConjugacySpec", "OrderMismatchError",
+    "SchemaError", "ShiftFlipCert", "SpecError", "StrongChain",
+    "TruncatedSeries", "artin_mazur_zeta", "blocks", "build_flip_pair",
+    "char_poly", "count_pmn_bruteforce", "decompose_conjugacy",
+    "enumerate_periodic", "essential_symbols",
     "flip_point", "gamma_block", "gamma_point", "generating_function",
     "he_check", "he_search", "higher_block", "lind_zeta", "mat_mul",
     "mat_pow", "p_flip_counts", "rank_over_rationals", "series_add",

@@ -131,9 +131,10 @@ def _cmd_rank_profile(args, inputs):
     shifted = m - IntMatrix.identity(m.row_labels).scale(args.shift)
     profile = []
     power = shifted
-    for _ in range(args.max_power):
+    for j in range(args.max_power):
+        if j:
+            power = mat_mul(shifted, power)
         profile.append(rank_over_rationals(power))
-        power = mat_mul(shifted, power)
     payload = {"rank": rank_over_rationals(m), "shift": args.shift,
                "profile": profile}
     rows = [["power", "rank"]] + [[j + 1, r] for j, r in enumerate(profile)]

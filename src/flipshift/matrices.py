@@ -6,6 +6,14 @@ Matrices carry row and column labels so that alphabets built downstream
 tuple rows, but the algorithms skip zeros: the matrices of shifts of finite
 type are sparse zero-one matrices, so products visit only the nonzeros of
 their factors.
+
+Two exact kernels sit on top.  The characteristic polynomial is one
+Hessenberg pass modulo a Mersenne prime past Hadamard's bound on its
+coefficients, lifted to the residue nearest zero: exact by the bound, with
+no probability involved.  The rank and the integral kernel come from one
+fraction-free (Bareiss) elimination that touches only the rows a step
+eliminates; its entries are minors of the input, so they stay as small as
+those minors are.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import MatrixShapeError
+from .errors import BudgetError, MatrixShapeError
 
 Labels = tuple[str, ...]
 
@@ -182,27 +190,6 @@ class IntMatrix:
 
 
 @dataclass(frozen=True)
-class IntVector:
-    """Labelled vector of Python integers."""
-
-    labels: Labels
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.labels) != len(self.entries):
-            raise MatrixShapeError("vector labels and entries differ in length")
-
-    def dot(self, other: "IntVector") -> int:
-        if self.labels != other.labels:
-            raise MatrixShapeError("dot product requires identical labels")
-        return sum(a * b for a, b in zip(self.entries, other.entries))
-
-    @property
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
-
-
-@dataclass(frozen=True)
 class IntPolynomial:
     """Integer polynomial, coefficients stored in ascending degree order."""
 
@@ -227,19 +214,6 @@ class IntPolynomial:
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
-
-    def eval_matrix(self, a: IntMatrix) -> IntMatrix:
-        """Evaluate the polynomial at a square matrix."""
-        if not a.is_square or a.row_labels != a.col_labels:
-            raise MatrixShapeError("polynomial evaluation needs a square matrix")
-        acc = IntMatrix.zeros(a.row_labels, a.col_labels)
-        ident = IntMatrix.identity(a.row_labels)
-        power = ident
-        for c in self.coeffs:
-            if c:
-                acc = acc + power.scale(c)
-            power = mat_mul(a, power)
         return acc
 
     def __str__(self) -> str:
@@ -310,54 +284,142 @@ def trace(a: IntMatrix) -> int:
     return sum(a.entries[i][i] for i in range(a.nrows))
 
 
-def delta(a: IntMatrix) -> IntVector:
-    """Vector of diagonal entries, labels inherited from the matrix."""
-    if not a.is_square or a.row_labels != a.col_labels:
-        raise MatrixShapeError("diagonal needs a square matrix with one label list")
-    return IntVector(a.row_labels, tuple(a.entries[i][i] for i in range(a.nrows)))
+# -- the modular pass ---------------------------------------------------------
+#
+# The characteristic polynomial is computed modulo primes whose product passes
+# twice a bound on its coefficients, then lifted to the residue nearest zero.
+# The bound is Hadamard's inequality, which holds for every integer matrix.
+
+# Proven Mersenne primes 2^p - 1, in increasing order of p.
+_MERSENNE_PRIMES = tuple((1 << p) - 1 for p in (
+    61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941,
+    11213, 19937, 21701, 23209, 44497))
 
 
-def bilinear(left: IntVector, a: IntMatrix, right: IntVector) -> int:
-    """left^T * a * right, exactly."""
-    if left.labels != a.row_labels or right.labels != a.col_labels:
-        raise MatrixShapeError("bilinear form requires matching labels")
-    total = 0
-    for i, li in enumerate(left.entries):
-        if li == 0:
+def _hadamard_squared(rows: Sequence[Sequence[int]]) -> int:
+    """Product over the rows of max(1, squared 2-norm).
+
+    Its square root bounds every minor of the matrix, of any size: by
+    Hadamard's inequality a minor is at most the product of its rows' norms,
+    each of which is at most its full row's norm.
+    """
+    out = 1
+    for row in rows:
+        out *= max(1, sum(x * x for x in row if x))
+    return out
+
+
+def _mersenne_primes_past(bound_squared: int) -> list[int]:
+    """Listed Mersenne primes whose product M has M^2 > bound_squared.
+
+    That is the smallest listed prime that passes alone, since one pass
+    modulo a larger prime is cheaper than several passes.  Past the largest,
+    it is the largest primes, as many as the product needs.
+    """
+    for p in _MERSENNE_PRIMES:
+        if p * p > bound_squared:
+            return [p]
+    primes, product = [], 1
+    for p in reversed(_MERSENNE_PRIMES):
+        primes.append(p)
+        product *= p
+        if product * product > bound_squared:
+            return primes
+    raise BudgetError(f"integer bound of {bound_squared.bit_length() // 2} bits passes "
+                      "the product of the listed Mersenne primes")
+
+
+def _hessenberg_char_poly(rows: Sequence[Sequence[int]], p: int) -> list[int]:
+    """Ascending coefficients of det(tI - A) mod the prime p.
+
+    A is brought to upper Hessenberg form H by elementary similarities, and
+    the characteristic polynomials of H's leading blocks follow from
+    expansion along their last column (H. Cohen, *A Course in Computational
+    Algebraic Number Theory*, 1993, algorithm 2.2.9).  A zero on the
+    subdiagonal cuts that expansion short, so sparse inputs cost little.
+    """
+    n = len(rows)
+    h = [[x % p for x in row] for row in rows]
+    for m in range(1, n - 1):
+        piv = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if piv is None:
             continue
-        row = a.entries[i]
-        total += li * sum(x * r for x, r in zip(row, right.entries))
-    return total
+        if piv != m:
+            h[piv], h[m] = h[m], h[piv]
+            for row in h:
+                row[piv], row[m] = row[m], row[piv]
+        inv = pow(h[m][m - 1], -1, p)
+        # The eliminations commute, so all row operations go first and the
+        # inverse column operations follow in one sweep.
+        factors = [(j, h[j][m - 1] * inv % p) for j in range(m + 1, n) if h[j][m - 1]]
+        if not factors:
+            continue
+        pivot_row = [(c, x) for c, x in enumerate(h[m]) if x]
+        for j, u in factors:
+            row = h[j]
+            for c, x in pivot_row:
+                row[c] = (row[c] - u * x) % p
+        for row in h:
+            s = sum(u * row[j] for j, u in factors if row[j])
+            if s:
+                row[m] = (row[m] + s) % p
+    # polys[m] is the characteristic polynomial of the leading m x m block
+    polys = [[1]]
+    for m in range(n):
+        prev = polys[m]
+        poly = [0] + prev
+        d = h[m][m]
+        if d:
+            for k, c in enumerate(prev):
+                poly[k] = (poly[k] - d * c) % p
+        t = 1
+        for i in range(m - 1, -1, -1):
+            t = t * h[i + 1][i] % p
+            if not t:
+                break
+            u = t * h[i][m] % p
+            if u:
+                for k, c in enumerate(polys[i]):
+                    poly[k] = (poly[k] - u * c) % p
+        polys.append(poly)
+    return polys[n]
+
+
+def _char_poly_modular(rows: Sequence[Sequence[int]], primes: Sequence[int]) -> list[int]:
+    """det(tI - A) modulo the product of the primes, lifted symmetrically.
+
+    The residues of each prime are merged by the Chinese remainder theorem.
+    The lift is the exact polynomial only when the product passes twice the
+    largest absolute coefficient.
+    """
+    modulus, coeffs = 1, [0] * (len(rows) + 1)
+    for p in primes:
+        inv = pow(modulus, -1, p)
+        coeffs = [c + modulus * ((r - c) * inv % p)
+                  for c, r in zip(coeffs, _hessenberg_char_poly(rows, p))]
+        modulus *= p
+    half = modulus // 2
+    return [c - modulus if c > half else c for c in coeffs]
 
 
 def char_poly(a: IntMatrix) -> IntPolynomial:
     """Characteristic polynomial det(tI - A) with exact integer coefficients.
 
-    Uses the Faddeev-LeVerrier recurrence: every division is an exact integer
-    division, so intermediate values never leave the integers.
+    One Hessenberg pass modulo Mersenne primes whose product M passes
+    2 * 2^n * H, where H is the product over the rows of max(1, row 2-norm).
+    The coefficient of t^(n-k) is, up to sign, the sum of the C(n, k) <= 2^n
+    principal k x k minors, and each of them is at most H by Hadamard's
+    inequality.  So every coefficient lies strictly inside (-M/2, M/2), where
+    the symmetric lift is exact.
     """
     if not a.is_square or a.row_labels != a.col_labels:
         raise MatrixShapeError("characteristic polynomial needs a square matrix")
-    n = a.nrows
-    if n == 0:
-        return IntPolynomial.from_coeffs([1])
-    # p(t) = t^n + c[1] t^(n-1) + ... + c[n]
-    coeffs = [0] * (n + 1)
-    coeffs[0] = 1
-    acc = IntMatrix.identity(a.row_labels)
-    for k in range(1, n + 1):
-        # the sparse factor goes on the left of the dense accumulator
-        acc = mat_mul(a, acc)
-        t = trace(acc)
-        q, r = divmod(-t, k)
-        if r:
-            raise ArithmeticError("inexact division in characteristic polynomial")
-        coeffs[k] = q
-        if k < n:
-            acc = IntMatrix._trusted(acc.row_labels, acc.col_labels, tuple(
-                row[:i] + (row[i] + q,) + row[i + 1:] for i, row in enumerate(acc.entries)))
-    # ascending order: coeffs[k] is the coefficient of t^(n-k)
-    return IntPolynomial.from_coeffs(list(reversed(coeffs)))
+    rows = a.entries
+    primes = _mersenne_primes_past(_hadamard_squared(rows) << (2 * len(rows) + 2))
+    return IntPolynomial.from_coeffs(_char_poly_modular(rows, primes))
+
+
+# -- the fraction-free elimination ---------------------------------------------
 
 
 def _bareiss(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
@@ -367,33 +429,57 @@ def _bareiss(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[int]]
     minor of the input, so each division is exact (H. Cohen, *A Course in
     Computational Algebraic Number Theory*, 1993, section 2.2); the last pivot
     is the determinant of the pivot minor, up to sign.
+
+    A step with pivot p_k only rescales, by p_k / p_(k-1), a row that is zero
+    in the pivot column.  Such rows are left alone: each row records the step
+    its entries belong to and catches up by one exact division when a later
+    step needs it.  So a step costs only the rows it eliminates, and the
+    entries stay the size of the minors, however loose a bound on them is.
     """
     m = [list(row) for row in rows]
     nr = len(m)
+    dets = [1]  # dets[k] is the pivot of step k, with dets[0] = 1
+    stamp = [0] * nr  # m[r] holds the entries of row r as of step stamp[r]
     pivots: list[int] = []
-    prev = 1
-    row = 0
+
+    def current(r: int) -> list[int]:
+        k = stamp[r]
+        if k != len(pivots):
+            if dets[-1] != dets[k]:
+                m[r] = [x * dets[-1] // dets[k] for x in m[r]]
+            stamp[r] = len(pivots)
+        return m[r]
+
     for col in range(ncols):
+        row = len(pivots)
         if row >= nr:
             break
         piv = next((r for r in range(row, nr) if m[r][col] != 0), None)
         if piv is None:
             continue
         m[row], m[piv] = m[piv], m[row]
-        p = m[row][col]
+        stamp[row], stamp[piv] = stamp[piv], stamp[row]
+        pivot_row = current(row)
+        p, prev = pivot_row[col], dets[-1]
+        tail = [(c, x) for c, x in enumerate(pivot_row) if x and c > col]
         for r in range(row + 1, nr):
-            factor = m[r][col]
-            for c in range(col + 1, ncols):
-                num = p * m[r][c] - factor * m[row][c]
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise ArithmeticError("inexact division in fraction-free elimination")
-                m[r][c] = q
-            m[r][col] = 0
-        prev = p
-        row += 1
+            if m[r][col]:
+                cur = current(r)
+                factor = cur[col]
+                if p == prev:
+                    # (p*y - factor*x)/p: entries off the tail keep their values
+                    for c, x in tail:
+                        cur[c] -= factor * x // p
+                else:
+                    new = [y * p for y in cur]
+                    for c, x in tail:
+                        new[c] -= factor * x
+                    cur = m[r] = [y // prev for y in new]
+                cur[col] = 0
+                stamp[r] = row + 1
+        dets.append(p)
         pivots.append(col)
-    return m[:row], pivots
+    return m[:len(pivots)], pivots
 
 
 def _integral_kernel(rows: Sequence[Sequence[int]], ncols: int) -> tuple[int, list[list[int]]]:
@@ -424,5 +510,5 @@ def _integral_kernel(rows: Sequence[Sequence[int]], ncols: int) -> tuple[int, li
 
 
 def rank_over_rationals(a: IntMatrix) -> int:
-    """Rank over the rationals by fraction-free (Bareiss) elimination."""
+    """Rank over the rationals: the pivot count of the Bareiss elimination."""
     return len(_bareiss(a.entries, a.ncols)[1])

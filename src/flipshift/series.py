@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from .errors import OrderMismatchError
@@ -93,19 +94,29 @@ def series_exp(a: TruncatedSeries) -> TruncatedSeries:
     """exp of a series with zero constant term.
 
     Uses the recurrence n*g_n = sum_{k=1..n} k*f_k*g_{n-k} obtained from
-    g' = f'g, so every coefficient is an exact rational.
+    g' = f'g, on integers.  With D the lcm of the denominators of the k*f_k
+    and F_k = D*k*f_k, the numbers N_n = n! * D^n * g_n satisfy
+    N_n = sum_k F_k * D^(k-1) * (n-1)!/(n-k)! * N_(n-k), so each
+    coefficient becomes a Fraction once, as N_n / (n! * D^n).
     """
     if a.constant != 0:
         raise OrderMismatchError("series_exp needs a zero constant term")
     n = a.order
-    g = [Fraction(0)] * (n + 1)
-    g[0] = Fraction(1)
-    for d in range(1, n + 1):
-        acc = Fraction(0)
-        for k in range(1, d + 1):
-            if a.coeffs[k]:
-                acc += k * a.coeffs[k] * g[d - k]
-        g[d] = acc / d
+    kf = [k * c for k, c in enumerate(a.coeffs)]
+    den = lcm(*(x.denominator for x in kf))
+    f = [x.numerator * (den // x.denominator) for x in kf]
+    num = [1] + [0] * n
+    for m in range(1, n + 1):
+        acc, scale = 0, 1  # scale = D^(k-1) * (m-1)!/(m-k)!
+        for k in range(1, m + 1):
+            if f[k]:
+                acc += f[k] * scale * num[m - k]
+            scale *= den * (m - k)
+        num[m] = acc
+    g, scale = [Fraction(1)], 1
+    for m in range(1, n + 1):
+        scale *= m * den
+        g.append(Fraction(num[m], scale))
     return TruncatedSeries(n, tuple(g))
 
 

@@ -3,7 +3,10 @@
 The three bilinear-form counts, the generating function packaging them, the
 classical zeta series of the shift alone, and the zeta series of the full
 shift-plus-flip action.  The counting formulas are fast; the brute-force
-oracle in ``shifts`` exists to test them.
+oracle in ``shifts`` exists to test them.  Both zetas see the shift only
+through its characteristic polynomial: the Artin-Mazur zeta is
+1/det(I - tA), and the traces tr(A^n) in the Lind zeta follow from Newton's
+identities, so no matrix power is formed.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from fractions import Fraction
 
 from .constructions import higher_block
 from .flips import FlipPair
-from .matrices import IntMatrix, mat_mul, trace
+from .matrices import IntMatrix, char_poly
 from .report import Report
 from .series import TruncatedSeries, series_add, series_exp
 from .shifts import _step, _successors, count_pmn_bruteforce
@@ -85,16 +88,42 @@ def generating_function(pair: FlipPair, order: int) -> TruncatedSeries:
     return TruncatedSeries(order, tuple(coeffs))
 
 
+def _det_one_minus_ta(a: IntMatrix) -> list[int]:
+    """Coefficients of det(I - tA) in ascending degree: the reversed char_poly."""
+    return list(reversed(char_poly(a).coeffs))
+
+
+def _traces_of_powers(q: list[int], count: int) -> list[int]:
+    """tr(A^k) for k = 0..count from q = det(I - tA), by Newton's identities.
+
+    Taking -t d/dt log of q gives sum_k tr(A^k) t^k = -t q'/q, so
+    tr(A^k) = -k q_k - sum_{j=1..k-1} q_j tr(A^(k-j)), with q_j = 0 past deg q.
+    """
+    tr = [len(q) - 1] + [0] * count
+    for k in range(1, count + 1):
+        acc = -k * q[k] if k < len(q) else 0
+        for j in range(1, min(k, len(q))):
+            if q[j]:
+                acc -= q[j] * tr[k - j]
+        tr[k] = acc
+    return tr
+
+
 def artin_mazur_zeta(a: IntMatrix, order: int) -> TruncatedSeries:
-    """exp( sum_n trace(A^n)/n t^n ), truncated."""
+    """exp( sum_n trace(A^n)/n t^n ), truncated.
+
+    That is 1/det(I - tA) (Lind & Marcus, *An Introduction to Symbolic
+    Dynamics and Coding*, 1995, section 6.4), so the coefficients are
+    integers and come from the series inverse of the reversed
+    characteristic polynomial: z_m = -sum_{k=1..m} q_k z_(m-k).
+    """
     if order < 1:
         raise ValueError("order must be >= 1")
-    coeffs = [Fraction(0)] * (order + 1)
-    power = IntMatrix.identity(a.row_labels)
-    for n in range(1, order + 1):
-        power = mat_mul(a, power)
-        coeffs[n] = Fraction(trace(power), n)
-    return series_exp(TruncatedSeries(order, tuple(coeffs)))
+    q = _det_one_minus_ta(a)
+    z = [1]
+    for m in range(1, order + 1):
+        z.append(-sum(q[k] * z[m - k] for k in range(1, min(m + 1, len(q))) if q[k]))
+    return TruncatedSeries(order, tuple(Fraction(x) for x in z))
 
 
 def lind_zeta(pair: FlipPair, order: int) -> TruncatedSeries:
@@ -102,15 +131,15 @@ def lind_zeta(pair: FlipPair, order: int) -> TruncatedSeries:
 
     Computed as exp( (1/2) sum_n p_n t^(2n)/n + G(t) ), which is the half
     power of the shift zeta at t^2 times exp(G) without ever taking a square
-    root: halving the inner counting sum is exact.
+    root: halving the inner counting sum is exact.  The counts p_n = tr(A^n)
+    come from Newton's identities on the characteristic polynomial.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
+    tr = _traces_of_powers(_det_one_minus_ta(pair.A), order // 2)
     coeffs = [Fraction(0)] * (order + 1)
-    power = IntMatrix.identity(pair.A.row_labels)
     for n in range(1, order // 2 + 1):
-        power = mat_mul(pair.A, power)
-        coeffs[2 * n] = Fraction(trace(power), 2 * n)
+        coeffs[2 * n] = Fraction(tr[n], 2 * n)
     half_inner = TruncatedSeries(order, tuple(coeffs))
     return series_exp(series_add(half_inner, generating_function(pair, order)))
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import strategies as st
+
 from flipshift import FlipPair, IntMatrix
 from flipshift.matrices import mat_pow, trace
 from flipshift.shifts import essential_symbols
@@ -70,3 +72,22 @@ def corpus(seed: int = DEFAULT_SEED, count: int = 50, max_size: int = 6
            ) -> list[FlipPair]:
     rng = random.Random(seed)
     return [random_flip_pair(rng, max_size=max_size) for _ in range(count)]
+
+
+@st.composite
+def integer_matrices(draw, square: bool = True):
+    """Integer matrices with negative entries and zero rows.
+
+    A drawn scale multiplies some entries by 2^e.  At e = 23,000, on at most
+    three rows, the characteristic polynomial's bound passes the largest
+    listed Mersenne prime, so its coefficients are merged over several.
+    """
+    e = draw(st.sampled_from([0, 0, 40, 23_000]))
+    nr = draw(st.integers(0, 3 if e > 10_000 else 6))
+    nc = nr if square else draw(st.integers(1, 6))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-3, 3).map(lambda x: (x << e) + 1))
+    rows = [[0] * nc if draw(st.booleans()) and draw(st.booleans())
+            else draw(st.lists(entry, min_size=nc, max_size=nc)) for _ in range(nr)]
+    row_labels = [f"x{i}" for i in range(nr)]
+    col_labels = row_labels if square else [f"y{j}" for j in range(nc)]
+    return IntMatrix.rect(row_labels, col_labels, rows)

@@ -1,19 +1,51 @@
-"""The one exact elimination against the Gauss-Jordan code it replaced.
+"""The one exact elimination against the code it replaced.
 
 ``rational_kernel_basis`` is the former Fraction kernel of the lag search,
 kept here only as an oracle: the integral kernel must be exactly d times its
-basis, with the same pivots and so the same rank.
+basis, with the same pivots and so the same rank.  ``dense_bareiss`` is the
+former elimination, which rescaled every row at every step; the one that
+rescales rows only when a step needs them must give the same rows.
 """
 
 import random
 from fractions import Fraction
 from itertools import product
 
-from corpus import corpus
+from hypothesis import given, settings, strategies as st
+
+from corpus import corpus, integer_matrices
 from flipshift.equivalence import sfe_bounded_search, sfe_check
 from flipshift.errors import CertificateError
-from flipshift.matrices import (IntMatrix, _bareiss, _integral_kernel,
+from flipshift.matrices import (IntMatrix, _bareiss, _integral_kernel, mat_pow,
                                 rank_over_rationals)
+
+
+def dense_bareiss(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Bareiss elimination updating every row below the pivot at every step."""
+    m = [list(row) for row in rows]
+    nr = len(m)
+    pivots: list[int] = []
+    prev = 1
+    row = 0
+    for col in range(ncols):
+        if row >= nr:
+            break
+        piv = next((r for r in range(row, nr) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        m[row], m[piv] = m[piv], m[row]
+        p = m[row][col]
+        for r in range(row + 1, nr):
+            factor = m[r][col]
+            for c in range(col + 1, ncols):
+                q, rem = divmod(p * m[r][c] - factor * m[row][c], prev)
+                assert rem == 0
+                m[r][c] = q
+            m[r][col] = 0
+        prev = p
+        row += 1
+        pivots.append(col)
+    return m[:row], pivots
 
 
 def rational_kernel_basis(rows: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -94,7 +126,7 @@ def check_against_oracle(rows: list[list[int]]):
     labels = [f"c{c}" for c in range(ncols)]
     rank = rank_over_rationals(IntMatrix.rect((f"r{i}" for i in range(len(rows))),
                                               labels, rows))
-    assert rank == len(_bareiss(rows, ncols)[1]) == ncols - len(oracle)
+    assert rank == len(dense_bareiss(rows, ncols)[1]) == ncols - len(oracle)
 
 
 def test_integral_kernel_is_d_times_oracle_on_corpus_rows():
@@ -113,6 +145,24 @@ def test_integral_kernel_is_d_times_oracle_on_random_integers():
 def test_integral_kernel_of_full_rank_and_zero_matrices():
     assert _integral_kernel([[2, 0], [0, 3]], 2) == (6, [])
     assert _integral_kernel([[0, 0, 0]], 3) == (1, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(a=integer_matrices(square=False))
+def test_bareiss_equals_the_dense_elimination(a):
+    rows = [list(row) for row in a.entries]
+    assert _bareiss(rows, a.ncols) == dense_bareiss(rows, a.ncols)
+    assert rank_over_rationals(a) == len(dense_bareiss(rows, a.ncols)[1])
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(pair=st.sampled_from(corpus(count=40)), shift=st.integers(-2, 2),
+       power=st.integers(1, 4))
+def test_rank_profiles_of_corpus_pairs_equal_the_dense_elimination(pair, shift, power):
+    m = mat_pow(pair.A - IntMatrix.identity(pair.alphabet).scale(shift), power)
+    rows = [list(row) for row in m.entries]
+    assert _bareiss(rows, m.ncols) == dense_bareiss(rows, m.ncols)
+    assert rank_over_rationals(m) == len(dense_bareiss(rows, m.ncols)[1])
 
 
 def oracle_sfe_search(src, dst, lag_max, entry_max):
