@@ -95,6 +95,8 @@ def _single_report(name: str, passed: bool, detail: str = "") -> Report:
 
 
 def _cmd_count(args, inputs):
+    if args.m_max < 1:
+        raise ValueError("--m-max must be >= 1")
     pair = jsonio.pair_from_doc(_load_json(args.pair, inputs))
     rows = []
     for m in range(1, args.m_max + 1):
@@ -127,6 +129,8 @@ def _cmd_charpoly(args, inputs):
 
 
 def _cmd_rank_profile(args, inputs):
+    if args.max_power < 1:
+        raise ValueError("--max-power must be >= 1")
     m = jsonio.matrix_from_doc(_load_json(args.matrix, inputs))
     shifted = m - IntMatrix.identity(m.row_labels).scale(args.shift)
     profile = []
@@ -169,6 +173,8 @@ def _cmd_he_check(args, inputs):
 
 
 def _cmd_he_search(args, inputs):
+    if args.max_solutions < 1:
+        raise ValueError("--max-solutions must be >= 1")
     src, dst = _load_endpoints(args, inputs)
     sols = he_search(src, dst, max_solutions=args.max_solutions,
                      cell_budget=args.cell_budget)

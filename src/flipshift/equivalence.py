@@ -263,7 +263,8 @@ def sfe_check(src: FlipPair, dst: FlipPair, R: IntMatrix, lag: int,
 
     Derives S = K R^T J and verifies A^k == R*S, B^k == S*R and A*R == R*B.
     S*A == B*S then holds as well: S*A == K (A R)^T J == K (R B)^T J == B*S by
-    the flip symmetry of both pairs.
+    the flip symmetry of both pairs.  This is the checker for certificates
+    from outside; ``sfe_bounded_search`` tests only the two power identities.
     """
     if lag < 1:
         raise CertificateError("lag", "lag must be >= 1")
@@ -294,6 +295,13 @@ def sfe_bounded_search(src: FlipPair, dst: FlipPair, lag_max: int, entry_max: in
     of d with quotient in 0..entry_max.  This is complete within the stated
     bounds; an empty result means "none within bounds", never a non-existence
     proof.
+
+    A candidate has the right shape, is nonnegative and satisfies A*R == R*B
+    by construction, so of ``sfe_check``'s identities only A^k == R*S and
+    B^k == S*R are tested here: the powers once per lag, R*S once per
+    candidate, and S*R once for a candidate whose R*S is one of the powers.
+    ``sfe_check`` stays the full checker for certificates from outside.
+    Certificates come candidate by candidate, lags ascending.
     """
     if lag_max < 1 or entry_max < 0:
         raise ValueError("need lag_max >= 1 and entry_max >= 0")
@@ -316,6 +324,8 @@ def sfe_bounded_search(src: FlipPair, dst: FlipPair, lag_max: int, entry_max: in
         raise BudgetError(
             f"kernel dimension {dim} with entries <= {entry_max} exceeds budget {budget}")
     nonzeros = [[(k, x) for k, x in enumerate(bvec) if x] for bvec in basis]
+    powers = [(lag, mat_pow(src.A, lag), mat_pow(dst.A, lag))
+              for lag in range(1, lag_max + 1)]
     found: list[ShiftFlipCert] = []
     for coeffs in product(range(entry_max + 1), repeat=dim):
         vec = [0] * ncell
@@ -325,11 +335,13 @@ def sfe_bounded_search(src: FlipPair, dst: FlipPair, lag_max: int, entry_max: in
                     vec[k] += c * x
         if any(x % d or not 0 <= x // d <= entry_max for x in vec):
             continue
-        r = IntMatrix.rect(src.alphabet, dst.alphabet,
-                           [[vec[i * nb + b] // d for b in range(nb)] for i in range(na)])
-        for lag in range(1, lag_max + 1):
-            try:
-                found.append(sfe_check(src, dst, r, lag))
-            except CertificateError:
-                pass
+        r = IntMatrix._trusted(src.alphabet, dst.alphabet, tuple(
+            tuple(vec[i * nb + b] // d for b in range(nb)) for i in range(na)))
+        s = _companion(src, dst, r)
+        rs = mat_mul(r, s)
+        lags = [(lag, b_k) for lag, a_k, b_k in powers if rs == a_k]
+        if lags:
+            sr = mat_mul(s, r)
+            found.extend(ShiftFlipCert(source=src, target=dst, R=r, S=s, lag=lag)
+                         for lag, b_k in lags if sr == b_k)
     return found

@@ -2,9 +2,13 @@
 
 Admissible blocks, word utilities, periodic-point enumeration, and the
 brute-force counter of points fixed jointly by a shift power and a shifted
-flip.  The enumerations here are deliberately naive: they are the oracle the
-closed-form counting formulas are tested against.  Their work is counted in
-advance by vector iteration and refused above ``WALK_BUDGET``.
+flip.  The enumerations here are deliberately naive: every word and every
+periodic point is built, because they are the oracle the closed-form
+counting formulas are tested against.  One walker serves them all: it grows
+every path one symbol at a time as a string of symbol indices.  The counter
+tests each point against the shifted flips by matching rotations of strings.
+The walk's work is counted in advance by vector iteration and refused above
+``WALK_BUDGET``.
 """
 
 from __future__ import annotations
@@ -82,29 +86,19 @@ def is_admissible(a: IntMatrix, w: Word) -> bool:
     return all(a.entries[i][j] == 1 for i, j in zip(ix, ix[1:]))
 
 
-def _walks(succ: list[tuple[int, ...]], start: int, length: int):
-    """Yield every path of ``length`` symbol indices from ``start``, in lex order.
+def _walks(succ: list[str], starts: str, length: int) -> list[str]:
+    """Every path of ``length`` symbol indices from ``starts``, in lex order.
 
-    The walk is iterative, so word length is not bounded by the recursion
-    limit.  The yielded list is reused between paths; copy what you keep.
+    A path is a ``str`` of ``chr(index)``, and ``succ[i]`` holds the successors
+    of symbol i the same way, in index order.  All paths grow together, one
+    length at a time, so the walk builds exactly the prefixes that
+    ``_check_walk_budget`` counts.  Extending each path by its successors in
+    index order keeps every level in lex order.
     """
-    path = [start]
-    if length == 1:
-        yield path
-        return
-    pending = [iter(succ[start])]  # successors still to try, one per depth
-    while pending:
-        for j in pending[-1]:
-            path.append(j)
-            if len(path) == length:
-                yield path
-                path.pop()
-            else:
-                pending.append(iter(succ[j]))
-                break
-        else:
-            pending.pop()
-            path.pop()
+    paths = list(starts)
+    for _ in range(length - 1):
+        paths = [w + c for w in paths for c in succ[ord(w[-1])]]
+    return paths
 
 
 def _successors(a: IntMatrix) -> list[tuple[int, ...]]:
@@ -125,7 +119,7 @@ def _check_walk_budget(succ: list[tuple[int, ...]], starts: list[int],
                        length: int) -> None:
     """Refuse a walk to ``length`` symbols from ``starts`` above WALK_BUDGET prefixes.
 
-    ``_walks`` visits every prefix of every path, and the paths of k symbols
+    ``_walks`` builds every prefix of every path, and the paths of k symbols
     from the start vector v number v*A^(k-1)*1, so the total is summed by
     vector iteration and the error comes before any walking.
     """
@@ -136,6 +130,21 @@ def _check_walk_budget(succ: list[tuple[int, ...]], starts: list[int],
             raise BudgetError(f"words of length {length} need more than "
                               f"{WALK_BUDGET} walk prefixes")
         v = _step(succ, v)
+
+
+def _paths(a: IntMatrix, starts: list[int], length: int) -> tuple[list[str], list[str]]:
+    """The successor strings of ``a`` and its paths of ``length`` symbols from
+    the symbols flagged in ``starts``; refused above the budget before walking."""
+    succ = _successors(a)
+    _check_walk_budget(succ, starts, length)
+    succ = ["".join(map(chr, js)) for js in succ]
+    return succ, _walks(succ, "".join(chr(i) for i, s in enumerate(starts) if s), length)
+
+
+def _labelled(a: IntMatrix, paths) -> tuple[Word, ...]:
+    """Index strings as words of the labels of ``a``."""
+    label = dict(zip(map(chr, range(a.nrows)), a.row_labels))
+    return tuple(tuple(map(label.__getitem__, w)) for w in paths)
 
 
 @lru_cache(maxsize=256)
@@ -152,17 +161,19 @@ def blocks(a: IntMatrix, n: int) -> tuple[Word, ...]:
     if not (all(past) and all(future)):
         warnings.warn("matrix has stranded symbols; they contribute no blocks",
                       stacklevel=2)
-    labels = a.row_labels
-    succ = _successors(a)
-    _check_walk_budget(succ, [int(p) for p in past], n)
-    return tuple(tuple(labels[i] for i in path)
-                 for start in range(a.nrows) if past[start]
-                 for path in _walks(succ, start, n) if future[path[-1]])
+    _, paths = _paths(a, [int(p) for p in past], n)
+    return _labelled(a, [w for w in paths if future[ord(w[-1])]])
 
 
 # -- periodic points ----------------------------------------------------------
 
 Point = Word  # a period-m point is stored as its cyclic word x_0..x_{m-1}
+
+
+def _periodic_words(a: IntMatrix, m: int) -> list[str]:
+    """The period-m points of ``a`` as index strings, in lex order."""
+    succ, paths = _paths(a, [1] * a.nrows, m)
+    return [w for w in paths if w[0] in succ[ord(w[-1])]]
 
 
 @lru_cache(maxsize=64)
@@ -175,13 +186,7 @@ def enumerate_periodic(a: IntMatrix, m: int) -> tuple[Point, ...]:
     _check_graph_matrix(a)
     if m < 1:
         raise ValueError("period must be >= 1")
-    labels = a.row_labels
-    rows = a.entries
-    succ = _successors(a)
-    _check_walk_budget(succ, [1] * a.nrows, m)
-    return tuple(tuple(labels[i] for i in path)
-                 for start in range(a.nrows)
-                 for path in _walks(succ, start, m) if rows[path[-1]][start] == 1)
+    return _labelled(a, _periodic_words(a, m))
 
 
 def is_periodic_point(a: IntMatrix, x: Point) -> bool:
@@ -209,17 +214,34 @@ def flip_point(pair: FlipPair, x: Point) -> Point:
     return tuple(tau[x[(-i) % m]] for i in range(m))
 
 
+@lru_cache(maxsize=64)
+def _pmn_table(pair: FlipPair, m: int) -> tuple[int, ...]:
+    """The counts of ``count_pmn_bruteforce`` at period m for n = 0..m-1.
+
+    For a point s let f_i = tau(s_(-i)), so f = tau(s_0) tau(s_(m-1)) ... tau(s_1).
+    The n-shifted flip fixes s iff s_i = f_(i+n) for all i, that is, iff s is
+    f rotated left by n.  The first such n is k = (f+f).find(s), and the others
+    are k plus the multiples of the rotation period of s.
+    """
+    tau = pair.tau_index
+    counts = [0] * m
+    for s in _periodic_words(pair.A, m):
+        f = (s[0] + s[:0:-1]).translate(tau)
+        k = (f + f).find(s)
+        if k >= 0:
+            for j in range(k, m, (s + s).find(s, 1)):
+                counts[j] += 1
+    return tuple(counts)
+
+
 def count_pmn_bruteforce(pair: FlipPair, m: int, n: int) -> int:
     """Count points fixed by the m-th shift power and the n-shifted flip.
 
-    Filters the full period-m enumeration by x_i == tau(x_(-i-n)); n is taken
-    modulo m by the index arithmetic, so negative n is fine.
+    Every period-m point is enumerated and tested against x_i == tau(x_(-i-n))
+    directly, so this is an oracle independent of the closed-form counts.  One
+    pass over the points of period m gives the counts for every n at once, and
+    is cached; n is taken modulo m, so negative n is fine.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    tau = pair.tau
-    count = 0
-    for x in enumerate_periodic(pair.A, m):
-        if all(tau[x[(-i - n) % m]] == x[i] for i in range(m)):
-            count += 1
-    return count
+    return _pmn_table(pair, m)[n % m]

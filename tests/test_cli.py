@@ -289,6 +289,25 @@ def test_count_refuses_a_walk_over_budget(write, capsys):
     assert captured.err == "error: words of length 5 need more than 1000000 walk prefixes\n"
 
 
+@pytest.mark.parametrize("command, option, value", [
+    (["count", "--pair", "golden_mean.json"], "--m-max", "0"),
+    (["count", "--pair", "golden_mean.json"], "--m-max", "-3"),
+    (["rank-profile", "example2_C.json"], "--max-power", "0"),
+    (["rank-profile", "example2_C.json"], "--max-power", "-1"),
+    (["he-search", "--from", "golden_mean.json", "--to", "golden_mean.json"],
+     "--max-solutions", "-1"),
+    (["he-search", "--from", "golden_mean.json", "--to", "golden_mean.json"],
+     "--max-solutions", "0"),
+], ids=["m-max 0", "m-max -3", "max-power 0", "max-power -1", "max-solutions -1",
+        "max-solutions 0"])
+def test_empty_ranges_are_usage_errors(command, option, value, capsys):
+    argv = [str(DATA / a) if a.endswith(".json") else a for a in command]
+    assert run_cli([*argv, option, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {option} must be >= 1\n"
+
+
 @pytest.mark.parametrize("entry", [1.9, True, "1"])
 @pytest.mark.parametrize("command", [["he-check"], ["sfe-check", "--lag", "1"]],
                          ids=["he-check", "sfe-check"])

@@ -311,8 +311,10 @@ def naive_sfe_search(src, dst, lag_max, entry_max):
 
 def test_sfe_search_matches_naive_on_small_cases():
     rng = random.Random(47)
-    cases = [(one_point_pair(), one_point_pair())]
-    while len(cases) < 4:
+    one, two = one_point_pair(), _identity_pair(("x", "y"))
+    # in these two, a kernel candidate passes one power identity and fails the other
+    cases = [(one, one), (one, two), (two, one)]
+    while len(cases) < 6:
         p = random_flip_pair(rng, max_size=2)
         q = random_flip_pair(rng, max_size=2)
         cases.append((p, q))

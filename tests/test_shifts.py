@@ -3,13 +3,14 @@ import warnings
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import flipshift.shifts as shifts
 from corpus import random_flip_pair
 from flipshift.errors import BudgetError
 from flipshift.fixtures import (example1_pair, example1_symmetric_pair,
                                 golden_mean_pair, one_point_pair)
+from flipshift.flips import FlipPair
 from flipshift.matrices import IntMatrix, mat_pow, trace
 from flipshift.shifts import (blocks, count_pmn_bruteforce, enumerate_periodic,
                               essential_symbols, flip_point, is_essential,
@@ -75,7 +76,7 @@ def test_walk_budget_refuses_before_walking(monkeypatch):
 
 
 def _counting_walks(tally: list[int]):
-    """shifts._walks, adding one to tally[0] per prefix it visits."""
+    """shifts._walks, adding one to tally[0] per prefix it builds."""
     walks = shifts._walks
 
     class Successors:
@@ -87,9 +88,9 @@ def _counting_walks(tally: list[int]):
                 tally[0] += 1
                 yield j
 
-    def counting(succ, start, length):
-        tally[0] += 1
-        return walks([Successors(js) for js in succ], start, length)
+    def counting(succ, starts, length):
+        tally[0] += len(starts)
+        return walks([Successors(js) for js in succ], starts, length)
 
     return counting
 
@@ -118,6 +119,106 @@ def test_walk_budget_is_the_prefix_count(a, length):
         _enumerate_within(tally[0], enumerate_words, a, length)
         with pytest.raises(BudgetError):
             _enumerate_within(tally[0] - 1, enumerate_words, a, length)
+
+
+# -- oracles: a depth-first walk and a coordinate-by-coordinate filter -----------
+
+
+def dfs_walks(succ: list[tuple[int, ...]], start: int, length: int):
+    """Yield every path of ``length`` symbol indices from ``start``, in lex order.
+
+    The yielded list is reused between paths; copy what you keep.
+    """
+    path = [start]
+    if length == 1:
+        yield path
+        return
+    pending = [iter(succ[start])]  # successors still to try, one per depth
+    while pending:
+        for j in pending[-1]:
+            path.append(j)
+            if len(path) == length:
+                yield path
+                path.pop()
+            else:
+                pending.append(iter(succ[j]))
+                break
+        else:
+            pending.pop()
+            path.pop()
+
+
+def dfs_blocks(a: IntMatrix, n: int):
+    past, future = shifts._essential_flags(a)
+    succ = shifts._successors(a)
+    return tuple(tuple(a.row_labels[i] for i in path)
+                 for start in range(a.nrows) if past[start]
+                 for path in dfs_walks(succ, start, n) if future[path[-1]])
+
+
+def dfs_periodic(a: IntMatrix, m: int):
+    succ = shifts._successors(a)
+    return tuple(tuple(a.row_labels[i] for i in path)
+                 for start in range(a.nrows)
+                 for path in dfs_walks(succ, start, m) if a.entries[path[-1]][start])
+
+
+def filtered_count(pair: FlipPair, points, n: int) -> int:
+    """Points with x_i == tau(x_(-i-n)), tested coordinate by coordinate."""
+    tau = pair.tau
+    return sum(1 for x in points
+               if all(tau[x[(-i - n) % len(x)]] == x[i] for i in range(len(x))))
+
+
+@st.composite
+def zero_one_flip_pairs(draw):
+    """Flip pairs on 1-6 symbols, stranded symbols allowed.
+
+    Full shifts (on at most 3 symbols) and diagonal matrices are drawn on
+    purpose: a full shift has points of every rotation period, and a
+    diagonal matrix has only constant points.
+    """
+    kind = draw(st.sampled_from(["random", "random", "full", "diagonal"]))
+    n = draw(st.integers(1, 3 if kind == "full" else 6))
+    order = draw(st.permutations(range(n)))
+    tau = list(range(n))
+    for k in range(draw(st.integers(0, n // 2))):
+        a, b = order[2 * k], order[2 * k + 1]
+        tau[a], tau[b] = b, a
+    rows = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            if rows[a][b] is None:
+                if kind == "full":
+                    bit = 1
+                elif kind == "diagonal":
+                    bit = int(a == b)
+                else:
+                    bit = draw(st.integers(0, 1))
+                rows[a][b] = rows[tau[b]][tau[a]] = bit
+    labels = "abcdef"[:n]
+    a_mat = IntMatrix.square(labels, rows)
+    assume(trace(mat_pow(a_mat, 7)) <= 4_000)  # keeps the period-7 oracle quick
+    j_rows = [[int(tau[a] == b) for b in range(n)] for a in range(n)]
+    return FlipPair(a_mat, IntMatrix.square(labels, j_rows))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(pair=zero_one_flip_pairs(), length=st.integers(1, 8))
+def test_walks_equal_the_depth_first_oracle(pair, length):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # stranded symbols
+        assert blocks(pair.A, length) == dfs_blocks(pair.A, length)
+    assert enumerate_periodic(pair.A, length) == dfs_periodic(pair.A, length)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(pair=zero_one_flip_pairs())
+def test_counts_equal_the_filter_oracle(pair):
+    for m in range(1, 8):
+        points = dfs_periodic(pair.A, m)
+        for n in range(-m, 2 * m + 1):
+            assert count_pmn_bruteforce(pair, m, n) == filtered_count(pair, points, n)
 
 
 def test_count_pmn_examples():
