@@ -1,8 +1,10 @@
 """Command-line interface.
 
+Every command takes --format (json, csv or plain) and --timing.  No command
+draws anything at random, so none takes a seed.
 Exit codes: 0 success / all checks passed, 1 a mathematical check failed,
 2 usage or input error (unreadable path, malformed JSON, schema violation,
-exceeded budget).
+a range option below 1, exceeded budget).
 Reports are deterministic byte for byte for fixed inputs and flags; timing is
 only included when --timing is given.
 """
@@ -63,8 +65,6 @@ def _emit(args, payload: dict, csv_rows: list[list] | None = None,
 
 def _wrap(args, inputs: dict[str, str], payload: dict, started: float) -> dict:
     out = {"command": args.command, "inputs": inputs}
-    if args.seed is not None:
-        out["seed"] = args.seed
     out.update(payload)
     if args.timing:
         out["seconds"] = round(time.monotonic() - started, 6)
@@ -249,6 +249,8 @@ def _cmd_build_pair(args, inputs):
 
 
 def _cmd_decompose(args, inputs):
+    if args.verify_period < 1:
+        raise ValueError("--verify-period must be >= 1")
     spec = jsonio.conjugacy_from_doc(_load_json(args.conjugacy, inputs))
     dec = decompose_conjugacy(spec)
     rep = verify_decomposition(dec, spec, args.verify_period)
@@ -279,8 +281,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv", "plain"), default="json")
         p.add_argument("--timing", action="store_true",
                        help="include wall-clock seconds in the report")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed echoed into the report; fixes any generated corpora")
 
     p = sub.add_parser("validate", help="check the flip-pair axioms of a pair file")
     p.add_argument("pair")

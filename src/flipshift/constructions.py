@@ -9,23 +9,27 @@ Three builders live here:
 * ``decompose_conjugacy``: decompose a one-block flip-conjugacy between two
   flip pairs into a chain of splitting steps of even lag, via intermediate
   triple alphabets and a final block-recoding of the target.
+
+All three build their pairs by one rule on a list of words (the higher-block
+and state-splitting presentations of Lind & Marcus, 1995, sections 1.4 and
+2.4), and read the links between them the same way: matches are looked up by
+overlap in a dict, never found by comparing all pairs of words.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Hashable, Sequence
 
-from .equivalence import (HalfElemCert, StrongChain, gamma_point, he_check,
-                          sse_verify)
-from .errors import CertificateError, FlipShiftError, SpecError
+from .equivalence import HalfElemCert, StrongChain, gamma_point, he_check
+from .errors import CertificateError, FlipPairError, FlipShiftError, SpecError
 from .flips import FlipPair, Word
-from .matrices import IntMatrix
+from .matrices import IntMatrix, _as_labels
 from .report import Report
 from .shifts import (Point, blocks, enumerate_periodic, essential_symbols,
-                     flip_point, is_essential, is_periodic_point, shift_point,
-                     word_center)
+                     flip_point, is_essential, shift_point, word_center)
 
-CHECK_PERIOD = 6  # the spec classes validate on all periods up to this
+CHECK_PERIOD = 6  # OneBlockConjugacySpec validates on all periods up to this
 
 
 def _join(w: Word) -> str:
@@ -37,51 +41,77 @@ def _word_key(alphabet: tuple[str, ...]):
     return lambda w: tuple(index[s] for s in w)
 
 
+# -- word pairs ------------------------------------------------------------------
+
+
+def _ones(row_labels, col_labels, xs: Sequence, ys: Sequence, x_key, y_key,
+          joins=None) -> IntMatrix:
+    """The zero-one matrix over xs by ys with a one where x_key(x) == y_key(y)
+    and joins(x, y); the ys are found through one dict from key to positions."""
+    at: dict[Hashable, list[int]] = {}
+    for j, y in enumerate(ys):
+        at.setdefault(y_key(y), []).append(j)
+    rows = []
+    for x in xs:
+        row = [0] * len(ys)
+        for j in at.get(x_key(x), ()):
+            if joins is None or joins(x, ys[j]):
+                row[j] = 1
+        rows.append(tuple(row))
+    return IntMatrix._trusted(row_labels, col_labels, tuple(rows))
+
+
+def _word_pair(words: Sequence, labels: Sequence[str], tail, head, joins,
+               mate) -> tuple[FlipPair, tuple]:
+    """The flip pair on ``words``, cut to its essential symbols, and the kept words.
+
+    x is followed by y when tail(x) == head(y) and joins(x, y); J sends x to
+    mate(x).  Only the labels are checked: the matrices are zero-one by
+    construction.
+    """
+    labs = _as_labels(labels)
+    a = _ones(labs, labs, words, words, tail, head, joins)
+    jm = _ones(labs, labs, words, words, mate, lambda y: y)
+    ess = essential_symbols(a)
+    if ess != labs:
+        a, jm = a.submatrix(ess), jm.submatrix(ess)
+        kept = set(ess)
+        words = [w for w, lab in zip(words, labs) if lab in kept]
+    return FlipPair(a, jm), tuple(words)
+
+
 # -- higher block pairs --------------------------------------------------------
-
-
-def _block_pair(pair: FlipPair, k: int) -> tuple[FlipPair, tuple[Word, ...]]:
-    """The flip pair on length-k admissible words, in canonical block order."""
-    words = blocks(pair.A, k)
-    labels = tuple(_join(w) for w in words)
-    n = len(words)
-    pos = {w: i for i, w in enumerate(words)}
-    a_rows = [[0] * n for _ in range(n)]
-    j_rows = [[0] * n for _ in range(n)]
-    for i, u in enumerate(words):
-        for j2, v in enumerate(words):
-            # progressive overlap plus admissibility of the one new pair
-            if u[1:] == v[:-1] and pair.A.entry(u[-1], v[-1]) == 1:
-                a_rows[i][j2] = 1
-        flipped = pair.flip_word(u)
-        j_rows[i][pos[flipped]] = 1
-    a = IntMatrix.square(labels, a_rows)
-    jm = IntMatrix.square(labels, j_rows)
-    return FlipPair(a, jm), words
 
 
 def higher_block(pair: FlipPair, n: int) -> tuple[FlipPair, StrongChain]:
     """The (n+1)-block pair of a flip pair, with its verified splitting chain.
 
-    The chain has one link per block-length increase; link k goes from the
-    k-block pair to the (k+1)-block pair, with R reading "drop the last
-    symbol" and S reading "drop the first symbol".
+    At every block length k, the k-block u is followed by v when u[1:] ==
+    v[:-1] and the base allows u[-1] -> v[-1].  The chain has one link per
+    block-length increase; link k goes from the k-block pair to the
+    (k+1)-block pair, with R reading "drop the last symbol" and S reading
+    "drop the first symbol".
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    edges = set(blocks(pair.A, 2))
     pairs: list[FlipPair] = []
     word_lists: list[tuple[Word, ...]] = []
     for k in range(1, n + 2):
-        pk, words = _block_pair(pair, k)
+        words = blocks(pair.A, k)
+        pk, words = _word_pair(words, [_join(w) for w in words],
+                               tail=lambda u: u[1:], head=lambda v: v[:-1],
+                               joins=lambda u, v: (u[-1], v[-1]) in edges,
+                               mate=pair.flip_word)
         pairs.append(pk)
         word_lists.append(words)
     links: list[HalfElemCert] = []
     for k in range(n):
         us, vs = word_lists[k], word_lists[k + 1]
-        r_rows = [[1 if u == v[:-1] else 0 for v in vs] for u in us]
-        s_rows = [[1 if u == v[1:] else 0 for u in us] for v in vs]
-        r = IntMatrix.rect(pairs[k].alphabet, pairs[k + 1].alphabet, r_rows)
-        s = IntMatrix.rect(pairs[k + 1].alphabet, pairs[k].alphabet, s_rows)
+        r = _ones(pairs[k].alphabet, pairs[k + 1].alphabet, us, vs,
+                  lambda u: u, lambda v: v[:-1])
+        s = _ones(pairs[k + 1].alphabet, pairs[k].alphabet, vs, us,
+                  lambda v: v[1:], lambda u: u)
         links.append(he_check(pairs[k], pairs[k + 1], r, supplied_S=s))
     chain = StrongChain(pairs=tuple(pairs), links=tuple(links))
     return pairs[-1], chain
@@ -94,15 +124,19 @@ class BlockFlipSpec:
     """A sliding-block flip rule on a Markov shift, validated on construction.
 
     The rule maps every admissible window of width 2*window+1 to a symbol; the
-    induced map applies the rule at mirrored coordinates.  Admissibility of
-    images, involutivity, and the time-reversal identity are verified on all
-    periodic points up to ``CHECK_PERIOD``.
+    induced map phi applies the rule at mirrored coordinates,
+    phi(x)_i = rule(x_(-i-window) ... x_(-i+window)), so phi reverses time for
+    every rule.  The rule is a flip exactly when phi maps into the shift and
+    squares to the identity, and both are decided on admissible blocks: two
+    adjacent image symbols read one block of width 2*window+2, and the centre
+    of phi(phi(x)) reads one block of width 4*window+1.
     """
 
     def __init__(self, A: IntMatrix, window: int, rule: dict[Word, str]):
         if window < 0:
             raise SpecError("window", "window must be >= 0")
-        needed = set(blocks(A, 2 * window + 1))
+        width = 2 * window + 1
+        needed = set(blocks(A, width))
         given = {tuple(k): str(v) for k, v in rule.items()}
         if set(given) != needed:
             missing = sorted(needed - set(given))[:3]
@@ -116,15 +150,17 @@ class BlockFlipSpec:
         self.A = A
         self.window = window
         self.rule = given
-        for m in range(1, CHECK_PERIOD + 1):
-            for x in enumerate_periodic(A, m):
-                y = self.phi_point(x)
-                if not is_periodic_point(A, y):
-                    raise SpecError("phi_into", f"image of {x} leaves the shift")
-                if self.phi_point(y) != x:
-                    raise SpecError("phi_involution", f"rule does not square to id at {x}")
-                if shift_point(y, 1) != self.phi_point(shift_point(x, -1)):
-                    raise SpecError("phi_reversal", f"rule does not reverse time at {x}")
+        edges = set(blocks(A, 2))
+        for b in blocks(A, width + 1):
+            # phi(x)_i reads b[1:] and phi(x)_(i+1) reads b[:-1]
+            if (given[b[1:]], given[b[:-1]]) not in edges:
+                raise SpecError("phi_into", f"image of block {b} leaves the shift")
+        for b in blocks(A, 4 * window + 1):
+            # the images read by phi(phi(x))_0, which must be the centre x_0
+            images = tuple(given[b[d:d + width]] for d in range(width))
+            if given[images[::-1]] != b[2 * window]:
+                raise SpecError("phi_involution",
+                                f"rule does not square to id on block {b}")
 
     def phi_point(self, x: Point) -> Point:
         """Apply the induced flip to a periodic point."""
@@ -166,9 +202,11 @@ def build_flip_pair(spec: BlockFlipSpec) -> tuple[FlipPair, BlockCode]:
     Each new symbol is a realized pair (u, v): u a centered window of a point
     x, v the reverse of the flip image's matching window.  Realization is
     decided by scanning admissible blocks of width 4*window+1, since the image
-    window only depends on that much of x.  The returned block code reads a
-    point into the new alphabet; it conjugates the given flip to the one-block
-    flip of the pair.
+    window only depends on that much of x.  (u, v) is followed by (u2, v2)
+    when both overlaps agree and the one new adjacency on each side is
+    allowed; J sends (u, v) to (v reversed, u reversed).  The returned block
+    code reads a point into the new alphabet; it conjugates the given flip to
+    the one-block flip of the pair.
     """
     n = spec.window
     a = spec.A
@@ -183,29 +221,18 @@ def build_flip_pair(spec: BlockFlipSpec) -> tuple[FlipPair, BlockCode]:
     key = _word_key(a.row_labels)
     ordered = sorted(letters, key=lambda uv: (key(uv[0]), key(uv[1])))
     label = {uv: f"{_join(uv[0])}|{_join(uv[1])}" for uv in ordered}
-    size = len(ordered)
-    a_rows = [[0] * size for _ in range(size)]
-    j_rows = [[0] * size for _ in range(size)]
-    for i, (u, v) in enumerate(ordered):
-        for j2, (u2, v2) in enumerate(ordered):
-            # overlaps plus the single new adjacency on each side; the extra
-            # pairs are only binding at window 0, where the overlaps are empty
-            if (u[1:] == u2[:-1] and a.entry(u[-1], u2[-1]) == 1
-                    and v[1:] == v2[:-1] and a.entry(v2[-1], v[-1]) == 1):
-                a_rows[i][j2] = 1
-            if tuple(reversed(v)) == u2 and tuple(reversed(v2)) == u:
-                j_rows[i][j2] = 1
-    labels = tuple(label[uv] for uv in ordered)
-    new_a = IntMatrix.square(labels, a_rows)
-    new_j = IntMatrix.square(labels, j_rows)
-    ess = essential_symbols(new_a)
-    if ess != labels:
-        new_a = new_a.submatrix(ess)
-        new_j = new_j.submatrix(ess)
-    pair = FlipPair(new_a, new_j)
+    edges = set(blocks(a, 2))
+    # the new adjacencies are only binding at window 0, where the overlaps are empty
+    pair, kept = _word_pair(
+        ordered, [label[uv] for uv in ordered],
+        tail=lambda uv: (uv[0][1:], uv[1][1:]),
+        head=lambda uv: (uv[0][:-1], uv[1][:-1]),
+        joins=lambda x, y: (x[0][-1], y[0][-1]) in edges and (y[1][-1], x[1][-1]) in edges,
+        mate=lambda uv: (uv[1][::-1], uv[0][::-1]))
+    kept = set(kept)
     mapping = {}
     for w, uv in theta.items():
-        if label[uv] not in pair.alphabet:
+        if uv not in kept:
             raise SpecError("realization",
                             f"scanned window {w} maps to a stranded symbol")
         mapping[w] = label[uv]
@@ -325,16 +352,15 @@ def decompose_conjugacy(spec: OneBlockConjugacySpec) -> ConjugacyDecomposition:
             source_recoding=dict(psi))
 
     kmax = 2 * m + 1
-    dst_blocks = {length: blocks(dst.A, length) for length in range(1, kmax + 2)}
-    dst_block_sets = {length: set(v) for length, v in dst_blocks.items()}
-    src_blocks = {j: blocks(src.A, j) for j in (1, 2, 3)}
-    src_block_sets = {j: set(v) for j, v in src_blocks.items()}
+    # sets: the candidates of each stage are sorted before use
+    dst_blocks = {length: set(blocks(dst.A, length)) for length in range(1, kmax + 2)}
+    src_blocks = {j: set(blocks(src.A, j)) for j in (1, 2, 3)}
     src_key = _word_key(src.alphabet)
     dst_key = _word_key(dst.alphabet)
 
-    # triples[k] is the ordered list of (u, w, v); strings[k] the matching words
-    triples: dict[int, list[tuple[Word, Word, Word]]] = {}
-    strings: dict[int, list[Word]] = {}
+    # triples[k] lists the kept (u, w, v) in order; word_of gives their target words
+    triples: dict[int, Sequence[tuple[Word, Word, Word]]] = {}
+    word_of: dict[tuple[Word, Word, Word], Word] = {}
     pairs: list[FlipPair] = []
     for k in range(1, kmax + 1):
         i = (k - 1) // 2
@@ -347,102 +373,68 @@ def decompose_conjugacy(spec: OneBlockConjugacySpec) -> ConjugacyDecomposition:
                 img = spec.map_word(w)
                 for v in us:
                     s = u + img + v
-                    if s in dst_block_sets[k]:
+                    if s in dst_blocks[k]:
                         cand.append((u, w, v))
+                        word_of[(u, w, v)] = s
         cand.sort(key=lambda t: (dst_key(t[0]), src_key(t[1]), dst_key(t[2])))
-        word_of = {t: t[0] + spec.map_word(t[1]) + t[2] for t in cand}
-        size = len(cand)
-        c_rows = [[0] * size for _ in range(size)]
-        l_rows = [[0] * size for _ in range(size)]
-        pos = {t: idx for idx, t in enumerate(cand)}
-        for t in cand:
-            u, w, v = t
-            st = word_of[t]
-            for t2 in cand:
-                u2, w2, v2 = t2
-                st2 = word_of[t2]
-                if (st[1:] == st2[:-1] and st + st2[-1:] in dst_block_sets[k + 1]
-                        and w[1:] == w2[:-1] and w + w2[-1:] in src_block_sets[j + 1]):
-                    c_rows[pos[t]][pos[t2]] = 1
-            mate = (dst.flip_word(v), src.flip_word(w), dst.flip_word(u))
-            if mate in pos:
-                l_rows[pos[t]][pos[mate]] = 1
-        labels = tuple(_triple_label(k, *t) for t in cand)
-        c = IntMatrix.square(labels, c_rows)
-        lm = IntMatrix.square(labels, l_rows)
-        ess = essential_symbols(c)
-        if ess != labels:
-            keep = set(ess)
-            cand = [t for t in cand if _triple_label(k, *t) in keep]
-            c = c.submatrix(ess)
-            lm = lm.submatrix(ess)
+        dst_next, src_next = dst_blocks[k + 1], src_blocks[j + 1]
         try:
-            pairs.append(FlipPair(c, lm))
-        except FlipShiftError as e:
+            pair, triples[k] = _word_pair(
+                cand, [_triple_label(k, *t) for t in cand],
+                tail=lambda t: (word_of[t][1:], t[1][1:]),
+                head=lambda t: (word_of[t][:-1], t[1][:-1]),
+                joins=lambda t, t2: (word_of[t] + word_of[t2][-1:] in dst_next
+                                     and t[1] + t2[1][-1:] in src_next),
+                mate=lambda t: (dst.flip_word(t[2]), src.flip_word(t[1]),
+                                dst.flip_word(t[0])))
+        except FlipPairError as e:
             raise SpecError("triple_pair", f"stage {k} is not a flip pair: {e}") from e
-        triples[k] = cand
-        strings[k] = [word_of[t] for t in cand]
+        pairs.append(pair)
 
     if pairs[0] != src:
         raise SpecError("source_mismatch",
                         "stage 1 does not reproduce the source pair")
 
-    links: list[HalfElemCert] = []
-    for k in range(1, kmax):
-        a_k, a_k1 = triples[k], triples[k + 1]
-        st_k, st_k1 = strings[k], strings[k + 1]
-        d_rows = [[0] * len(a_k1) for _ in a_k]
-        e_rows = [[0] * len(a_k) for _ in a_k1]
-        for i1, t in enumerate(a_k):
-            for i2, t2 in enumerate(a_k1):
-                if st_k[i1] == st_k1[i2][:-1] and t[1][-1] == t2[1][0]:
-                    d_rows[i1][i2] = 1
-                if st_k1[i2][1:] == st_k[i1] and t2[1][-1] == t[1][0]:
-                    e_rows[i2][i1] = 1
-        d = IntMatrix.rect(pairs[k - 1].alphabet, pairs[k].alphabet, d_rows)
-        e = IntMatrix.rect(pairs[k].alphabet, pairs[k - 1].alphabet, e_rows)
-        try:
-            links.append(he_check(pairs[k - 1], pairs[k], d, supplied_S=e))
-        except CertificateError as err:
-            raise CertificateError(err.identity, f"link {k}: {err}") from err
-
     # identify the top stage with the (2m+1)-block pair of the target
     hb_pair, hb_chain = higher_block(dst, 2 * m)
-    top_labels = [_join(s) for s in strings[kmax]]
+    top_labels = [_join(word_of[t]) for t in triples[kmax]]
     if len(set(top_labels)) != len(top_labels):
         raise SpecError("recoding_mismatch", "top-stage block relabeling is not injective")
-    relabeled_a = IntMatrix.square(top_labels, pairs[-1].A.to_rows())
-    relabeled_j = IntMatrix.square(top_labels, pairs[-1].J.to_rows())
+    top = dict(zip(pairs[-1].alphabet, top_labels))
     try:
-        relabeled = FlipPair(relabeled_a.reorder(hb_pair.alphabet),
-                             relabeled_j.reorder(hb_pair.alphabet))
+        relabeled = FlipPair(pairs[-1].A.relabel(top).reorder(hb_pair.alphabet),
+                             pairs[-1].J.relabel(top).reorder(hb_pair.alphabet))
     except FlipShiftError as e:
         raise SpecError("recoding_mismatch", f"top-stage relabeling failed: {e}") from e
     if relabeled != hb_pair:
         raise SpecError("recoding_mismatch",
                         "top stage does not match the target's block pair")
 
-    # rebuild the last upward link with relabeled columns
-    last = links.pop()
-    d = IntMatrix.rect(last.R.row_labels, top_labels, last.R.to_rows())
-    e = IntMatrix.rect(top_labels, last.S.col_labels, last.S.to_rows())
-    d = d.reorder(last.R.row_labels, hb_pair.alphabet)
-    e = e.reorder(hb_pair.alphabet, last.S.col_labels)
-    links.append(he_check(pairs[-2], hb_pair, d, supplied_S=e))
+    # the top stage is the block pair: its words in the block pair's order
+    rank = {lab: i for i, lab in enumerate(hb_pair.alphabet)}
+    triples[kmax] = sorted(triples[kmax], key=lambda t: rank[_join(word_of[t])])
+    pairs[-1] = hb_pair
 
-    chain_pairs = pairs[:-1] + [hb_pair]
+    # D reads "drop the last symbol" and E "drop the first symbol" of the
+    # target word, each keeping the source block's adjacency
+    links: list[HalfElemCert] = []
+    for k in range(1, kmax):
+        d = _ones(pairs[k - 1].alphabet, pairs[k].alphabet, triples[k], triples[k + 1],
+                  lambda t: (word_of[t], t[1][-1]), lambda t: (word_of[t][:-1], t[1][0]))
+        e = _ones(pairs[k].alphabet, pairs[k - 1].alphabet, triples[k + 1], triples[k],
+                  lambda t: (word_of[t][1:], t[1][-1]), lambda t: (word_of[t], t[1][0]))
+        try:
+            links.append(he_check(pairs[k - 1], pairs[k], d, supplied_S=e))
+        except CertificateError as err:
+            raise CertificateError(err.identity, f"link {k}: {err}") from err
+
     for t in range(2 * m - 1, -1, -1):
         link = hb_chain.links[t]
-        rev = he_check(hb_chain.pairs[t + 1], hb_chain.pairs[t],
-                       link.S, supplied_S=link.R)
-        links.append(rev)
-        chain_pairs.append(hb_chain.pairs[t])
+        links.append(he_check(hb_chain.pairs[t + 1], hb_chain.pairs[t],
+                              link.S, supplied_S=link.R))
+        pairs.append(hb_chain.pairs[t])
 
-    chain = StrongChain(pairs=tuple(chain_pairs), links=tuple(links))
-    verification = sse_verify(chain)
-    if not verification.passed:
-        fail = verification.first_failure()
-        raise CertificateError("chain", f"assembled chain failed verification: {fail}")
+    chain = StrongChain(pairs=tuple(pairs), links=tuple(links))
     identity = {s: s for s in src.alphabet}
     return ConjugacyDecomposition(chain=chain, source_recoding=identity)
 
@@ -450,6 +442,8 @@ def decompose_conjugacy(spec: OneBlockConjugacySpec) -> ConjugacyDecomposition:
 def verify_decomposition(dec: ConjugacyDecomposition, spec: OneBlockConjugacySpec,
                          period: int) -> Report:
     """Check the decomposition's composed map against the given conjugacy."""
+    if period < 1:
+        raise ValueError("period must be >= 1")
     report = Report(title="decomposition agrees with the conjugacy")
     for per in range(1, period + 1):
         ok, bad = True, ""

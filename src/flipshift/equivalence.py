@@ -36,15 +36,17 @@ class HalfElemCert:
 
     @cached_property
     def _gamma_table(self) -> dict[tuple[str, str], str]:
-        table: dict[tuple[str, str], str] = {}
+        """(a1, a2) -> b for the pairs joined by exactly one b with
+        R(a1, b) == S(b, a2) == 1; R's ones meet S's ones at b."""
+        hits: dict[tuple[str, str], list[str]] = {}
         r, s = self.R, self.S
-        for i, a1 in enumerate(r.row_labels):
-            for k, a2 in enumerate(s.col_labels):
-                hits = [b for j, b in enumerate(r.col_labels)
-                        if r.entries[i][j] == 1 and s.entries[j][k] == 1]
-                if len(hits) == 1:
-                    table[(a1, a2)] = hits[0]
-        return table
+        for j, b in enumerate(r.col_labels):
+            into = [a1 for a1, row in zip(r.row_labels, r.entries) if row[j] == 1]
+            out = [a2 for a2, x in zip(s.col_labels, s.entries[j]) if x == 1]
+            for a1 in into:
+                for a2 in out:
+                    hits.setdefault((a1, a2), []).append(b)
+        return {key: bs[0] for key, bs in hits.items() if len(bs) == 1}
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from typing import Iterable, Sequence
 from .errors import BudgetError, MatrixShapeError
 
 Labels = tuple[str, ...]
+_ZERO_ONE = frozenset((0, 1))
 
 
 def _as_labels(labels: Iterable[str]) -> Labels:
@@ -108,7 +109,7 @@ class IntMatrix:
 
     @property
     def is_zero_one(self) -> bool:
-        return all(x in (0, 1) for row in self.entries for x in row)
+        return all(set(row) <= _ZERO_ONE for row in self.entries)
 
     def row_index(self, label: str) -> int:
         try:

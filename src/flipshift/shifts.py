@@ -8,13 +8,15 @@ counting formulas are tested against.  One walker serves them all: it grows
 every path one symbol at a time as a string of symbol indices.  The counter
 tests each point against the shifted flips by matching rotations of strings.
 The walk's work is counted in advance by vector iteration and refused above
-``WALK_BUDGET``.
+``WALK_BUDGET``.  The essential symbols, those on bi-infinite paths, are what
+is left after pruning sinks and sources, in time linear in the transitions.
 """
 
 from __future__ import annotations
 
 import warnings
 from functools import lru_cache
+from typing import Sequence
 
 from .errors import BudgetError, MatrixShapeError
 from .flips import FlipPair, Word
@@ -40,29 +42,41 @@ def _check_graph_matrix(a: IntMatrix) -> None:
         raise MatrixShapeError("a shift needs a zero-one matrix")
 
 
+def _reaches_cycle(succ: Sequence[Sequence[int]],
+                   pred: Sequence[Sequence[int]]) -> tuple[bool, ...]:
+    """Per symbol, whether some walk along ``succ`` from it reaches a cycle.
+
+    Sinks are pruned until none is left: a symbol whose successors have all
+    been pruned is a sink in turn, and the symbols that survive are those with
+    an infinite future.  Each edge is visited once, through ``pred``.
+    """
+    degree = [len(js) for js in succ]
+    sinks = [i for i, d in enumerate(degree) if not d]
+    alive = [True] * len(succ)
+    while sinks:
+        j = sinks.pop()
+        alive[j] = False
+        for i in pred[j]:
+            degree[i] -= 1
+            if not degree[i]:
+                sinks.append(i)
+    return tuple(alive)
+
+
 @lru_cache(maxsize=256)
 def _essential_flags(a: IntMatrix) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
     """(has infinite past, has infinite future) per symbol.
 
     A symbol has an infinite future iff it reaches a cycle, and an infinite
-    past iff it is reachable from a cycle.
+    past iff it is reachable from a cycle: the survivors of pruning sinks,
+    and of pruning sources, which are the sinks of the reversed graph.
     """
-    n = a.nrows
-    reach = [[bool(x) for x in row] for row in a.entries]
-    for k in range(n):
-        rk = reach[k]
-        for i in range(n):
-            if reach[i][k]:
-                ri = reach[i]
-                for j in range(n):
-                    if rk[j]:
-                        ri[j] = True
-    cyclic = [reach[i][i] for i in range(n)]
-    future = tuple(cyclic[i] or any(cyclic[j] and reach[i][j] for j in range(n))
-                   for i in range(n))
-    past = tuple(cyclic[i] or any(cyclic[j] and reach[j][i] for j in range(n))
-                 for i in range(n))
-    return past, future
+    succ = _successors(a)
+    pred: list[list[int]] = [[] for _ in succ]
+    for i, js in enumerate(succ):
+        for j in js:
+            pred[j].append(i)
+    return _reaches_cycle(pred, succ), _reaches_cycle(succ, pred)
 
 
 def essential_symbols(a: IntMatrix) -> tuple[str, ...]:
@@ -187,18 +201,6 @@ def enumerate_periodic(a: IntMatrix, m: int) -> tuple[Point, ...]:
     if m < 1:
         raise ValueError("period must be >= 1")
     return _labelled(a, _periodic_words(a, m))
-
-
-def is_periodic_point(a: IntMatrix, x: Point) -> bool:
-    m = len(x)
-    if m == 0:
-        return False
-    idx = {lab: i for i, lab in enumerate(a.row_labels)}
-    try:
-        ix = [idx[s] for s in x]
-    except KeyError:
-        return False
-    return all(a.entries[ix[i]][ix[(i + 1) % m]] == 1 for i in range(m))
 
 
 def shift_point(x: Point, d: int) -> Point:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from hypothesis import strategies as st
+from hypothesis import assume, strategies as st
 
 from flipshift import FlipPair, IntMatrix
 from flipshift.matrices import mat_pow, trace
@@ -72,6 +72,39 @@ def corpus(seed: int = DEFAULT_SEED, count: int = 50, max_size: int = 6
            ) -> list[FlipPair]:
     rng = random.Random(seed)
     return [random_flip_pair(rng, max_size=max_size) for _ in range(count)]
+
+
+@st.composite
+def zero_one_flip_pairs(draw):
+    """Flip pairs on 1-6 symbols, stranded symbols allowed.
+
+    Full shifts (on at most 3 symbols) and diagonal matrices are drawn on
+    purpose: a full shift has points of every rotation period, and a
+    diagonal matrix has only constant points.
+    """
+    kind = draw(st.sampled_from(["random", "random", "full", "diagonal"]))
+    n = draw(st.integers(1, 3 if kind == "full" else 6))
+    order = draw(st.permutations(range(n)))
+    tau = list(range(n))
+    for k in range(draw(st.integers(0, n // 2))):
+        a, b = order[2 * k], order[2 * k + 1]
+        tau[a], tau[b] = b, a
+    rows = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            if rows[a][b] is None:
+                if kind == "full":
+                    bit = 1
+                elif kind == "diagonal":
+                    bit = int(a == b)
+                else:
+                    bit = draw(st.integers(0, 1))
+                rows[a][b] = rows[tau[b]][tau[a]] = bit
+    labels = "abcdef"[:n]
+    a_mat = IntMatrix.square(labels, rows)
+    assume(trace(mat_pow(a_mat, 7)) <= 4_000)  # keeps the period-7 oracle quick
+    j_rows = [[int(tau[a] == b) for b in range(n)] for a in range(n)]
+    return FlipPair(a_mat, IntMatrix.square(labels, j_rows))
 
 
 @st.composite

@@ -308,6 +308,16 @@ def test_empty_ranges_are_usage_errors(command, option, value, capsys):
     assert captured.err == f"error: {option} must be >= 1\n"
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_verify_period_below_one_is_a_usage_error(value, tmp_path, capsys):
+    # refused before the input is read: the conjugacy file does not exist
+    missing = str(tmp_path / "absent.json")
+    assert run_cli(["decompose", missing, "--verify-period", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --verify-period must be >= 1\n"
+
+
 @pytest.mark.parametrize("entry", [1.9, True, "1"])
 @pytest.mark.parametrize("command", [["he-check"], ["sfe-check", "--lag", "1"]],
                          ids=["he-check", "sfe-check"])

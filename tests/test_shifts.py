@@ -3,10 +3,10 @@ import warnings
 from unittest.mock import patch
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import flipshift.shifts as shifts
-from corpus import random_flip_pair
+from corpus import random_flip_pair, zero_one_flip_pairs
 from flipshift.errors import BudgetError
 from flipshift.fixtures import (example1_pair, example1_symmetric_pair,
                                 golden_mean_pair, one_point_pair)
@@ -121,6 +121,36 @@ def test_walk_budget_is_the_prefix_count(a, length):
             _enumerate_within(tally[0] - 1, enumerate_words, a, length)
 
 
+# -- oracle: the essential flags from the transitive closure --------------------
+
+
+def closure_flags(a: IntMatrix):
+    """(has infinite past, has infinite future) per symbol, from the transitive
+    closure: a symbol reaches a cycle iff it reaches a symbol that reaches itself."""
+    n = a.nrows
+    reach = [[bool(x) for x in row] for row in a.entries]
+    for k in range(n):
+        rk = reach[k]
+        for i in range(n):
+            if reach[i][k]:
+                ri = reach[i]
+                for j in range(n):
+                    if rk[j]:
+                        ri[j] = True
+    cyclic = [reach[i][i] for i in range(n)]
+    future = tuple(cyclic[i] or any(cyclic[j] and reach[i][j] for j in range(n))
+                   for i in range(n))
+    past = tuple(cyclic[i] or any(cyclic[j] and reach[j][i] for j in range(n))
+                 for i in range(n))
+    return past, future
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(a=st.one_of(zero_one_matrices(), zero_one_flip_pairs().map(lambda p: p.A)))
+def test_essential_flags_equal_the_closure_oracle(a):
+    assert shifts._essential_flags(a) == closure_flags(a)
+
+
 # -- oracles: a depth-first walk and a coordinate-by-coordinate filter -----------
 
 
@@ -168,39 +198,6 @@ def filtered_count(pair: FlipPair, points, n: int) -> int:
     tau = pair.tau
     return sum(1 for x in points
                if all(tau[x[(-i - n) % len(x)]] == x[i] for i in range(len(x))))
-
-
-@st.composite
-def zero_one_flip_pairs(draw):
-    """Flip pairs on 1-6 symbols, stranded symbols allowed.
-
-    Full shifts (on at most 3 symbols) and diagonal matrices are drawn on
-    purpose: a full shift has points of every rotation period, and a
-    diagonal matrix has only constant points.
-    """
-    kind = draw(st.sampled_from(["random", "random", "full", "diagonal"]))
-    n = draw(st.integers(1, 3 if kind == "full" else 6))
-    order = draw(st.permutations(range(n)))
-    tau = list(range(n))
-    for k in range(draw(st.integers(0, n // 2))):
-        a, b = order[2 * k], order[2 * k + 1]
-        tau[a], tau[b] = b, a
-    rows = [[None] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            if rows[a][b] is None:
-                if kind == "full":
-                    bit = 1
-                elif kind == "diagonal":
-                    bit = int(a == b)
-                else:
-                    bit = draw(st.integers(0, 1))
-                rows[a][b] = rows[tau[b]][tau[a]] = bit
-    labels = "abcdef"[:n]
-    a_mat = IntMatrix.square(labels, rows)
-    assume(trace(mat_pow(a_mat, 7)) <= 4_000)  # keeps the period-7 oracle quick
-    j_rows = [[int(tau[a] == b) for b in range(n)] for a in range(n)]
-    return FlipPair(a_mat, IntMatrix.square(labels, j_rows))
 
 
 @settings(derandomize=True, database=None, deadline=None)
