@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Every command takes --format (json, csv or plain) and --timing.  No command
-draws anything at random, so none takes a seed.
+draws at random or samples periodic points, so none takes a seed or a period.
 Exit codes: 0 success / all checks passed, 1 a mathematical check failed,
 2 usage or input error (unreadable path, malformed JSON, schema violation,
 a range option below 1, exceeded budget).
@@ -249,11 +249,9 @@ def _cmd_build_pair(args, inputs):
 
 
 def _cmd_decompose(args, inputs):
-    if args.verify_period < 1:
-        raise ValueError("--verify-period must be >= 1")
     spec = jsonio.conjugacy_from_doc(_load_json(args.conjugacy, inputs))
     dec = decompose_conjugacy(spec)
-    rep = verify_decomposition(dec, spec, args.verify_period)
+    rep = verify_decomposition(dec, spec)
     payload = {"lag": dec.chain.lag,
                "source_recoding": dec.source_recoding,
                "chain": jsonio.chain_to_doc(dec.chain),
@@ -355,7 +353,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose",
                        help="decompose a one-block conjugacy into splitting steps")
     p.add_argument("conjugacy")
-    p.add_argument("--verify-period", type=int, default=6)
     common(p)
 
     p = sub.add_parser("paper-examples",

@@ -126,7 +126,7 @@ def test_criterion_09_block_recoding_pipeline():
             assert chain.pairs[0] == base
             assert sse_verify(chain).passed
             for link in chain.links:
-                assert verify_prop22(link, 6).passed
+                assert verify_prop22(link).passed
             assert lind_zeta(block_pair, 10) == reference
     _announce(9, "block recodings keep chains verified and the zeta series equal")
 
@@ -138,7 +138,7 @@ def test_criterion_10_conjugacy_decomposition():
     spec0 = OneBlockConjugacySpec(gm, target, {"1": "b", "2": "a"}, 0)
     dec0 = decompose_conjugacy(spec0)
     assert dec0.chain.lag == 0
-    assert verify_decomposition(dec0, spec0, 6).passed
+    assert verify_decomposition(dec0, spec0).passed
 
     # center-read conjugacy from the 3-block pair, inverse window 1
     hb3, _ = higher_block(gm, 2)
@@ -147,7 +147,7 @@ def test_criterion_10_conjugacy_decomposition():
     dec1 = decompose_conjugacy(spec1)
     assert dec1.chain.lag == 4
     assert sse_verify(dec1.chain).passed
-    assert verify_decomposition(dec1, spec1, 6).passed
+    assert verify_decomposition(dec1, spec1).passed
     for m in range(1, 7):
         for x in enumerate_periodic(hb3.A, m):
             assert dec1.map_point(x) == spec1.map_point(x)

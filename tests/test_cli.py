@@ -152,10 +152,11 @@ def test_decompose_cli(write, capsys):
     conj = write("conj.json", {"from": jsonio.pair_to_doc(hb3),
                                "to": jsonio.pair_to_doc(gm),
                                "psi": psi, "inverse_window": 1})
-    assert run_cli(["decompose", conj, "--verify-period", "6"]) == 0
+    assert run_cli(["decompose", conj]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["lag"] == 4
-    assert out["verification"]["passed"] is True
+    assert out["verification"]["checks"] == [
+        {"name": "blocks of width 5", "passed": True, "detail": ""}]
 
 
 def test_paper_examples_cli(capsys):
@@ -308,14 +309,16 @@ def test_empty_ranges_are_usage_errors(command, option, value, capsys):
     assert captured.err == f"error: {option} must be >= 1\n"
 
 
-@pytest.mark.parametrize("value", ["0", "-2"])
-def test_verify_period_below_one_is_a_usage_error(value, tmp_path, capsys):
-    # refused before the input is read: the conjugacy file does not exist
+@pytest.mark.parametrize("value", ["6", "0", "-2"])
+def test_verify_period_is_not_an_option(value, tmp_path, capsys):
+    # the decomposition is checked on blocks, so no period is taken
     missing = str(tmp_path / "absent.json")
-    assert run_cli(["decompose", missing, "--verify-period", value]) == 2
+    with pytest.raises(SystemExit) as e:
+        run_cli(["decompose", missing, "--verify-period", value])
+    assert e.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: --verify-period must be >= 1\n"
+    assert "unrecognized arguments: --verify-period" in captured.err
 
 
 @pytest.mark.parametrize("entry", [1.9, True, "1"])

@@ -1,20 +1,24 @@
 import warnings
+from itertools import permutations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from corpus import corpus, zero_one_flip_pairs
-from flipshift.constructions import (BlockFlipSpec, OneBlockConjugacySpec,
-                                     build_flip_pair, decompose_conjugacy,
-                                     higher_block, verify_decomposition)
-from flipshift.equivalence import sse_verify, verify_prop22
-from flipshift.errors import SpecError
+from flipshift import constructions, shifts
+from flipshift.constructions import (BlockFlipSpec, ConjugacyDecomposition,
+                                     OneBlockConjugacySpec, build_flip_pair,
+                                     decompose_conjugacy, higher_block,
+                                     verify_decomposition)
+from flipshift.equivalence import (HalfElemCert, StrongChain, sse_verify,
+                                   verify_prop22)
+from flipshift.errors import BudgetError, SpecError
 from flipshift.fixtures import (example1_pair, example1_symmetric_pair,
                                 golden_mean_pair, one_point_pair)
 from flipshift.flips import FlipPair
 from flipshift.matrices import IntMatrix
 from flipshift.shifts import (blocks, count_pmn_bruteforce, enumerate_periodic,
-                              shift_point, word_center)
+                              is_essential, shift_point, word_center)
 from flipshift.zeta import lind_zeta
 
 
@@ -99,7 +103,7 @@ def test_higher_block_golden_mean():
     assert chain.pairs[0] == gm
     assert chain.lag == 1
     assert sse_verify(chain).passed
-    assert verify_prop22(chain.links[0], 5).passed
+    assert verify_prop22(chain.links[0]).passed
 
 
 def test_higher_block_example1():
@@ -132,7 +136,7 @@ def test_higher_block_random_pairs():
             assert chain.lag == n
             assert sse_verify(chain).passed
             for link in chain.links:
-                assert verify_prop22(link, 4).passed
+                assert verify_prop22(link).passed
 
 
 def test_block_flip_identity_rule():
@@ -244,7 +248,7 @@ def test_decompose_identity_conjugacy():
     dec = decompose_conjugacy(spec)
     assert dec.chain.lag == 0
     assert dec.chain.pairs == (gm,)
-    assert verify_decomposition(dec, spec, 6).passed
+    assert verify_decomposition(dec, spec).passed
 
 
 def test_decompose_relabeling():
@@ -254,7 +258,7 @@ def test_decompose_relabeling():
     dec = decompose_conjugacy(spec)
     assert dec.chain.lag == 0
     assert dec.source_recoding == {"1": "b", "2": "a"}
-    assert verify_decomposition(dec, spec, 6).passed
+    assert verify_decomposition(dec, spec).passed
 
 
 def test_decompose_center_read():
@@ -265,7 +269,7 @@ def test_decompose_center_read():
     assert dec.chain.pairs[0] == spec.source
     assert dec.chain.pairs[-1] == gm
     assert sse_verify(dec.chain).passed
-    assert verify_decomposition(dec, spec, 6).passed
+    assert verify_decomposition(dec, spec).passed
 
 
 def test_decompose_center_read_example1():
@@ -273,24 +277,141 @@ def test_decompose_center_read_example1():
     spec = _center_read_spec(p1, 1)
     dec = decompose_conjugacy(spec)
     assert dec.chain.lag == 4
-    assert verify_decomposition(dec, spec, 5).passed
-    for period in (0, -2):
-        with pytest.raises(ValueError):
-            verify_decomposition(dec, spec, period)
+    assert verify_decomposition(dec, spec).passed
 
 
 def test_decomposition_chains_verify_over_the_corpus():
     for base in corpus(count=20, max_size=4):
         for n in (1, 2) if base.size <= 2 else (1,):
-            dec = decompose_conjugacy(_center_read_spec(base, n))
+            spec = _center_read_spec(base, n)
+            dec = decompose_conjugacy(spec)
             assert dec.chain.lag == 4 * n
             assert sse_verify(dec.chain).passed
+            assert verify_decomposition(dec, spec).passed
+            # the periodic points are the oracle of the block check
+            for m in range(1, 5):
+                for x in enumerate_periodic(spec.source.A, m):
+                    assert dec.map_point(x) == spec.map_point(x)
+
+
+def test_window_zero_specs_are_exactly_the_relabelings():
+    # decompose_conjugacy returns an accepted window-0 psi as the recoding unchecked
+    refused = 0
+    for base in corpus(count=20, max_size=4):
+        if not is_essential(base.A):
+            continue
+        for image in permutations(base.alphabet):
+            psi = dict(zip(base.alphabet, image))
+            try:
+                OneBlockConjugacySpec(base, base, psi, 0)
+                accepted = True
+            except SpecError:
+                accepted = False
+            assert accepted == (base.relabel(psi).reorder(base.alphabet) == base)
+            refused += not accepted
+    assert refused
+
+
+def _swapped_last_link(dec: ConjugacyDecomposition) -> ConjugacyDecomposition:
+    """The decomposition with the last link's first two target symbols swapped
+    in R and S: every link still resolves, but to the other symbol."""
+    last = dec.chain.links[-1]
+    cols = [1, 0, *range(2, last.target.size)]
+    r = IntMatrix.rect(last.R.row_labels, last.R.col_labels,
+                       [[row[j] for j in cols] for row in last.R.to_rows()])
+    s = IntMatrix.rect(last.S.row_labels, last.S.col_labels,
+                       [last.S.to_rows()[j] for j in cols])
+    links = (*dec.chain.links[:-1], HalfElemCert(last.source, last.target, r, s))
+    return ConjugacyDecomposition(StrongChain(dec.chain.pairs, links), dec.source_recoding)
+
+
+def test_verify_decomposition_refuses_a_swapped_recoding():
+    gm = golden_mean_pair()
+    spec = OneBlockConjugacySpec(gm, gm, {a: a for a in gm.alphabet}, 0)
+    dec = ConjugacyDecomposition(StrongChain((gm,), ()), {"1": "2", "2": "1"})
+    report = verify_decomposition(dec, spec)
+    assert not report.passed
+    assert report.first_failure().detail == "block ('1',): 2 != 1"
+
+
+def test_verify_decomposition_refuses_a_doctored_link():
+    spec = _center_read_spec(golden_mean_pair(), 1)
+    dec = decompose_conjugacy(spec)
+    report = verify_decomposition(_swapped_last_link(dec), spec)
+    assert not report.passed
+    assert report.first_failure().detail.startswith("block (")
+    # a first link that no longer resolves is reported, not raised
+    first = dec.chain.links[0]
+    s = IntMatrix.rect(first.S.row_labels, first.S.col_labels,
+                       [first.S.to_rows()[0]] * first.S.nrows)
+    links = (HalfElemCert(first.source, first.target, first.R, s), *dec.chain.links[1:])
+    doctored = ConjugacyDecomposition(StrongChain(dec.chain.pairs, links), dec.source_recoding)
+    report = verify_decomposition(doctored, spec)
+    assert not report.passed
+    assert report.first_failure().detail.startswith("link 0: unique b: ")
+
+
+def test_verify_decomposition_refuses_over_budget_before_any_link(monkeypatch):
+    spec = _center_read_spec(golden_mean_pair(), 1)
+    dec = decompose_conjugacy(spec)
+    a = spec.source.A
+    # the prefixes of a walk to the lag's width: every narrower walk fits
+    budget = sum(len(blocks(a, k)) for k in range(1, dec.chain.lag + 1))
+    blocks.cache_clear()
+    monkeypatch.setattr(shifts, "WALK_BUDGET", budget)
+    calls = []
+    monkeypatch.setattr(constructions, "gamma_block", lambda *args: calls.append(args))
+    blocks(a, dec.chain.lag)
+    with pytest.raises(BudgetError):
+        verify_decomposition(dec, spec)
+    assert calls == []
+
+
+def _cycle_pair(n: int, chords=()) -> FlipPair:
+    """The n-cycle i -> i+1 with the flip i -> -i, plus the given transitions."""
+    edges = {(i, (i + 1) % n) for i in range(n)} | set(chords)
+    labels = [str(i) for i in range(n)]
+    a = IntMatrix.square(labels, [[int((i, j) in edges) for j in range(n)]
+                                  for i in range(n)])
+    j = IntMatrix.square(labels, [[int(k == -i % n) for k in range(n)]
+                                  for i in range(n)])
+    return FlipPair(a, j)
+
+
+def test_conjugacy_spec_refuses_a_map_off_the_transitions():
+    # psi(i) = 2i is a flip-commuting bijection of symbols, but no point of
+    # period <= 6 exists to show that it breaks the cycle
+    c7 = _cycle_pair(7)
+    assert not any(enumerate_periodic(c7.A, m) for m in range(1, 7))
+    with pytest.raises(SpecError) as e:
+        OneBlockConjugacySpec(c7, c7, {str(i): str(2 * i % 7) for i in range(7)}, 0)
+    assert e.value.reason == "psi_into"
+    assert str(e.value) == "image of transition ('0', '1') is not a transition"
+
+
+def test_conjugacy_spec_refuses_a_target_with_extra_transitions():
+    # the chords 6 -> 0 and 0 -> 7 close two 7-cycles, whose points the
+    # identity does not reach from the 13-cycle
+    c13 = _cycle_pair(13)
+    chorded = _cycle_pair(13, chords=[(6, 0), (0, 7)])
+    assert not any(enumerate_periodic(chorded.A, m) for m in range(1, 7))
+    with pytest.raises(SpecError) as e:
+        OneBlockConjugacySpec(c13, chorded, {a: a for a in c13.alphabet}, 0)
+    assert e.value.reason == "psi_bijective"
 
 
 def test_conjugacy_spec_rejects_non_bijection():
     gm = golden_mean_pair()
     with pytest.raises(SpecError):
         OneBlockConjugacySpec(gm, gm, {"1": "1", "2": "1"}, 0)
+
+
+def test_conjugacy_spec_rejects_a_map_onto_a_subshift():
+    full = FlipPair(IntMatrix.square(("1", "2"), [[1, 1], [1, 1]]),
+                    IntMatrix.identity(("1", "2")))
+    with pytest.raises(SpecError) as e:
+        OneBlockConjugacySpec(one_point_pair(), full, {"a": "1"}, 0)
+    assert e.value.reason == "psi_onto"
 
 
 def test_conjugacy_spec_rejects_wrong_window():

@@ -222,11 +222,11 @@ def test_gamma_point_is_period_preserving_bijection():
 def test_verify_prop22():
     p = one_point_pair()
     cert = he_check(p, p, IntMatrix.rect(("a",), ("a",), [[1]]))
-    assert verify_prop22(cert, 3).passed
+    assert verify_prop22(cert).passed
 
     gm = golden_mean_pair()
     _, chain = higher_block(gm, 1)
-    assert verify_prop22(chain.links[0], 5).passed
+    assert verify_prop22(chain.links[0]).passed
 
 
 def test_verify_prop22_localizes_on_doctored_cert():
@@ -238,9 +238,38 @@ def test_verify_prop22_localizes_on_doctored_cert():
                            [good.S.to_rows()[i] for i in (1, 0, 2)])
     doctored = HalfElemCert(source=good.source, target=good.target,
                             R=good.R, S=bad_s)
-    report = verify_prop22(doctored, 4)
+    report = verify_prop22(doctored)
     assert not report.passed
-    assert "point" in report.first_failure().detail
+    assert report.first_failure().detail == "transition (1, 1): 1 2 != 2 1"
+
+
+def _naive_gamma(cert: HalfElemCert, a1: str, a2: str):
+    """gamma_block read entry by entry: the identity of its error, or b."""
+    if cert.source.A.entry(a1, a2) != 1:
+        return "admissible"
+    bs = [b for b in cert.target.alphabet
+          if cert.R.entry(a1, b) == 1 and cert.S.entry(b, a2) == 1]
+    return bs[0] if len(bs) == 1 else "unique b"
+
+
+def test_gamma_block_equals_the_entrywise_oracle():
+    gm = golden_mean_pair()
+    _, chain = higher_block(gm, 2)
+    good = chain.links[0]
+    # S with two rows swapped joins some transitions by two b and some by none
+    doctored = HalfElemCert(source=good.source, target=good.target, R=good.R,
+                            S=IntMatrix.rect(good.S.row_labels, good.S.col_labels,
+                                             [good.S.to_rows()[i] for i in (1, 0, 2)]))
+    # with S all ones, (2, 2) has a unique b but is not a transition of gm
+    loose = HalfElemCert(source=gm, target=gm, R=IntMatrix.identity(gm.alphabet),
+                         S=IntMatrix.square(gm.alphabet, [[1, 1], [1, 1]]))
+    for cert in (*chain.links, doctored, loose):
+        for a1, a2 in product(cert.source.alphabet, repeat=2):
+            try:
+                got = gamma_block(cert, a1, a2)
+            except CertificateError as e:
+                got = e.identity
+            assert got == _naive_gamma(cert, a1, a2)
 
 
 def test_sse_verify_empty_chain():
