@@ -3,8 +3,8 @@
 Every command takes --format (json, csv or plain) and --timing.  No command
 draws at random or samples periodic points, so none takes a seed or a period.
 Exit codes: 0 success / all checks passed, 1 a mathematical check failed,
-2 usage or input error (unreadable path, malformed JSON, schema violation,
-a range option below 1, exceeded budget).
+2 usage or input error (unreadable path, malformed or too deeply nested
+JSON, schema violation, a range option below 1, exceeded budget).
 Reports are deterministic byte for byte for fixed inputs and flags; timing is
 only included when --timing is given.
 """
@@ -35,7 +35,10 @@ from .zeta import artin_mazur_zeta, generating_function, lind_zeta
 def _load_json(path: str, inputs: dict[str, str]):
     data = Path(path).read_bytes()
     inputs[path] = hashlib.sha256(data).hexdigest()
-    return json.loads(data.decode("utf-8"))
+    try:
+        return json.loads(data.decode("utf-8"))
+    except RecursionError:
+        raise ValueError(f"JSON nested too deeply in {path}") from None
 
 
 def _series_rows(doc: dict) -> list[list]:
@@ -199,6 +202,8 @@ def _cmd_sse_verify(args, inputs):
 
 
 def _cmd_sfe_check(args, inputs):
+    if args.lag < 1:
+        raise ValueError("--lag must be >= 1")
     src, dst = _load_endpoints(args, inputs)
     r = _load_r(args, inputs, src, dst)
     try:

@@ -7,8 +7,8 @@ Three builders live here:
 * ``build_flip_pair``: turn a sliding-block flip rule on a Markov shift into a
   flip pair plus the block code onto it.
 * ``decompose_conjugacy``: decompose a one-block flip-conjugacy between two
-  flip pairs into a chain of splitting steps of even lag, via intermediate
-  triple alphabets and a final block-recoding of the target.
+  flip pairs into a chain of splitting steps of even lag, through triple
+  alphabets read off the source's blocks and the target's block chain.
 
 All three build their pairs by one rule on a list of words (the higher-block
 and state-splitting presentations of Lind & Marcus, 1995, sections 1.4 and
@@ -24,7 +24,7 @@ from typing import Hashable, Sequence
 
 from .equivalence import (HalfElemCert, StrongChain, gamma_block, gamma_point,
                           he_check)
-from .errors import CertificateError, FlipPairError, FlipShiftError, SpecError
+from .errors import CertificateError, FlipPairError, SpecError
 from .flips import FlipPair, Word
 from .matrices import IntMatrix, _as_labels
 from .report import Report
@@ -320,58 +320,58 @@ class ConjugacyDecomposition:
         return shift_point(y, -(self.chain.lag // 2))
 
 
-def _triple_label(k: int, u: Word, w: Word, v: Word) -> str:
-    if k == 1:
-        return _join(w)
-    return f"{_join(u)}|{_join(w)}|{_join(v)}"
-
-
 def decompose_conjugacy(spec: OneBlockConjugacySpec) -> ConjugacyDecomposition:
     """Decompose a one-block flip-conjugacy into splitting steps of even lag.
 
-    With inverse window m, the chain walks through 2m+1 pairs on triple
-    alphabets (target block, source block, target block) and then back down
-    the reversed block chain of the target, for a total lag of 4m.  With
-    m == 0 the spec has decided that psi relabels the source onto the target,
-    so the chain is empty and psi is returned as the source recoding.
+    With inverse window m, the chain climbs 2m+1 stages and descends the
+    target's block chain, for a lag of 4m.  Stage k reads psi through a
+    window of width k (Lind & Marcus, 1995, section 7.1): its symbols are the
+    triples (psi(b[:i]), b[i:k-i], psi(b[k-i:])) over the source's k-blocks b,
+    with i = (k-1)//2.  These are exactly the essential triples: the source
+    point through b reads a bi-infinite path through each, and the middles of
+    a bi-infinite path spell a source point whose image its target words spell.
+    So stage 1 is the source and the top stage the target's (2m+1)-block pair,
+    whose symbols the spec has decided are each the image of one centre.  At
+    m == 0 psi relabels the source onto the target: the chain is empty and psi
+    is the source recoding.
     """
-    src, dst, psi = spec.source, spec.target, spec.psi
+    src, dst = spec.source, spec.target
     m = spec.inverse_window
     if m == 0:
         return ConjugacyDecomposition(
             chain=StrongChain(pairs=(dst,), links=()),
-            source_recoding=dict(psi))
+            source_recoding=dict(spec.psi))
 
     kmax = 2 * m + 1
-    # sets: the candidates of each stage are sorted before use
-    dst_blocks = {length: set(blocks(dst.A, length)) for length in range(1, kmax + 2)}
-    src_blocks = {j: set(blocks(src.A, j)) for j in (1, 2, 3)}
+    dst_blocks = {length: set(blocks(dst.A, length)) for length in range(3, kmax + 1)}
+    src_blocks = {j: set(blocks(src.A, j)) for j in (2, 3)}
     src_key = _word_key(src.alphabet)
     dst_key = _word_key(dst.alphabet)
 
-    # triples[k] lists the kept (u, w, v) in order; word_of gives their target words
-    triples: dict[int, Sequence[tuple[Word, Word, Word]]] = {}
+    # word_of gives each triple its target word psi(b)
     word_of: dict[tuple[Word, Word, Word], Word] = {}
-    pairs: list[FlipPair] = []
-    for k in range(1, kmax + 1):
+
+    def read(k: int) -> list[tuple[Word, Word, Word]]:
+        """The triples of stage k, read off the source's k-blocks, in key order."""
+        i = (k - 1) // 2
+        found = {}
+        for b in blocks(src.A, k):
+            img = spec.map_word(b)
+            found[(img[:i], b[i:k - i], img[k - i:])] = img
+        word_of.update(found)
+        return sorted(found, key=lambda t: (dst_key(t[0]), src_key(t[1]), dst_key(t[2])))
+
+    # triples[k] lists stage k's triples in the order of its pair's alphabet
+    triples = {1: read(1)}
+    pairs: list[FlipPair] = [src]
+    for k in range(2, kmax):
         i = (k - 1) // 2
         j = k - 2 * i
-        us = dst_blocks[i] if i else ((),)
-        ws = src_blocks[j]
-        cand = []
-        for u in us:
-            for w in ws:
-                img = spec.map_word(w)
-                for v in us:
-                    s = u + img + v
-                    if s in dst_blocks[k]:
-                        cand.append((u, w, v))
-                        word_of[(u, w, v)] = s
-        cand.sort(key=lambda t: (dst_key(t[0]), src_key(t[1]), dst_key(t[2])))
+        cand = read(k)
         dst_next, src_next = dst_blocks[k + 1], src_blocks[j + 1]
         try:
             pair, triples[k] = _word_pair(
-                cand, [_triple_label(k, *t) for t in cand],
+                cand, [f"{_join(u)}|{_join(w)}|{_join(v)}" for u, w, v in cand],
                 tail=lambda t: (word_of[t][1:], t[1][1:]),
                 head=lambda t: (word_of[t][:-1], t[1][:-1]),
                 joins=lambda t, t2: (word_of[t] + word_of[t2][-1:] in dst_next
@@ -382,29 +382,11 @@ def decompose_conjugacy(spec: OneBlockConjugacySpec) -> ConjugacyDecomposition:
             raise SpecError("triple_pair", f"stage {k} is not a flip pair: {e}") from e
         pairs.append(pair)
 
-    if pairs[0] != src:
-        raise SpecError("source_mismatch",
-                        "stage 1 does not reproduce the source pair")
-
-    # identify the top stage with the (2m+1)-block pair of the target
+    # the top stage is the block pair: its triples in the block pair's order
     hb_pair, hb_chain = higher_block(dst, 2 * m)
-    top_labels = [_join(word_of[t]) for t in triples[kmax]]
-    if len(set(top_labels)) != len(top_labels):
-        raise SpecError("recoding_mismatch", "top-stage block relabeling is not injective")
-    top = dict(zip(pairs[-1].alphabet, top_labels))
-    try:
-        relabeled = FlipPair(pairs[-1].A.relabel(top).reorder(hb_pair.alphabet),
-                             pairs[-1].J.relabel(top).reorder(hb_pair.alphabet))
-    except FlipShiftError as e:
-        raise SpecError("recoding_mismatch", f"top-stage relabeling failed: {e}") from e
-    if relabeled != hb_pair:
-        raise SpecError("recoding_mismatch",
-                        "top stage does not match the target's block pair")
-
-    # the top stage is the block pair: its words in the block pair's order
-    rank = {lab: i for i, lab in enumerate(hb_pair.alphabet)}
-    triples[kmax] = sorted(triples[kmax], key=lambda t: rank[_join(word_of[t])])
-    pairs[-1] = hb_pair
+    by_label = {_join(word_of[t]): t for t in read(kmax)}
+    triples[kmax] = [by_label[lab] for lab in hb_pair.alphabet]
+    pairs.append(hb_pair)
 
     # D reads "drop the last symbol" and E "drop the first symbol" of the
     # target word, each keeping the source block's adjacency

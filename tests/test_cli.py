@@ -1,13 +1,18 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import flipshift
 from flipshift import jsonio
 from flipshift.cli import run_cli
 from flipshift.constructions import higher_block
 from flipshift.fixtures import (example1_pair, example1_symmetric_pair,
                                 golden_mean_pair)
+from flipshift.flips import FlipPair
+from flipshift.matrices import IntMatrix
 from flipshift.shifts import blocks, word_center
 from flipshift.zeta import p_flip_counts
 
@@ -66,6 +71,24 @@ def test_malformed_json_is_usage_error(tmp_path, capsys):
     bad.write_text("{not json")
     assert run_cli(["validate", str(bad)]) == 2
     assert "line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["validate", "{deep}"],
+    ["count", "--pair", "{deep}", "--m-max", "2"],
+    ["charpoly", "{deep}"],
+    ["he-check", "--from", "{gm}", "--to", "{gm}", "--R", "{deep}"],
+    ["decompose", "{deep}"],
+], ids=["validate", "count", "charpoly", "he-check R", "decompose"])
+def test_deeply_nested_json_is_a_usage_error(command, tmp_path, capsys):
+    # valid JSON, but deeper than the parser's recursion limit
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 5000 + "]" * 5000)
+    argv = [a.format(deep=deep, gm=DATA / "golden_mean.json") for a in command]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: JSON nested too deeply in {deep}\n"
 
 
 def test_schema_violation_is_usage_error(write, capsys):
@@ -157,6 +180,29 @@ def test_decompose_cli(write, capsys):
     assert out["lag"] == 4
     assert out["verification"]["checks"] == [
         {"name": "blocks of width 5", "passed": True, "detail": ""}]
+
+
+def test_decompose_refuses_the_full_three_shift_in_little_memory(write):
+    # the centre read of the 5-block pair at window 2; the stages of its
+    # chain are small, and checking it would walk blocks of width 9
+    labels = ("a", "b", "c")
+    full = FlipPair(IntMatrix.square(labels, [[1] * 3] * 3), IntMatrix.identity(labels))
+    hb5, _ = higher_block(full, 4)
+    psi = {lab: word_center(tuple(lab.split(" "))) for lab in hb5.alphabet}
+    conj = write("conj.json", {"from": jsonio.pair_to_doc(hb5),
+                               "to": jsonio.pair_to_doc(full),
+                               "psi": psi, "inverse_window": 2})
+    capped = ("import resource\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+              "from flipshift.cli import main\n"
+              "main()\n")
+    src = str(Path(flipshift.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", capped, "decompose", conj],
+                         env={"PYTHONPATH": src}, capture_output=True, text=True,
+                         timeout=120)
+    assert run.stdout == ""
+    assert run.stderr == "error: words of length 9 need more than 1000000 walk prefixes\n"
+    assert run.returncode == 2
 
 
 def test_paper_examples_cli(capsys):
@@ -299,8 +345,12 @@ def test_count_refuses_a_walk_over_budget(write, capsys):
      "--max-solutions", "-1"),
     (["he-search", "--from", "golden_mean.json", "--to", "golden_mean.json"],
      "--max-solutions", "0"),
+    (["sfe-check", "--from", "example1_AJ.json", "--to", "example1_AJ.json",
+      "--R", "example1_A.json"], "--lag", "0"),
+    (["sfe-check", "--from", "example1_AJ.json", "--to", "example1_AJ.json",
+      "--R", "example1_A.json"], "--lag", "-1"),
 ], ids=["m-max 0", "m-max -3", "max-power 0", "max-power -1", "max-solutions -1",
-        "max-solutions 0"])
+        "max-solutions 0", "lag 0", "lag -1"])
 def test_empty_ranges_are_usage_errors(command, option, value, capsys):
     argv = [str(DATA / a) if a.endswith(".json") else a for a in command]
     assert run_cli([*argv, option, value]) == 2

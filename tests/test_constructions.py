@@ -1,3 +1,4 @@
+import random
 import warnings
 from itertools import permutations
 
@@ -18,7 +19,8 @@ from flipshift.fixtures import (example1_pair, example1_symmetric_pair,
 from flipshift.flips import FlipPair
 from flipshift.matrices import IntMatrix
 from flipshift.shifts import (blocks, count_pmn_bruteforce, enumerate_periodic,
-                              is_essential, shift_point, word_center)
+                              essential_symbols, is_essential, shift_point,
+                              word_center)
 from flipshift.zeta import lind_zeta
 
 
@@ -242,6 +244,86 @@ def _center_read_spec(base, n):
     return OneBlockConjugacySpec(hb, base, psi, n)
 
 
+def candidate_stages(spec: OneBlockConjugacySpec) -> list[FlipPair]:
+    """Stages 1 ... 2m+1 of the decomposition, built from every candidate.
+
+    Stage k takes every triple (u, w, v) of target blocks u, v of length
+    i = (k-1)//2 and a source block w of length k-2i with u + psi(w) + v a
+    target block, compares every pair of triples, and cuts the pair to its
+    essential symbols.  The top stage is relabelled by its target words into
+    the order of the target's (2m+1)-block pair.
+    """
+    src, dst, m = spec.source, spec.target, spec.inverse_window
+    src_index = {s: x for x, s in enumerate(src.alphabet)}
+    dst_index = {s: x for x, s in enumerate(dst.alphabet)}
+    stages = []
+    for k in range(1, 2 * m + 2):
+        i = (k - 1) // 2
+        j = k - 2 * i
+        us = blocks(dst.A, i) if i else ((),)
+        targets = set(blocks(dst.A, k))
+        cand = sorted(((u, w, v) for u in us for w in blocks(src.A, j) for v in us
+                       if u + spec.map_word(w) + v in targets),
+                      key=lambda t: ([dst_index[s] for s in t[0]],
+                                     [src_index[s] for s in t[1]],
+                                     [dst_index[s] for s in t[2]]))
+        word = {t: t[0] + spec.map_word(t[1]) + t[2] for t in cand}
+        dst_next, src_next = set(blocks(dst.A, k + 1)), set(blocks(src.A, j + 1))
+        a_rows = [[int(word[t][1:] == word[t2][:-1] and t[1][1:] == t2[1][:-1]
+                       and word[t] + word[t2][-1:] in dst_next
+                       and t[1] + t2[1][-1:] in src_next) for t2 in cand]
+                  for t in cand]
+        j_rows = [[int(t2 == (dst.flip_word(t[2]), src.flip_word(t[1]),
+                              dst.flip_word(t[0]))) for t2 in cand] for t in cand]
+        labels = [" ".join(t[1]) if k == 1 else "|".join(" ".join(x) for x in t)
+                  for t in cand]
+        a = IntMatrix.square(labels, a_rows)
+        ess = essential_symbols(a)
+        stages.append(FlipPair(a.submatrix(ess), IntMatrix.square(labels, j_rows).submatrix(ess)))
+    hb, _ = higher_block(dst, 2 * m)
+    by_word = {lab: " ".join(word[t]) for lab, t in zip(labels, cand)}
+    stages[-1] = stages[-1].relabel(by_word).reorder(hb.alphabet)
+    return stages
+
+
+def _stage_oracle_specs() -> list[OneBlockConjugacySpec]:
+    """Centre reads of corpus pairs at windows 1 and 2, a shuffled and
+    relabelled source, an off-centre read and a declared window wider than
+    the map needs."""
+    specs = [_center_read_spec(base, n) for base in corpus(count=20, max_size=4)
+             for n in ((1, 2) if base.size <= 2 else (1,))]
+    hb, _ = higher_block(example1_pair(), 2)
+    order = list(hb.alphabet)
+    random.Random(7).shuffle(order)
+    names = {lab: f"s{x}" for x, lab in enumerate(order[::-1])}
+    shuffled = hb.relabel(names).reorder(names[lab] for lab in order)
+    specs.append(OneBlockConjugacySpec(
+        shuffled, example1_pair(),
+        {names[lab]: word_center(tuple(lab.split(" "))) for lab in hb.alphabet}, 1))
+    # on a cycle the symbol after the centre is a flip conjugacy onto the
+    # cycle flipped about 1
+    hb, _ = higher_block(_cycle_pair(7), 2)
+    specs.append(OneBlockConjugacySpec(
+        hb, _cycle_pair(7, centre=2), {lab: lab.split(" ")[2] for lab in hb.alphabet}, 1))
+    loose = _center_read_spec(golden_mean_pair(), 1)
+    specs.append(OneBlockConjugacySpec(loose.source, loose.target, loose.psi, 2))
+    return specs
+
+
+def test_decomposition_stages_equal_the_candidate_oracle():
+    for spec in _stage_oracle_specs():
+        stages = decompose_conjugacy(spec).chain.pairs[:2 * spec.inverse_window + 1]
+        assert stages == tuple(candidate_stages(spec))
+
+
+def test_full_three_shift_at_window_two_builds_only_its_stages():
+    # the top stage keeps 243 of 9 * 243 * 9 = 19,683 candidate triples
+    labels = ("a", "b", "c")
+    full = FlipPair(IntMatrix.square(labels, [[1] * 3] * 3), IntMatrix.identity(labels))
+    dec = decompose_conjugacy(_center_read_spec(full, 2))
+    assert [p.size for p in dec.chain.pairs] == [243, 729, 243, 729, 243, 81, 27, 9, 3]
+
+
 def test_decompose_identity_conjugacy():
     gm = golden_mean_pair()
     spec = OneBlockConjugacySpec(gm, gm, {a: a for a in gm.alphabet}, 0)
@@ -367,13 +449,13 @@ def test_verify_decomposition_refuses_over_budget_before_any_link(monkeypatch):
     assert calls == []
 
 
-def _cycle_pair(n: int, chords=()) -> FlipPair:
-    """The n-cycle i -> i+1 with the flip i -> -i, plus the given transitions."""
+def _cycle_pair(n: int, chords=(), centre: int = 0) -> FlipPair:
+    """The n-cycle i -> i+1 with the flip i -> centre - i, plus the given transitions."""
     edges = {(i, (i + 1) % n) for i in range(n)} | set(chords)
     labels = [str(i) for i in range(n)]
     a = IntMatrix.square(labels, [[int((i, j) in edges) for j in range(n)]
                                   for i in range(n)])
-    j = IntMatrix.square(labels, [[int(k == -i % n) for k in range(n)]
+    j = IntMatrix.square(labels, [[int(k == (centre - i) % n) for k in range(n)]
                                   for i in range(n)])
     return FlipPair(a, j)
 
