@@ -54,16 +54,16 @@ def _report_rows(rep: Report) -> list[list]:
 
 def _emit(args, payload: dict, csv_rows: list[list] | None = None,
           plain: str | None = None) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    elif args.format == "csv":
+    if args.format == "csv":
         if csv_rows is None:
             raise SchemaError("--format", "csv output is not defined for this command")
         import csv as _csv
         writer = _csv.writer(sys.stdout)
         writer.writerows(csv_rows)
+    elif args.format == "plain" and plain is not None:
+        print(plain)
     else:
-        print(plain if plain is not None else json.dumps(payload, indent=2))
+        print(jsonio.dumps(payload))
 
 
 def _wrap(args, inputs: dict[str, str], payload: dict, started: float) -> dict:

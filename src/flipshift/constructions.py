@@ -24,12 +24,14 @@ from typing import Hashable, Sequence
 
 from .equivalence import (HalfElemCert, StrongChain, gamma_block, gamma_point,
                           he_check)
-from .errors import CertificateError, FlipPairError, SpecError
+from .errors import BudgetError, CertificateError, FlipPairError, SpecError
 from .flips import FlipPair, Word
 from .matrices import IntMatrix, _as_labels
 from .report import Report
-from .shifts import (Point, blocks, enumerate_periodic, essential_symbols,
-                     is_essential, shift_point, word_center)
+from .shifts import (Point, block_count, blocks, enumerate_periodic,
+                     essential_symbols, is_essential, shift_point, word_center)
+
+BLOCK_CELL_BUDGET = 1 << 21  # most cells of the top pair's N x N matrices in higher_block
 
 
 def _join(w: Word) -> str:
@@ -62,17 +64,17 @@ def _ones(row_labels, col_labels, xs: Sequence, ys: Sequence, x_key, y_key,
 
 
 def _word_pair(words: Sequence, labels: Sequence[str], tail, head, joins,
-               mate) -> tuple[FlipPair, tuple]:
+               mate, prune: bool = True) -> tuple[FlipPair, tuple]:
     """The flip pair on ``words``, cut to its essential symbols, and the kept words.
 
     x is followed by y when tail(x) == head(y) and joins(x, y); J sends x to
     mate(x).  Only the labels are checked: the matrices are zero-one by
-    construction.
+    construction; callers whose words lie on bi-infinite points pass ``prune=False``.
     """
     labs = _as_labels(labels)
     a = _ones(labs, labs, words, words, tail, head, joins)
     jm = _ones(labs, labs, words, words, mate, lambda y: y)
-    ess = essential_symbols(a)
+    ess = essential_symbols(a) if prune else labs
     if ess != labs:
         a, jm = a.submatrix(ess), jm.submatrix(ess)
         kept = set(ess)
@@ -90,10 +92,15 @@ def higher_block(pair: FlipPair, n: int) -> tuple[FlipPair, StrongChain]:
     v[:-1] and the base allows u[-1] -> v[-1].  The chain has one link per
     block-length increase; link k goes from the k-block pair to the
     (k+1)-block pair, with R reading "drop the last symbol" and S reading
-    "drop the first symbol".
+    "drop the first symbol".  ``BudgetError`` refuses, before any building, a
+    top pair whose N x N matrices pass ``BLOCK_CELL_BUDGET`` cells.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    size = block_count(pair.A, n + 1)
+    if size * size > BLOCK_CELL_BUDGET:
+        raise BudgetError(f"the {n + 1}-block pair has {size} symbols; its {size * size} "
+                          f"matrix cells pass the budget of {BLOCK_CELL_BUDGET}")
     edges = set(blocks(pair.A, 2))
     pairs: list[FlipPair] = []
     word_lists: list[tuple[Word, ...]] = []
@@ -102,7 +109,7 @@ def higher_block(pair: FlipPair, n: int) -> tuple[FlipPair, StrongChain]:
         pk, words = _word_pair(words, [_join(w) for w in words],
                                tail=lambda u: u[1:], head=lambda v: v[:-1],
                                joins=lambda u, v: (u[-1], v[-1]) in edges,
-                               mate=pair.flip_word)
+                               mate=pair.flip_word, prune=False)
         pairs.append(pk)
         word_lists.append(words)
     links: list[HalfElemCert] = []
@@ -377,7 +384,7 @@ def decompose_conjugacy(spec: OneBlockConjugacySpec) -> ConjugacyDecomposition:
                 joins=lambda t, t2: (word_of[t] + word_of[t2][-1:] in dst_next
                                      and t[1] + t2[1][-1:] in src_next),
                 mate=lambda t: (dst.flip_word(t[2]), src.flip_word(t[1]),
-                                dst.flip_word(t[0])))
+                                dst.flip_word(t[0])), prune=False)
         except FlipPairError as e:
             raise SpecError("triple_pair", f"stage {k} is not a flip pair: {e}") from e
         pairs.append(pair)

@@ -19,6 +19,7 @@ Every parser raises SchemaError with the offending field path.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from typing import Any
 
@@ -38,11 +39,10 @@ def _expect(doc: Any, kind: type, path: str):
 
 def _str_list(doc: Any, path: str) -> list[str]:
     _expect(doc, list, path)
-    out = []
-    for i, x in enumerate(doc):
-        _expect(x, str, f"{path}[{i}]")
-        out.append(x)
-    return out
+    if not set(map(type, doc)) <= {str}:
+        for i, x in enumerate(doc):
+            _expect(x, str, f"{path}[{i}]")
+    return list(doc)
 
 
 def _int_rows(doc: Any, path: str) -> list[list[int]]:
@@ -50,12 +50,12 @@ def _int_rows(doc: Any, path: str) -> list[list[int]]:
     rows = []
     for i, row in enumerate(doc):
         _expect(row, list, f"{path}[{i}]")
-        out = []
-        for j, x in enumerate(row):
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise SchemaError(f"{path}[{i}][{j}]", f"expected integer, got {x!r}")
-            out.append(x)
-        rows.append(out)
+        if not set(map(type, row)) <= {int}:
+            # int subclasses other than bool pass too; the loop names the first bad entry
+            for j, x in enumerate(row):
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise SchemaError(f"{path}[{i}][{j}]", f"expected integer, got {x!r}")
+        rows.append(list(row))
     return rows
 
 
@@ -67,6 +67,48 @@ def rect_from_doc(doc: Any, row_labels: tuple[str, ...], col_labels: tuple[str, 
         return IntMatrix.rect(row_labels, col_labels, rows)
     except FlipShiftError as e:
         raise SchemaError(path, str(e)) from e
+
+
+# -- writing ---------------------------------------------------------------------
+
+_STR = json.encoder.encode_basestring_ascii
+_SCALAR = json.JSONEncoder(check_circular=False).encode  # any other leaf, or a refusal
+_LEAF = {str: _STR, int: int.__repr__}  # the common leaves, by exact type
+
+
+def dumps(obj: Any) -> str:
+    """The text ``json.dumps`` writes for ``obj`` at indent 2, mostly by C code:
+    json's C encoder runs only without indent, so a list of ints is one ``repr``."""
+    out: list[str] = []
+    _write(obj, "\n", out)
+    return "".join(out)
+
+
+def _write(obj: Any, nl: str, out: list[str]) -> None:
+    inner = nl + "  "
+    if not isinstance(obj, (list, tuple, dict)):
+        out.append(_LEAF.get(type(obj), _SCALAR)(obj))
+    elif not obj:
+        out.append("{}" if isinstance(obj, dict) else "[]")
+    elif isinstance(obj, dict):
+        for i, (k, v) in enumerate(obj.items()):
+            out.append(("{" if i == 0 else ",") + inner + _key(k) + ": ")
+            _write(v, inner, out)
+        out.append(nl + "}")
+    elif set(map(type, obj)) == {int}:
+        out.append(f"[{inner}{repr(list(obj))[1:-1].replace(', ', ',' + inner)}{nl}]")
+    else:
+        for i, x in enumerate(obj):
+            out.append(("[" if i == 0 else ",") + inner)
+            _write(x, inner, out)
+        out.append(nl + "]")
+
+
+def _key(k: Any) -> str:
+    """A dict key as json writes it."""
+    if not isinstance(k, (str, int, float)) and k is not None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+    return _STR(k if isinstance(k, str) else _SCALAR(k))
 
 
 # -- matrices --------------------------------------------------------------------

@@ -179,6 +179,16 @@ def blocks(a: IntMatrix, n: int) -> tuple[Word, ...]:
     return _labelled(a, [w for w in paths if future[ord(w[-1])]])
 
 
+def block_count(a: IntMatrix, n: int) -> int:
+    """len(blocks(a, n)), by vector iteration and without walking."""
+    _check_graph_matrix(a)
+    past, future = _essential_flags(a)
+    succ, v = _successors(a), [int(p) for p in past]
+    for _ in range(n - 1):
+        v = _step(succ, v)
+    return sum(x for x, f in zip(v, future) if f)
+
+
 # -- periodic points ----------------------------------------------------------
 
 Point = Word  # a period-m point is stored as its cyclic word x_0..x_{m-1}

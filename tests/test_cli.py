@@ -292,6 +292,42 @@ def test_every_command_in_every_format(every_command, fmt, capsys):
             assert err.startswith("error: "), command
 
 
+@pytest.mark.parametrize("timing", [[], ["--timing"]])
+def test_json_reports_are_the_text_of_json_dumps(every_command, timing, capsys):
+    for command, args in every_command.items():
+        run_cli([command, *args, *timing])
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", command
+
+
+def _full_shift_doc(n: int) -> dict:
+    labels = [str(i) for i in range(n)]
+    return jsonio.pair_to_doc(FlipPair(IntMatrix.square(labels, [[1] * n] * n),
+                                       IntMatrix.identity(labels)))
+
+
+def test_higher_block_builds_a_million_cells_within_budget(write, capsys):
+    full4 = write("full4.json", _full_shift_doc(4))
+    assert run_cli(["higher-block", "--pair", full4, "--n", "4", "--format", "plain"]) == 0
+    assert capsys.readouterr().out.startswith("5-block pair on 1024 symbols; ")
+
+
+def test_higher_block_refuses_past_its_budget_before_building(write):
+    capped = ("import resource\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (100 << 20, 100 << 20))\n"
+              "from flipshift.cli import main\n"
+              "main()\n")
+    src = str(Path(flipshift.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", capped, "higher-block", "--pair",
+                          write("full4.json", _full_shift_doc(4)), "--n", "5"],
+                         env={"PYTHONPATH": src}, capture_output=True, text=True,
+                         timeout=120)
+    assert run.stdout == ""
+    assert run.stderr == ("error: the 6-block pair has 4096 symbols; its 16777216 "
+                          "matrix cells pass the budget of 2097152\n")
+    assert run.returncode == 2
+
+
 def test_csv_without_rows_is_usage_error(capsys):
     code = run_cli(["higher-block", "--pair", str(DATA / "golden_mean.json"),
                     "--n", "1", "--format", "csv"])

@@ -324,6 +324,26 @@ def test_full_three_shift_at_window_two_builds_only_its_stages():
     assert [p.size for p in dec.chain.pairs] == [243, 729, 243, 729, 243, 81, 27, 9, 3]
 
 
+def _stranded_golden_mean() -> FlipPair:
+    # the golden mean on 1, 2, with a source 3 -> 1 and a sink 1 -> 4 that J swaps
+    a = IntMatrix.square("1234", [[1, 1, 0, 1], [1, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0]])
+    return FlipPair(a, IntMatrix.square("1234", [[1, 0, 0, 0], [0, 1, 0, 0],
+                                                 [0, 0, 0, 1], [0, 0, 1, 0]]))
+
+
+def test_builders_strand_no_symbol():
+    # the oracle for building block pairs and stages without an essential cut
+    chains = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # stranded symbols of the last base
+        for base in corpus(count=20, max_size=4) + [_stranded_golden_mean()]:
+            chains += [higher_block(base, n)[1] for n in (1, 2, 3)]
+    chains += [decompose_conjugacy(spec).chain for spec in _stage_oracle_specs()]
+    for chain in chains:
+        for p in chain.pairs:
+            assert essential_symbols(p.A) == p.alphabet
+
+
 def test_decompose_identity_conjugacy():
     gm = golden_mean_pair()
     spec = OneBlockConjugacySpec(gm, gm, {a: a for a in gm.alphabet}, 0)

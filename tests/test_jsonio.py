@@ -1,6 +1,8 @@
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flipshift import jsonio
 from flipshift.constructions import higher_block
@@ -29,6 +31,26 @@ def test_matrix_schema_error_path():
     with pytest.raises(SchemaError) as e:
         jsonio.matrix_from_doc({"labels": ["a"], "rows": [[1, "x"]]})
     assert "rows[0][1]" in str(e.value)
+
+
+class _Int(int):
+    def __repr__(self):
+        return f"_Int({int(self)})"
+
+
+def test_int_rows_take_int_subclasses_and_name_the_first_bad_entry():
+    m = jsonio.matrix_from_doc({"labels": ["a", "b"], "rows": [[1, _Int(0)], [0, 1]]})
+    assert m == IntMatrix.identity("ab")
+    with pytest.raises(SchemaError) as e:
+        jsonio.matrix_from_doc({"labels": ["a", "b"], "rows": [[1, 0], [0, True]]})
+    assert str(e.value) == "matrix.rows[1][1]: expected integer, got True"
+
+
+def test_labels_must_be_strings():
+    doc = {"alphabet": ["a", 1], "A": [[1, 0], [0, 1]], "J": [[1, 0], [0, 1]]}
+    with pytest.raises(SchemaError) as e:
+        jsonio.pair_from_doc(doc)
+    assert str(e.value) == "pair.alphabet[1]: expected str, got int"
 
 
 def test_pair_round_trip():
@@ -97,3 +119,35 @@ def test_conjugacy_doc_round_trip():
     assert again.psi == spec.psi and again.source == spec.source
     with pytest.raises(SchemaError):
         jsonio.conjugacy_from_doc({**doc, "inverse_window": "x"})
+
+
+# -- the writer against json.dumps at indent 2 -------------------------------------
+
+_TEXT = st.text(st.one_of(st.characters(blacklist_categories=()),
+                          st.sampled_from('"\\\x00\x1f\x7f\u2028\ud800\udfff\U0001f600')),
+                max_size=8)
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2 ** 200, 2 ** 200),
+    st.floats(), st.sampled_from([float("nan"), float("inf"), -float("inf")]), _TEXT,
+    st.lists(st.integers(-2 ** 200, 2 ** 200)),
+    st.lists(st.one_of(st.integers(-3, 3), st.booleans(), st.none())),
+    st.lists(st.integers(-3, 3).map(_Int), max_size=3))
+_KEYS = st.one_of(_TEXT, st.integers(), st.booleans(), st.none(), st.floats())
+_DOCS = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(_KEYS, inner, max_size=4)), max_leaves=20)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(doc=_DOCS)
+def test_dumps_is_json_dumps_at_indent_two(doc):
+    assert jsonio.dumps(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("doc", [{(1,): 2}, {"a": [1, {2, 3}]}, [object()], b"x"])
+def test_dumps_refuses_what_json_refuses(doc):
+    with pytest.raises(TypeError) as theirs:
+        json.dumps(doc, indent=2)
+    with pytest.raises(TypeError) as ours:
+        jsonio.dumps(doc)
+    assert str(ours.value) == str(theirs.value)

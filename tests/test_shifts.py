@@ -121,6 +121,14 @@ def test_walk_budget_is_the_prefix_count(a, length):
             _enumerate_within(tally[0] - 1, enumerate_words, a, length)
 
 
+@settings(derandomize=True, database=None, deadline=None)
+@given(a=zero_one_matrices(), length=st.integers(1, 6))
+def test_block_count_is_the_number_of_blocks(a, length):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # stranded symbols
+        assert shifts.block_count(a, length) == len(blocks(a, length))
+
+
 # -- oracle: the essential flags from the transitive closure --------------------
 
 
