@@ -29,7 +29,7 @@ from .flips import FlipPair, Word
 from .matrices import IntMatrix, _as_labels
 from .report import Report
 from .shifts import (Point, block_count, blocks, enumerate_periodic,
-                     essential_symbols, is_essential, shift_point, word_center)
+                     is_essential, shift_point, word_center)
 
 BLOCK_CELL_BUDGET = 1 << 21  # most cells of the top pair's N x N matrices in higher_block
 
@@ -64,22 +64,18 @@ def _ones(row_labels, col_labels, xs: Sequence, ys: Sequence, x_key, y_key,
 
 
 def _word_pair(words: Sequence, labels: Sequence[str], tail, head, joins,
-               mate, prune: bool = True) -> tuple[FlipPair, tuple]:
-    """The flip pair on ``words``, cut to its essential symbols, and the kept words.
+               mate) -> FlipPair:
+    """The flip pair on ``words``, one symbol per word, labelled by ``labels``.
 
     x is followed by y when tail(x) == head(y) and joins(x, y); J sends x to
     mate(x).  Only the labels are checked: the matrices are zero-one by
-    construction; callers whose words lie on bi-infinite points pass ``prune=False``.
+    construction.  Every caller reads its words off bi-infinite points, so no
+    symbol is stranded.
     """
     labs = _as_labels(labels)
     a = _ones(labs, labs, words, words, tail, head, joins)
     jm = _ones(labs, labs, words, words, mate, lambda y: y)
-    ess = essential_symbols(a) if prune else labs
-    if ess != labs:
-        a, jm = a.submatrix(ess), jm.submatrix(ess)
-        kept = set(ess)
-        words = [w for w, lab in zip(words, labs) if lab in kept]
-    return FlipPair(a, jm), tuple(words)
+    return FlipPair(a, jm)
 
 
 # -- higher block pairs --------------------------------------------------------
@@ -106,11 +102,10 @@ def higher_block(pair: FlipPair, n: int) -> tuple[FlipPair, StrongChain]:
     word_lists: list[tuple[Word, ...]] = []
     for k in range(1, n + 2):
         words = blocks(pair.A, k)
-        pk, words = _word_pair(words, [_join(w) for w in words],
-                               tail=lambda u: u[1:], head=lambda v: v[:-1],
-                               joins=lambda u, v: (u[-1], v[-1]) in edges,
-                               mate=pair.flip_word, prune=False)
-        pairs.append(pk)
+        pairs.append(_word_pair(words, [_join(w) for w in words],
+                                tail=lambda u: u[1:], head=lambda v: v[:-1],
+                                joins=lambda u, v: (u[-1], v[-1]) in edges,
+                                mate=pair.flip_word))
         word_lists.append(words)
     links: list[HalfElemCert] = []
     for k in range(n):
@@ -230,19 +225,13 @@ def build_flip_pair(spec: BlockFlipSpec) -> tuple[FlipPair, BlockCode]:
     label = {uv: f"{_join(uv[0])}|{_join(uv[1])}" for uv in ordered}
     edges = set(blocks(a, 2))
     # the new adjacencies are only binding at window 0, where the overlaps are empty
-    pair, kept = _word_pair(
+    pair = _word_pair(
         ordered, [label[uv] for uv in ordered],
         tail=lambda uv: (uv[0][1:], uv[1][1:]),
         head=lambda uv: (uv[0][:-1], uv[1][:-1]),
         joins=lambda x, y: (x[0][-1], y[0][-1]) in edges and (y[1][-1], x[1][-1]) in edges,
         mate=lambda uv: (uv[1][::-1], uv[0][::-1]))
-    kept = set(kept)
-    mapping = {}
-    for w, uv in theta.items():
-        if uv not in kept:
-            raise SpecError("realization",
-                            f"scanned window {w} maps to a stranded symbol")
-        mapping[w] = label[uv]
+    mapping = {w: label[uv] for w, uv in theta.items()}
     return pair, BlockCode(radius=2 * n, mapping=mapping)
 
 
@@ -374,20 +363,19 @@ def decompose_conjugacy(spec: OneBlockConjugacySpec) -> ConjugacyDecomposition:
     for k in range(2, kmax):
         i = (k - 1) // 2
         j = k - 2 * i
-        cand = read(k)
+        triples[k] = cand = read(k)
         dst_next, src_next = dst_blocks[k + 1], src_blocks[j + 1]
         try:
-            pair, triples[k] = _word_pair(
+            pairs.append(_word_pair(
                 cand, [f"{_join(u)}|{_join(w)}|{_join(v)}" for u, w, v in cand],
                 tail=lambda t: (word_of[t][1:], t[1][1:]),
                 head=lambda t: (word_of[t][:-1], t[1][:-1]),
                 joins=lambda t, t2: (word_of[t] + word_of[t2][-1:] in dst_next
                                      and t[1] + t2[1][-1:] in src_next),
                 mate=lambda t: (dst.flip_word(t[2]), src.flip_word(t[1]),
-                                dst.flip_word(t[0])), prune=False)
+                                dst.flip_word(t[0]))))
         except FlipPairError as e:
             raise SpecError("triple_pair", f"stage {k} is not a flip pair: {e}") from e
-        pairs.append(pair)
 
     # the top stage is the block pair: its triples in the block pair's order
     hb_pair, hb_chain = higher_block(dst, 2 * m)

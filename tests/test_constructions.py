@@ -344,6 +344,22 @@ def test_builders_strand_no_symbol():
             assert essential_symbols(p.A) == p.alphabet
 
 
+@settings(derandomize=True, database=None, deadline=None)
+@given(drawn=rules())
+def test_flip_rule_pairs_strand_no_symbol(drawn):
+    # the same oracle for build_flip_pair, stranded bases included
+    pair, window, rule = drawn
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # stranded symbols
+        try:
+            spec = BlockFlipSpec(pair.A, window, rule)
+        except SpecError:
+            return
+        built, code = build_flip_pair(spec)
+    assert essential_symbols(built.A) == built.alphabet
+    assert set(code.mapping.values()) == set(built.alphabet)
+
+
 def test_decompose_identity_conjugacy():
     gm = golden_mean_pair()
     spec = OneBlockConjugacySpec(gm, gm, {a: a for a in gm.alphabet}, 0)
