@@ -24,7 +24,7 @@ from .constructions import build_flip_pair, decompose_conjugacy, higher_block, \
 from .equivalence import he_check, he_search, sfe_bounded_search, sfe_check, \
     sse_verify
 from .errors import CertificateError, FlipPairError, SchemaError, SpecError
-from .matrices import IntMatrix, char_poly, mat_mul, rank_over_rationals
+from .matrices import IntMatrix, char_poly, rank_over_rationals, rank_profile
 from .refchecks import run_reference_checks
 from .report import Report
 from .series import DEFAULT_ORDER
@@ -135,13 +135,7 @@ def _cmd_rank_profile(args, inputs):
     if args.max_power < 1:
         raise ValueError("--max-power must be >= 1")
     m = jsonio.matrix_from_doc(_load_json(args.matrix, inputs))
-    shifted = m - IntMatrix.identity(m.row_labels).scale(args.shift)
-    profile = []
-    power = shifted
-    for j in range(args.max_power):
-        if j:
-            power = mat_mul(shifted, power)
-        profile.append(rank_over_rationals(power))
+    profile = rank_profile(m, args.shift, args.max_power)
     payload = {"rank": rank_over_rationals(m), "shift": args.shift,
                "profile": profile}
     rows = [["power", "rank"]] + [[j + 1, r] for j, r in enumerate(profile)]

@@ -22,14 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
-from .equivalence import (HalfElemCert, StrongChain, gamma_block, gamma_point,
-                          he_check)
+from .equivalence import HalfElemCert, StrongChain, gamma_block, he_check
 from .errors import BudgetError, CertificateError, FlipPairError, SpecError
 from .flips import FlipPair, Word
 from .matrices import IntMatrix, _as_labels
 from .report import Report
-from .shifts import (Point, block_count, blocks, enumerate_periodic,
-                     is_essential, shift_point, word_center)
+from .shifts import block_count, blocks, is_essential, word_center
 
 BLOCK_CELL_BUDGET = 1 << 21  # most cells of the top pair's N x N matrices in higher_block
 
@@ -164,24 +162,6 @@ class BlockFlipSpec:
                 raise SpecError("phi_involution",
                                 f"rule does not square to id on block {b}")
 
-    def phi_point(self, x: Point) -> Point:
-        """Apply the induced flip to a periodic point."""
-        m = len(x)
-        n = self.window
-        out = []
-        for i in range(m):
-            block = tuple(x[(-i - n + d) % m] for d in range(2 * n + 1))
-            out.append(self.rule[block])
-        return tuple(out)
-
-    def count_pmn(self, m: int, n: int) -> int:
-        """Brute-force count of points fixed by shift^m and shift^n o flip."""
-        count = 0
-        for x in enumerate_periodic(self.A, m):
-            if shift_point(self.phi_point(x), n) == x:
-                count += 1
-        return count
-
 
 @dataclass
 class BlockCode:
@@ -189,13 +169,6 @@ class BlockCode:
 
     radius: int
     mapping: dict[Word, str]
-
-    def apply_point(self, x: Point) -> Point:
-        m = len(x)
-        width = 2 * self.radius + 1
-        return tuple(self.mapping[tuple(x[(i - self.radius + d) % m]
-                                        for d in range(width))]
-                     for i in range(m))
 
 
 def build_flip_pair(spec: BlockFlipSpec) -> tuple[FlipPair, BlockCode]:
@@ -290,30 +263,20 @@ class OneBlockConjugacySpec:
     def map_word(self, w: Word) -> Word:
         return tuple(self.psi[s] for s in w)
 
-    def map_point(self, x: Point) -> Point:
-        return tuple(self.psi[s] for s in x)
-
 
 @dataclass
 class ConjugacyDecomposition:
     """A verified even-lag chain realizing a one-block conjugacy.
 
     ``source_recoding`` renames source symbols onto the chain's first pair
-    (the identity except for pure relabelings).  ``map_point`` composes the
-    recoding with every link's induced conjugacy and finally shifts back by
-    half the lag: the raw link composition lands on the lag-shifted image, and
-    the half-lag shift is exactly the normalization that makes an even-lag
-    chain a flip-system conjugacy.
+    (the identity except for pure relabelings).  The raw composition of the
+    links lands on the lag-shifted image, and shifting back by half the lag
+    makes an even-lag chain a flip-system conjugacy; ``verify_decomposition``
+    decides that composed map against the conjugacy on blocks.
     """
 
     chain: StrongChain
     source_recoding: dict[str, str]
-
-    def map_point(self, x: Point) -> Point:
-        y = tuple(self.source_recoding[s] for s in x)
-        for link in self.chain.links:
-            y = gamma_point(link, y)
-        return shift_point(y, -(self.chain.lag // 2))
 
 
 def decompose_conjugacy(spec: OneBlockConjugacySpec) -> ConjugacyDecomposition:

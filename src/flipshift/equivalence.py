@@ -19,7 +19,7 @@ from .errors import BudgetError, CertificateError
 from .flips import FlipPair
 from .matrices import IntMatrix, _integral_kernel, mat_mul, mat_pow
 from .report import Report
-from .shifts import Point, blocks
+from .shifts import blocks
 
 DEFAULT_CELL_BUDGET = 30
 DEFAULT_SEARCH_BUDGET = 1_000_000
@@ -129,12 +129,6 @@ def gamma_block(cert: HalfElemCert, a1: str, a2: str) -> str:
                                    f"({a1!r}, {a2!r}) is not an allowed transition") from None
         raise CertificateError("unique b",
                                f"no unique image symbol for ({a1!r}, {a2!r})") from None
-
-
-def gamma_point(cert: HalfElemCert, x: Point) -> Point:
-    """Image of a periodic point under the induced two-block conjugacy."""
-    m = len(x)
-    return tuple(gamma_block(cert, x[i], x[(i + 1) % m]) for i in range(m))
 
 
 def verify_prop22(cert: HalfElemCert) -> Report:

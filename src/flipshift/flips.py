@@ -99,13 +99,6 @@ class FlipPair:
 
     # -- word actions ---------------------------------------------------------
 
-    def apply_tau(self, word: Iterable[str]) -> Word:
-        """Apply the symbol involution letter by letter."""
-        try:
-            return tuple(self._tau[s] for s in word)
-        except KeyError as e:
-            raise FlipPairError("labels", f"unknown symbol {e.args[0]!r}") from None
-
     def flip_word(self, word: Iterable[str]) -> Word:
         """Reverse the word, then apply the symbol involution."""
         try:
@@ -123,8 +116,3 @@ class FlipPair:
         """Permute both matrices into the given label order."""
         labs = tuple(labels)
         return FlipPair(self._A.reorder(labs), self._J.reorder(labs), name=name)
-
-
-def validate_flip_pair(A: IntMatrix, J: IntMatrix, name: str | None = None) -> FlipPair:
-    """Validate the flip-pair axioms, returning the pair or raising FlipPairError."""
-    return FlipPair(A, J, name=name)

@@ -20,7 +20,6 @@ Every parser raises SchemaError with the offending field path.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Any
 
 from .constructions import BlockFlipSpec, OneBlockConjugacySpec
@@ -113,13 +112,6 @@ def _key(k: Any) -> str:
 
 # -- matrices --------------------------------------------------------------------
 
-def matrix_to_doc(m: IntMatrix) -> dict:
-    if m.is_square and m.row_labels == m.col_labels:
-        return {"labels": list(m.row_labels), "rows": m.to_rows()}
-    return {"row_labels": list(m.row_labels), "col_labels": list(m.col_labels),
-            "rows": m.to_rows()}
-
-
 def matrix_from_doc(doc: Any, path: str = "matrix") -> IntMatrix:
     _expect(doc, dict, path)
     rows = _int_rows(doc.get("rows"), f"{path}.rows")
@@ -164,25 +156,6 @@ def pair_from_doc(doc: Any, path: str = "pair") -> FlipPair:
 def series_to_doc(s: TruncatedSeries) -> dict:
     return {"order": s.order, "coeffs": [str(c) for c in s.coeffs]}
 
-
-def series_from_doc(doc: Any, path: str = "series") -> TruncatedSeries:
-    _expect(doc, dict, path)
-    order = doc.get("order")
-    if not isinstance(order, int) or isinstance(order, bool):
-        raise SchemaError(f"{path}.order", "expected integer")
-    raw = _expect(doc.get("coeffs"), list, f"{path}.coeffs")
-    coeffs = []
-    for i, c in enumerate(raw):
-        try:
-            coeffs.append(Fraction(c))
-        except (ValueError, ZeroDivisionError, TypeError) as e:
-            raise SchemaError(f"{path}.coeffs[{i}]", f"bad fraction {c!r}") from e
-    try:
-        return TruncatedSeries(order, tuple(coeffs))
-    except FlipShiftError as e:
-        raise SchemaError(path, str(e)) from e
-
-
 # -- certificates and chains -----------------------------------------------------------
 
 def cert_to_doc(cert: HalfElemCert | ShiftFlipCert) -> dict:
@@ -223,12 +196,6 @@ def chain_from_doc(doc: Any, path: str = "chain") -> StrongChain:
 
 # -- block flip rules and conjugacies ----------------------------------------------------
 
-def blockflip_to_doc(spec: BlockFlipSpec) -> dict:
-    return {"A": matrix_to_doc(spec.A), "window": spec.window,
-            "phi": [{"block": " ".join(block), "image": image}
-                    for block, image in sorted(spec.rule.items())]}
-
-
 def blockflip_from_doc(doc: Any, path: str = "spec") -> BlockFlipSpec:
     _expect(doc, dict, path)
     a = matrix_from_doc(doc.get("A"), f"{path}.A")
@@ -244,11 +211,6 @@ def blockflip_from_doc(doc: Any, path: str = "spec") -> BlockFlipSpec:
         image = _expect(entry.get("image"), str, f"{ep}.image")
         rule[tuple(block.split())] = image
     return BlockFlipSpec(a, window, rule)
-
-
-def conjugacy_to_doc(spec: OneBlockConjugacySpec) -> dict:
-    return {"from": pair_to_doc(spec.source), "to": pair_to_doc(spec.target),
-            "psi": dict(spec.psi), "inverse_window": spec.inverse_window}
 
 
 def conjugacy_from_doc(doc: Any, path: str = "conjugacy") -> OneBlockConjugacySpec:

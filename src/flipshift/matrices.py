@@ -88,11 +88,6 @@ class IntMatrix:
         return cls(labs, labs, tuple(tuple(1 if i == j else 0 for j in range(n))
                                      for i in range(n)))
 
-    @classmethod
-    def zeros(cls, row_labels: Iterable[str], col_labels: Iterable[str]) -> "IntMatrix":
-        rl, cl = _as_labels(row_labels), _as_labels(col_labels)
-        return cls(rl, cl, tuple(tuple(0 for _ in cl) for _ in rl))
-
     # -- shape and access ---------------------------------------------------
 
     @property
@@ -123,10 +118,6 @@ class IntMatrix:
         except ValueError:
             raise MatrixShapeError(f"unknown column label {label!r}") from None
 
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        i, j = ij
-        return self.entries[i][j]
-
     def entry(self, row_label: str, col_label: str) -> int:
         return self.entries[self.row_index(row_label)][self.col_index(col_label)]
 
@@ -155,9 +146,6 @@ class IntMatrix:
                                   tuple(zip(*self.entries)) if self.nrows
                                   else tuple(() for _ in self.col_labels))
 
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        return mat_mul(self, other)
-
     def to_rows(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
 
@@ -176,15 +164,6 @@ class IntMatrix:
         cl = rl if col_labels is None else _as_labels(col_labels)
         if set(rl) != set(self.row_labels) or set(cl) != set(self.col_labels):
             raise MatrixShapeError("reorder must use the same label sets")
-        ri = [self.row_index(x) for x in rl]
-        ci = [self.col_index(x) for x in cl]
-        return IntMatrix(rl, cl, tuple(tuple(self.entries[i][j] for j in ci) for i in ri))
-
-    def submatrix(self, row_labels: Iterable[str],
-                  col_labels: Iterable[str] | None = None) -> "IntMatrix":
-        """Restrict to the given labels (a subset, kept in the given order)."""
-        rl = _as_labels(row_labels)
-        cl = rl if col_labels is None else _as_labels(col_labels)
         ri = [self.row_index(x) for x in rl]
         ci = [self.col_index(x) for x in cl]
         return IntMatrix(rl, cl, tuple(tuple(self.entries[i][j] for j in ci) for i in ri))
@@ -210,12 +189,6 @@ class IntPolynomial:
         if self.coeffs == (0,):
             return -1
         return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def __str__(self) -> str:
         if self.degree <= 0:
@@ -513,3 +486,18 @@ def _integral_kernel(rows: Sequence[Sequence[int]], ncols: int) -> tuple[int, li
 def rank_over_rationals(a: IntMatrix) -> int:
     """Rank over the rationals: the pivot count of the Bareiss elimination."""
     return len(_bareiss(a.entries, a.ncols)[1])
+
+
+def rank_profile(m: IntMatrix, shift: int, max_power: int) -> list[int]:
+    """The ranks over the rationals of (M - shift*I)^j for j = 1..max_power.
+
+    Each power is the previous one times M - shift*I, one product per step.
+    """
+    shifted = m - IntMatrix.identity(m.row_labels).scale(shift)
+    profile = []
+    power = shifted
+    for j in range(max_power):
+        if j:
+            power = mat_mul(shifted, power)
+        profile.append(rank_over_rationals(power))
+    return profile

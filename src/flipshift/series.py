@@ -44,9 +44,6 @@ class TruncatedSeries:
     def one(cls, order: int) -> "TruncatedSeries":
         return cls.from_coeffs(order, [1])
 
-    def __getitem__(self, degree: int) -> Fraction:
-        return self.coeffs[degree]
-
     @property
     def constant(self) -> Fraction:
         return self.coeffs[0]
@@ -57,12 +54,6 @@ class TruncatedSeries:
     def scale(self, c) -> "TruncatedSeries":
         f = Fraction(c)
         return TruncatedSeries(self.order, tuple(f * x for x in self.coeffs))
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return series_add(self, other)
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return series_mul(self, other)
 
 
 def _check_orders(a: TruncatedSeries, b: TruncatedSeries) -> None:

@@ -90,16 +90,6 @@ def is_essential(a: IntMatrix) -> bool:
     return essential_symbols(a) == a.row_labels
 
 
-def is_admissible(a: IntMatrix, w: Word) -> bool:
-    """Every adjacent pair of the word is an allowed transition."""
-    idx = {lab: i for i, lab in enumerate(a.row_labels)}
-    try:
-        ix = [idx[s] for s in w]
-    except KeyError:
-        return False
-    return all(a.entries[i][j] == 1 for i, j in zip(ix, ix[1:]))
-
-
 def _walks(succ: list[str], starts: str, length: int) -> list[str]:
     """Every path of ``length`` symbol indices from ``starts``, in lex order.
 
@@ -191,9 +181,6 @@ def block_count(a: IntMatrix, n: int) -> int:
 
 # -- periodic points ----------------------------------------------------------
 
-Point = Word  # a period-m point is stored as its cyclic word x_0..x_{m-1}
-
-
 def _periodic_words(a: IntMatrix, m: int) -> list[str]:
     """The period-m points of ``a`` as index strings, in lex order."""
     succ, paths = _paths(a, [1] * a.nrows, m)
@@ -201,7 +188,7 @@ def _periodic_words(a: IntMatrix, m: int) -> list[str]:
 
 
 @lru_cache(maxsize=64)
-def enumerate_periodic(a: IntMatrix, m: int) -> tuple[Point, ...]:
+def enumerate_periodic(a: IntMatrix, m: int) -> tuple[Word, ...]:
     """All points fixed by the m-th shift power, as cyclic words, in lex order.
 
     The count always equals trace(A^m).  Enumeration is exponential, so a
@@ -211,19 +198,6 @@ def enumerate_periodic(a: IntMatrix, m: int) -> tuple[Point, ...]:
     if m < 1:
         raise ValueError("period must be >= 1")
     return _labelled(a, _periodic_words(a, m))
-
-
-def shift_point(x: Point, d: int) -> Point:
-    """The d-th shift power applied to a cyclic word: result_i = x_(i+d)."""
-    m = len(x)
-    return tuple(x[(i + d) % m] for i in range(m))
-
-
-def flip_point(pair: FlipPair, x: Point) -> Point:
-    """The one-block flip applied to a cyclic word: result_i = tau(x_(-i))."""
-    tau = pair.tau
-    m = len(x)
-    return tuple(tau[x[(-i) % m]] for i in range(m))
 
 
 @lru_cache(maxsize=64)
@@ -249,10 +223,12 @@ def _pmn_table(pair: FlipPair, m: int) -> tuple[int, ...]:
 def count_pmn_bruteforce(pair: FlipPair, m: int, n: int) -> int:
     """Count points fixed by the m-th shift power and the n-shifted flip.
 
-    Every period-m point is enumerated and tested against x_i == tau(x_(-i-n))
-    directly, so this is an oracle independent of the closed-form counts.  One
-    pass over the points of period m gives the counts for every n at once, and
-    is cached; n is taken modulo m, so negative n is fine.
+    Every period-m point is enumerated and matched against the rotations of
+    its flipped word (``_pmn_table``), so this is an oracle independent of the
+    closed-form counts.  ``tests/points.count_fixed`` checks it coordinate by
+    coordinate, x_i == tau(x_(-i-n)).  One pass over the points of period m
+    gives the counts for every n at once, and is cached; n is taken modulo m,
+    so negative n is fine.
     """
     if m < 1:
         raise ValueError("m must be >= 1")

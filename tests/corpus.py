@@ -59,7 +59,7 @@ def random_flip_pair(rng: random.Random, max_size: int = 6,
         # the pair symmetry swaps pasts and futures, so the essential part
         # is closed under the involution
         assert all(tau[s] in ess for s in ess)
-        a_mat = a_mat.submatrix(ess)
+        a_mat = IntMatrix.square(ess, [[rows[idx[a]][idx[b]] for b in ess] for a in ess])
         j_rows = [[1 if tau[a] == b else 0 for b in ess] for a in ess]
         j_mat = IntMatrix.square(ess, j_rows)
         pair = FlipPair(a_mat, j_mat)

@@ -20,6 +20,7 @@ from flipshift.series import (TruncatedSeries, series_add, series_exp,
                               series_log, series_mul, substitute_t_squared)
 from flipshift.shifts import count_pmn_bruteforce, enumerate_periodic, word_center
 from flipshift.zeta import lind_zeta, p_flip_counts
+from points import decomposition_point
 
 _CORPUS = None
 _REPORT = None
@@ -150,7 +151,7 @@ def test_criterion_10_conjugacy_decomposition():
     assert verify_decomposition(dec1, spec1).passed
     for m in range(1, 7):
         for x in enumerate_periodic(hb3.A, m):
-            assert dec1.map_point(x) == spec1.map_point(x)
+            assert decomposition_point(dec1, x) == spec1.map_word(x)
     _announce(10, "decompositions of lags 0 and 4 verified link by link against psi")
 
 

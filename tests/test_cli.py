@@ -19,6 +19,10 @@ from flipshift.zeta import p_flip_counts
 DATA = Path(__file__).resolve().parent.parent / "src" / "flipshift" / "data"
 
 
+def _matrix_doc(a: IntMatrix) -> dict:
+    return {"labels": list(a.row_labels), "rows": a.to_rows()}
+
+
 @pytest.fixture()
 def write(tmp_path):
     def _write(name, doc):
@@ -161,7 +165,7 @@ def test_higher_block_cli(capsys):
 def test_build_pair_cli(write, capsys):
     gm = golden_mean_pair()
     rule = [{"block": " ".join(w), "image": w[2]} for w in blocks(gm.A, 3)]
-    spec = write("spec.json", {"A": jsonio.matrix_to_doc(gm.A), "window": 1,
+    spec = write("spec.json", {"A": _matrix_doc(gm.A), "window": 1,
                                "phi": rule})
     assert run_cli(["build-pair", spec]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -270,7 +274,7 @@ def every_command(write):
         "sfe-search": ["--from", ex1, "--to", ex1i, "--lag-max", "2",
                        "--entry-max", "1"],
         "higher-block": ["--pair", gm_path, "--n", "2"],
-        "build-pair": [write("spec.json", {"A": jsonio.matrix_to_doc(gm.A),
+        "build-pair": [write("spec.json", {"A": _matrix_doc(gm.A),
                                            "window": 1, "phi": rule})],
         "decompose": [write("conj.json", {"from": jsonio.pair_to_doc(hb3),
                                           "to": jsonio.pair_to_doc(gm),
@@ -437,7 +441,7 @@ def _error_cases(tmp_path):
                             "error: malformed JSON at line 1, column 2: "),
         "FlipPairError": (["count", "--pair", put("nf.json", not_flip), "--m-max", "1"],
                           2, "error: input is not a flip pair (J_involution): "),
-        "SpecError": (["build-pair", put("spec.json", {"A": jsonio.matrix_to_doc(gm.A),
+        "SpecError": (["build-pair", put("spec.json", {"A": _matrix_doc(gm.A),
                                                        "window": 1, "phi": bad_rule})],
                       1, "check failed: "),
         "FileNotFoundError": (["validate", missing], 2,

@@ -19,9 +19,10 @@ from flipshift.fixtures import (example1_pair, example1_symmetric_pair,
 from flipshift.flips import FlipPair
 from flipshift.matrices import IntMatrix
 from flipshift.shifts import (blocks, count_pmn_bruteforce, enumerate_periodic,
-                              essential_symbols, is_essential, shift_point,
-                              word_center)
+                              essential_symbols, is_essential, word_center)
 from flipshift.zeta import lind_zeta
+from points import (code_point, count_fixed, decomposition_point,
+                    is_periodic_point, rule_point, shift_point)
 
 
 # -- oracles: the all-pairs block pair and the periodic-point rule check ----------
@@ -43,21 +44,14 @@ def all_pairs_block_pair(pair: FlipPair, k: int) -> FlipPair:
     return FlipPair(IntMatrix.square(labels, a_rows), IntMatrix.square(labels, j_rows))
 
 
-def _is_periodic_point(a: IntMatrix, x) -> bool:
-    idx = {lab: i for i, lab in enumerate(a.row_labels)}
-    if not x or any(s not in idx for s in x):
-        return False
-    return all(a.entries[idx[x[i]]][idx[x[(i + 1) % len(x)]]] == 1 for i in range(len(x)))
-
-
 def passes_periodic_check(spec: BlockFlipSpec, period: int) -> bool:
     """Images stay in the shift, square to the identity and reverse time on
     every periodic point up to ``period``: the sampled check blocks replace."""
     for m in range(1, period + 1):
         for x in enumerate_periodic(spec.A, m):
-            y = spec.phi_point(x)
-            if not _is_periodic_point(spec.A, y) or spec.phi_point(y) != x \
-                    or shift_point(y, 1) != spec.phi_point(shift_point(x, -1)):
+            y = rule_point(spec, x)
+            if not is_periodic_point(spec.A, y) or rule_point(spec, y) != x \
+                    or shift_point(y, 1) != rule_point(spec, shift_point(x, -1)):
                 return False
     return True
 
@@ -148,7 +142,7 @@ def test_block_flip_identity_rule():
     relabeled = built.relabel({f"{a}|{a}": a for a in gm.alphabet})
     assert relabeled.reorder(gm.alphabet) == gm
     x = ("1", "2")
-    assert code.apply_point(x) == ("1|1", "2|2")
+    assert code_point(code, x) == ("1|1", "2|2")
 
 
 def test_block_flip_involution_rule_collapses():
@@ -167,8 +161,9 @@ def test_block_flip_window_one():
     for m in range(1, 6):
         assert len(enumerate_periodic(built.A, m)) == len(enumerate_periodic(gm.A, m))
         for n in (0, 1):
-            assert count_pmn_bruteforce(built, m, n) == spec.count_pmn(m, n)
-        images = {code.apply_point(x) for x in enumerate_periodic(gm.A, m)}
+            assert count_pmn_bruteforce(built, m, n) == count_fixed(
+                enumerate_periodic(gm.A, m), lambda x: rule_point(spec, x), n)
+        images = {code_point(code, x) for x in enumerate_periodic(gm.A, m)}
         assert images == set(enumerate_periodic(built.A, m))
 
 
@@ -221,7 +216,7 @@ def test_every_rule_reverses_time(drawn):
     spec = _unchecked_rule(pair.A, window, rule)
     for m in range(1, 7):
         for x in enumerate_periodic(pair.A, m):
-            assert shift_point(spec.phi_point(x), 1) == spec.phi_point(shift_point(x, -1))
+            assert shift_point(rule_point(spec, x), 1) == rule_point(spec, shift_point(x, -1))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -277,9 +272,11 @@ def candidate_stages(spec: OneBlockConjugacySpec) -> list[FlipPair]:
                               dst.flip_word(t[0]))) for t2 in cand] for t in cand]
         labels = [" ".join(t[1]) if k == 1 else "|".join(" ".join(x) for x in t)
                   for t in cand]
-        a = IntMatrix.square(labels, a_rows)
-        ess = essential_symbols(a)
-        stages.append(FlipPair(a.submatrix(ess), IntMatrix.square(labels, j_rows).submatrix(ess)))
+        ess = set(essential_symbols(IntMatrix.square(labels, a_rows)))
+        keep = [x for x, lab in enumerate(labels) if lab in ess]
+        kept = [labels[x] for x in keep]
+        stages.append(FlipPair(IntMatrix.square(kept, [[a_rows[x][y] for y in keep] for x in keep]),
+                               IntMatrix.square(kept, [[j_rows[x][y] for y in keep] for x in keep])))
     hb, _ = higher_block(dst, 2 * m)
     by_word = {lab: " ".join(word[t]) for lab, t in zip(labels, cand)}
     stages[-1] = stages[-1].relabel(by_word).reorder(hb.alphabet)
@@ -409,7 +406,7 @@ def test_decomposition_chains_verify_over_the_corpus():
             # the periodic points are the oracle of the block check
             for m in range(1, 5):
                 for x in enumerate_periodic(spec.source.A, m):
-                    assert dec.map_point(x) == spec.map_point(x)
+                    assert decomposition_point(dec, x) == spec.map_word(x)
 
 
 def test_window_zero_specs_are_exactly_the_relabelings():

@@ -17,7 +17,7 @@ from corpus import corpus, integer_matrices
 from flipshift.equivalence import sfe_bounded_search, sfe_check
 from flipshift.errors import CertificateError
 from flipshift.matrices import (IntMatrix, _bareiss, _integral_kernel, mat_pow,
-                                rank_over_rationals)
+                                rank_over_rationals, rank_profile)
 
 
 def dense_bareiss(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
@@ -159,10 +159,13 @@ def test_bareiss_equals_the_dense_elimination(a):
 @given(pair=st.sampled_from(corpus(count=40)), shift=st.integers(-2, 2),
        power=st.integers(1, 4))
 def test_rank_profiles_of_corpus_pairs_equal_the_dense_elimination(pair, shift, power):
-    m = mat_pow(pair.A - IntMatrix.identity(pair.alphabet).scale(shift), power)
+    shifted = pair.A - IntMatrix.identity(pair.alphabet).scale(shift)
+    m = mat_pow(shifted, power)
     rows = [list(row) for row in m.entries]
     assert _bareiss(rows, m.ncols) == dense_bareiss(rows, m.ncols)
     assert rank_over_rationals(m) == len(dense_bareiss(rows, m.ncols)[1])
+    assert rank_profile(pair.A, shift, power) == \
+        [rank_over_rationals(mat_pow(shifted, j)) for j in range(1, power + 1)]
 
 
 def oracle_sfe_search(src, dst, lag_max, entry_max):

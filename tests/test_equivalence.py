@@ -1,21 +1,25 @@
 import random
+import warnings
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from corpus import corpus, random_flip_pair
+from corpus import corpus, random_flip_pair, zero_one_flip_pairs
 from flipshift.constructions import decompose_conjugacy, higher_block
-from flipshift.equivalence import (HalfElemCert, ShiftFlipCert, StrongChain,
-                                   _companion, gamma_block, gamma_point,
-                                   he_check, he_search, sfe_bounded_search,
-                                   sfe_check, sse_verify, verify_prop22)
+from flipshift.equivalence import (DEFAULT_CELL_BUDGET, HalfElemCert,
+                                   ShiftFlipCert, StrongChain, _companion,
+                                   gamma_block, he_check, he_search,
+                                   sfe_bounded_search, sfe_check, sse_verify,
+                                   verify_prop22)
 from flipshift.errors import BudgetError, CertificateError
 from flipshift.fixtures import (example1_pair, example1_symmetric_pair,
                                 example2_pair, golden_mean_pair,
                                 one_point_pair)
 from flipshift.flips import FlipPair
 from flipshift.matrices import IntMatrix, mat_mul, mat_pow, trace
-from flipshift.shifts import enumerate_periodic, shift_point
+from flipshift.shifts import enumerate_periodic
+from points import gamma_images, gamma_point, shift_point
 from test_constructions import _center_read_spec
 from test_sparse_kernel import dense_mul
 
@@ -229,6 +233,21 @@ def test_verify_prop22():
     assert verify_prop22(chain.links[0]).passed
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(pair=zero_one_flip_pairs(), other=zero_one_flip_pairs(), n=st.integers(1, 2))
+def test_accepted_steps_intertwine_the_flips(pair, other, n):
+    # Prop 2.2 for every step higher_block builds and he_search finds
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # stranded symbols
+        _, chain = higher_block(pair, n)
+        certs = list(chain.links)
+        for src, dst in ((pair, other), (other, pair)):
+            if src.size * dst.size <= DEFAULT_CELL_BUDGET:
+                certs += he_search(src, dst)
+        for cert in certs:
+            assert verify_prop22(cert).passed
+
+
 def test_verify_prop22_localizes_on_doctored_cert():
     gm = golden_mean_pair()
     _, chain = higher_block(gm, 1)
@@ -247,8 +266,7 @@ def _naive_gamma(cert: HalfElemCert, a1: str, a2: str):
     """gamma_block read entry by entry: the identity of its error, or b."""
     if cert.source.A.entry(a1, a2) != 1:
         return "admissible"
-    bs = [b for b in cert.target.alphabet
-          if cert.R.entry(a1, b) == 1 and cert.S.entry(b, a2) == 1]
+    bs = gamma_images(cert, a1, a2)
     return bs[0] if len(bs) == 1 else "unique b"
 
 

@@ -10,11 +10,10 @@ from corpus import random_flip_pair, zero_one_flip_pairs
 from flipshift.errors import BudgetError
 from flipshift.fixtures import (example1_pair, example1_symmetric_pair,
                                 golden_mean_pair, one_point_pair)
-from flipshift.flips import FlipPair
 from flipshift.matrices import IntMatrix, mat_pow, trace
 from flipshift.shifts import (blocks, count_pmn_bruteforce, enumerate_periodic,
-                              essential_symbols, flip_point, is_essential,
-                              shift_point, word_center)
+                              essential_symbols, is_essential, word_center)
+from points import count_fixed, flip_point
 
 
 def test_word_ops():
@@ -159,7 +158,7 @@ def test_essential_flags_equal_the_closure_oracle(a):
     assert shifts._essential_flags(a) == closure_flags(a)
 
 
-# -- oracles: a depth-first walk and a coordinate-by-coordinate filter -----------
+# -- oracles: a depth-first walk, and counts read point by point ----------------
 
 
 def dfs_walks(succ: list[tuple[int, ...]], start: int, length: int):
@@ -201,13 +200,6 @@ def dfs_periodic(a: IntMatrix, m: int):
                  for path in dfs_walks(succ, start, m) if a.entries[path[-1]][start])
 
 
-def filtered_count(pair: FlipPair, points, n: int) -> int:
-    """Points with x_i == tau(x_(-i-n)), tested coordinate by coordinate."""
-    tau = pair.tau
-    return sum(1 for x in points
-               if all(tau[x[(-i - n) % len(x)]] == x[i] for i in range(len(x))))
-
-
 @settings(derandomize=True, database=None, deadline=None)
 @given(pair=zero_one_flip_pairs(), length=st.integers(1, 8))
 def test_walks_equal_the_depth_first_oracle(pair, length):
@@ -222,8 +214,9 @@ def test_walks_equal_the_depth_first_oracle(pair, length):
 def test_counts_equal_the_filter_oracle(pair):
     for m in range(1, 8):
         points = dfs_periodic(pair.A, m)
+        flipped = {x: flip_point(pair, x) for x in points}
         for n in range(-m, 2 * m + 1):
-            assert count_pmn_bruteforce(pair, m, n) == filtered_count(pair, points, n)
+            assert count_pmn_bruteforce(pair, m, n) == count_fixed(points, flipped.get, n)
 
 
 def test_count_pmn_examples():
@@ -261,9 +254,3 @@ def test_flip_permutes_periodic_points():
             assert sorted(images) == sorted(points)
             for x in points:
                 assert flip_point(p, flip_point(p, x)) == x
-
-
-def test_shift_point():
-    x = ("a", "b", "c")
-    assert shift_point(x, 1) == ("b", "c", "a")
-    assert shift_point(x, -1) == ("c", "a", "b")

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
 
-from corpus import random_flip_pair
+from hypothesis import given, settings
+
+from corpus import random_flip_pair, zero_one_flip_pairs
 from flipshift.fixtures import (example1_pair, example1_symmetric_pair,
                                 example2_pair, golden_mean_pair,
                                 one_point_pair)
@@ -25,17 +27,14 @@ def test_triples_example2():
     assert p_flip_counts(example2_pair("A"), 1).as_tuple() == (1, 1, 5)
 
 
-def test_formula_matches_oracle():
-    rng = random.Random(29)
-    pairs = [random_flip_pair(rng) for _ in range(10)]
-    pairs += [example1_pair(), example1_symmetric_pair(), golden_mean_pair()]
-    for p in pairs:
-        for m in range(1, 5):
-            triple = p_flip_counts(p, m)
-            assert triple.as_tuple() == (
-                count_pmn_bruteforce(p, 2 * m - 1, 0),
-                count_pmn_bruteforce(p, 2 * m, 0),
-                count_pmn_bruteforce(p, 2 * m, 1))
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(pair=zero_one_flip_pairs())
+def test_formula_matches_oracle(pair):
+    for m in range(1, 5):
+        assert p_flip_counts(pair, m).as_tuple() == (
+            count_pmn_bruteforce(pair, 2 * m - 1, 0),
+            count_pmn_bruteforce(pair, 2 * m, 0),
+            count_pmn_bruteforce(pair, 2 * m, 1))
 
 
 def test_generating_function_examples():
