@@ -110,9 +110,7 @@ def higher_block(pair: FlipPair, n: int) -> tuple[FlipPair, StrongChain]:
         us, vs = word_lists[k], word_lists[k + 1]
         r = _ones(pairs[k].alphabet, pairs[k + 1].alphabet, us, vs,
                   lambda u: u, lambda v: v[:-1])
-        s = _ones(pairs[k + 1].alphabet, pairs[k].alphabet, vs, us,
-                  lambda v: v[1:], lambda u: u)
-        links.append(he_check(pairs[k], pairs[k + 1], r, supplied_S=s))
+        links.append(he_check(pairs[k], pairs[k + 1], r))
     chain = StrongChain(pairs=tuple(pairs), links=tuple(links))
     return pairs[-1], chain
 
@@ -346,24 +344,23 @@ def decompose_conjugacy(spec: OneBlockConjugacySpec) -> ConjugacyDecomposition:
     triples[kmax] = [by_label[lab] for lab in hb_pair.alphabet]
     pairs.append(hb_pair)
 
-    # D reads "drop the last symbol" and E "drop the first symbol" of the
-    # target word, each keeping the source block's adjacency
+    # R reads "drop the last symbol" of the target word, keeping the source
+    # block's adjacency; the S that he_check derives drops the first symbol
     links: list[HalfElemCert] = []
     for k in range(1, kmax):
-        d = _ones(pairs[k - 1].alphabet, pairs[k].alphabet, triples[k], triples[k + 1],
+        r = _ones(pairs[k - 1].alphabet, pairs[k].alphabet, triples[k], triples[k + 1],
                   lambda t: (word_of[t], t[1][-1]), lambda t: (word_of[t][:-1], t[1][0]))
-        e = _ones(pairs[k].alphabet, pairs[k - 1].alphabet, triples[k + 1], triples[k],
-                  lambda t: (word_of[t][1:], t[1][-1]), lambda t: (word_of[t], t[1][0]))
         try:
-            links.append(he_check(pairs[k - 1], pairs[k], d, supplied_S=e))
+            links.append(he_check(pairs[k - 1], pairs[k], r))
         except CertificateError as err:
             raise CertificateError(err.identity, f"link {k}: {err}") from err
 
-    for t in range(2 * m - 1, -1, -1):
-        link = hb_chain.links[t]
-        links.append(he_check(hb_chain.pairs[t + 1], hb_chain.pairs[t],
-                              link.S, supplied_S=link.R))
-        pairs.append(hb_chain.pairs[t])
+    # the descent reverses the target's checked block chain: R = J S^T K, so
+    # (S, R) satisfies A = RS, B = SR and the derivation rule from B to A
+    # whenever (R, S) satisfies them from A to B
+    for link in reversed(hb_chain.links):
+        links.append(HalfElemCert(link.target, link.source, link.S, link.R))
+        pairs.append(link.source)
 
     chain = StrongChain(pairs=tuple(pairs), links=tuple(links))
     identity = {s: s for s in src.alphabet}

@@ -169,7 +169,10 @@ def chain_to_doc(chain: StrongChain) -> dict:
 
 
 def chain_from_doc(doc: Any, path: str = "chain") -> StrongChain:
-    """Parse and re-verify a chain; every link is re-checked from its R."""
+    """Parse a chain from outside, checking each link once with ``he_check``.
+
+    A bad link raises ``CertificateError`` here, before ``sse_verify``.
+    """
     _expect(doc, dict, path)
     raw_pairs = _expect(doc.get("pairs"), list, f"{path}.pairs")
     pairs = tuple(pair_from_doc(p, f"{path}.pairs[{i}]") for i, p in enumerate(raw_pairs))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -6,9 +7,10 @@ from pathlib import Path
 import pytest
 
 import flipshift
-from flipshift import jsonio
+from flipshift import constructions, equivalence, jsonio
 from flipshift.cli import run_cli
 from flipshift.constructions import higher_block
+from flipshift.equivalence import he_check
 from flipshift.fixtures import (example1_pair, example1_symmetric_pair,
                                 golden_mean_pair)
 from flipshift.flips import FlipPair
@@ -294,6 +296,93 @@ def test_every_command_in_every_format(every_command, fmt, capsys):
         assert "Traceback" not in err, command
         if code == 2:
             assert err.startswith("error: "), command
+
+
+# sha256 of "exit code NUL stdout NUL stderr" for each invocation of
+# every_command, with the temporary and data directories as placeholders
+GOLDEN = {
+    "json": {
+        "validate": "789dee431675b8a811a3f153f7ab9a4b2fa77b281fb7475e14716048cf7558be",
+        "count": "752914a6d65e6076f24d197d887e325d6f932c26a9206affb45bd1fd44e0fae8",
+        "zeta": "a99a32754b4962a84325576063121e7930ed82eaa9ce2782a4fd765c5f4b9cc8",
+        "charpoly": "113608c73e59ba1ebc72059e63382f32599cf6875f65678bcd5819dfb2fa1dae",
+        "rank-profile": "4f92c6cdea76e1c7b0a2a876d9d8dca887548d27fe76c4f573636fae3fcc6a4f",
+        "he-check": "9d64bc30543b1ff3595082c7fcc892722aaeb43ec874a1178f7a7396b42611fd",
+        "he-search": "da8f5aa5d99d515593cd6a3d6d106b791a3146b50dc42f8fb3a36692e1ce8d6a",
+        "sse-verify": "e1108ac59d02bd620e4ccb8128c92adb2e263433f840eef69de792c2abe00f37",
+        "sfe-check": "13fdf42c177008e35a25fbc75fd3c22b08f10b5369718265ec30b451c96e3f93",
+        "sfe-search": "9f23d7be0211aeea5be416eb3193adfc319847df4ba718ea96195b5cfdb9e353",
+        "higher-block": "9da6342c1b6ad420e2b88a28bf3b5c9b8d72ba634d67e76d5ba5d8160da97ad0",
+        "build-pair": "4af4db00605b91c0568d411235681f0d2b385c3ebceed1eeadb1618d1992ecea",
+        "decompose": "315c2fe399c9a8a1c55cff733db4b1f68a83f41847dc39c938e1c44e77012a96",
+        "paper-examples": "468fbc1f227e83aabb8d7b24c961c8ca499fd049bec88d226a6093dc90d30ec9",
+    },
+    "csv": {
+        "validate": "3b7e9d45c0609cefc970d90f14cd8ddd40a202df96024d829d5f0edeae039b4b",
+        "count": "e8074461cd85edffb311573f838b534319a7c9513cdbf53e31b096971f6e4117",
+        "zeta": "1c479a2d2a44fa0f372445ea6096d060174ba4e2bbda5ea2d9edb2bde2b88269",
+        "charpoly": "4f8880382a9bf164cc9268ae868e56ea081e9cde512a6390b9af8a77805f7fef",
+        "rank-profile": "4b2bdda66d31f243ad730311bb9b639c4e030cc486f6b0a0daf79c5cc90d53e6",
+        "he-check": "e56b0589cb9057bad7455fa804b04fcb62fb296d5819f69789a1b5f384566dba",
+        "he-search": "ebbeb4997639ee54d136b4fc36c56a3e2579ad74e4035191af6b99b9c2d476fd",
+        "sse-verify": "31d4959dfed5bed2c9a24004e3e195a507afa43843359c190e7297d700fccf15",
+        "sfe-check": "adf720d07af147745cacd56b29aa182c897aef89037a197cd9576c31e7dfbbb8",
+        "sfe-search": "ebbeb4997639ee54d136b4fc36c56a3e2579ad74e4035191af6b99b9c2d476fd",
+        "higher-block": "ebbeb4997639ee54d136b4fc36c56a3e2579ad74e4035191af6b99b9c2d476fd",
+        "build-pair": "ebbeb4997639ee54d136b4fc36c56a3e2579ad74e4035191af6b99b9c2d476fd",
+        "decompose": "ebbeb4997639ee54d136b4fc36c56a3e2579ad74e4035191af6b99b9c2d476fd",
+        "paper-examples": "aceb966e4d8f937b60a69bf392bd314242e9c1a539aef2c66987cdb836f1e326",
+    },
+    "plain": {
+        "validate": "da83c7df74ada8180d22ed1c321a4cf7abf4fdc6efd22e4977c1d0ab36021aef",
+        "count": "2ff61ba31c5ceeb84bd5ae865f8bf5edc6617a1deba4bba307a4a2c3bc183b1a",
+        "zeta": "6cbe8bda3b6ef7e2809b3bd64f432cef4577fc74cbb7d5ef09bfef9a97966434",
+        "charpoly": "fad2451a051969f0c878fdef9b81cf52c15cd6999735b199759a9bbbc09013e7",
+        "rank-profile": "efc4dfef2ecdc615b3417ef78acacb863a6e83620d38e3642a33d7967b105704",
+        "he-check": "16a858f80d3253868f722c5f5c7fcbd312ef9dc2d7b3e6f197b236ba21acd778",
+        "he-search": "68ef1168c5e54c68fc2d3c6de8e28f76eed6168c5ece6aad96b014806b46f8a4",
+        "sse-verify": "a664ab35725e4269b858ee1b594e9bbce438c4bc58e332d35caf36c691dc46f6",
+        "sfe-check": "a504df5712fca3f4cd29dbbe347ddd50688a4cd34b31a605ff23a15b4ce2c11b",
+        "sfe-search": "25723ee8bebf96e7bd5f591db400447c389c17ff6ba797cc2fbddb9574d3d484",
+        "higher-block": "ef09b1f605cc2ee9d4658f595d06b59c0b33ce0ba76ed33ad899c0da1da7ac51",
+        "build-pair": "66fa3be3498d1e7035a2de17c47529211420bcd0ae38d4b19e819c657f71ea8b",
+        "decompose": "f023ec371a0f6b5142a7715f28e67fdc5ec5ed412ec30787740a1871f08f7cc9",
+        "paper-examples": "c522b5d327b70219a56adeb9e3247465bdeb7f52f9d95f832246fc9e043ee469",
+    },
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(GOLDEN))
+def test_cli_bytes_are_pinned(every_command, fmt, tmp_path, capsys):
+    got = {}
+    for command, args in every_command.items():
+        code = run_cli([command, *args, "--format", fmt])
+        cap = capsys.readouterr()
+        text = f"{code}\0{cap.out}\0{cap.err}"
+        for path, name in ((str(tmp_path), "<tmp>"), (str(DATA), "<data>")):
+            text = text.replace(path, name)
+        got[command] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == GOLDEN[fmt]
+
+
+@pytest.mark.parametrize("command, calls", [
+    ("higher-block", 2), ("sse-verify", 2), ("decompose", 4)])
+def test_each_splitting_step_is_checked_once(every_command, command, calls,
+                                             monkeypatch, capsys):
+    # one he_check per link, where the link is made or read: the 2 links of
+    # --n 2 and of the chain file; for the decomposition, the target's 2
+    # block-chain links, which the descent reverses, and the 2 links up
+    count = 0
+
+    def counted(*args, **kwargs):
+        nonlocal count
+        count += 1
+        return he_check(*args, **kwargs)
+
+    for module in (equivalence, constructions, jsonio):
+        monkeypatch.setattr(module, "he_check", counted)
+    assert run_cli([command, *every_command[command]]) == 0
+    assert count == calls
 
 
 @pytest.mark.parametrize("timing", [[], ["--timing"]])

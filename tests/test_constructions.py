@@ -11,8 +11,8 @@ from flipshift.constructions import (BlockFlipSpec, ConjugacyDecomposition,
                                      OneBlockConjugacySpec, build_flip_pair,
                                      decompose_conjugacy, higher_block,
                                      verify_decomposition)
-from flipshift.equivalence import (HalfElemCert, StrongChain, sse_verify,
-                                   verify_prop22)
+from flipshift.equivalence import (HalfElemCert, StrongChain, he_check,
+                                   sse_verify, verify_prop22)
 from flipshift.errors import BudgetError, SpecError
 from flipshift.fixtures import (example1_pair, example1_symmetric_pair,
                                 golden_mean_pair, one_point_pair)
@@ -407,6 +407,20 @@ def test_decomposition_chains_verify_over_the_corpus():
             for m in range(1, 5):
                 for x in enumerate_periodic(spec.source.A, m):
                     assert decomposition_point(dec, x) == spec.map_word(x)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(pair=zero_one_flip_pairs())
+def test_drawn_decompositions_round_trip_and_every_link_checks_again(pair):
+    # the builders check each link once, and the descent of a decomposition
+    # reverses block-chain links unchecked; a fresh he_check of every link
+    # is the oracle for both (the n = 2 block chain holds the n = 1 link)
+    assume(is_essential(pair.A))
+    spec = _center_read_spec(pair, 1)
+    dec = decompose_conjugacy(spec)
+    assert verify_decomposition(dec, spec).passed
+    for link in (*dec.chain.links, *higher_block(pair, 2)[1].links):
+        he_check(link.source, link.target, link.R, supplied_S=link.S)  # raises if bad
 
 
 def test_window_zero_specs_are_exactly_the_relabelings():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpus import corpus, random_flip_pair, zero_one_flip_pairs
+from flipshift import jsonio
 from flipshift.constructions import decompose_conjugacy, higher_block
 from flipshift.equivalence import (DEFAULT_CELL_BUDGET, HalfElemCert,
                                    ShiftFlipCert, StrongChain, _companion,
@@ -32,11 +33,12 @@ def test_he_check_one_point():
 
 def test_he_check_block_certificates():
     gm = golden_mean_pair()
-    _, chain = higher_block(gm, 1)
-    link = chain.links[0]
-    # re-deriving from R alone reproduces the supplied S
-    again = he_check(link.source, link.target, link.R)
-    assert again.S == link.S
+    _, chain = higher_block(gm, 2)
+    for link in chain.links:
+        # the S derived from R alone reads "drop the first symbol"
+        assert link.S.to_rows() == [[int(v.split()[1:] == u.split())
+                                     for u in link.S.col_labels]
+                                    for v in link.S.row_labels]
 
 
 def test_he_check_rejects_power_witness():
@@ -122,7 +124,6 @@ def _failing_inputs():
         (sfe_check, (gm, gm, IntMatrix.identity(("1", "x")), 1), {}, "shape"),
         (sfe_check, (one, one, IntMatrix.rect(("a",), ("a",), [[-1]]), 1), {},
          "R nonnegative"),
-        (sfe_check, (gm, gm, eye_gm, 1), {"supplied_S": wrong_s}, "S == K*R^T*J"),
         (sfe_check, (p1, p1i, p1.A, 1), {}, "A^k == R*S"),
         (sfe_check, (one, two, first_only, 1), {}, "B^k == S*R"),
         (sfe_check, (swap, ident2, IntMatrix.identity(("1", "2")), 2), {},
@@ -301,18 +302,21 @@ def test_sse_verify_block_chain_and_corruption():
     gm = golden_mean_pair()
     _, chain = higher_block(gm, 2)
     assert sse_verify(chain).passed
-    # corrupt the second link
-    bad = chain.links[1]
-    rows = bad.R.to_rows()
-    rows[0][0] ^= 1
-    corrupted = HalfElemCert(source=bad.source, target=bad.target,
-                             R=IntMatrix.rect(bad.R.row_labels, bad.R.col_labels, rows),
-                             S=bad.S)
-    broken = StrongChain(pairs=chain.pairs,
-                         links=(chain.links[0], corrupted))
-    report = sse_verify(broken)
+    # a link taken from another chain does not connect the adjacent pairs
+    _, other = higher_block(example1_pair(), 2)
+    mixed = StrongChain(pairs=chain.pairs, links=(chain.links[0], other.links[1]))
+    report = sse_verify(mixed)
     assert not report.passed
-    assert report.first_failure().name == "link 1"
+    assert report.first_failure().name == "link 1 endpoints"
+    # a corrupted link is refused where the chain is read, before sse_verify;
+    # the document carries R alone, so no supplied S is compared first
+    doc = jsonio.chain_to_doc(chain)
+    for link in doc["links"]:
+        del link["S"]
+    doc["links"][1]["R"][0][0] ^= 1
+    with pytest.raises(CertificateError) as e:
+        jsonio.chain_from_doc(doc)
+    assert e.value.identity in ("A == R*S", "B == S*R")
 
 
 def test_chain_traces_agree():
