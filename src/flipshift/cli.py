@@ -52,15 +52,18 @@ def _report_rows(rep: Report) -> list[list]:
     return rows
 
 
-def _emit(args, payload: dict, csv_rows: list[list] | None = None,
-          plain: str | None = None) -> None:
+def _check_rows(name: str, passed: bool, detail: str = "") -> list[list]:
+    return [["check", "passed", "detail"], [name, "pass" if passed else "FAIL", detail]]
+
+
+def _emit(args, payload: dict, csv_rows: list[list] | None, plain: str) -> None:
     if args.format == "csv":
         if csv_rows is None:
             raise SchemaError("--format", "csv output is not defined for this command")
         import csv as _csv
         writer = _csv.writer(sys.stdout)
         writer.writerows(csv_rows)
-    elif args.format == "plain" and plain is not None:
+    elif args.format == "plain":
         print(plain)
     else:
         print(jsonio.dumps(payload))
@@ -77,24 +80,17 @@ def _wrap(args, inputs: dict[str, str], payload: dict, started: float) -> dict:
 # -- handlers ------------------------------------------------------------------
 
 
-def _cmd_validate(args, inputs) -> tuple[int, dict, list | None, str | None]:
+def _cmd_validate(args, inputs) -> tuple[int, dict, list | None, str]:
     doc = _load_json(args.pair, inputs)
     try:
         pair = jsonio.pair_from_doc(doc)
     except FlipPairError as e:
         payload = {"valid": False, "axiom": e.axiom, "message": str(e)}
-        return 1, payload, _report_rows(_single_report("flip pair", False, str(e))), \
+        return 1, payload, _check_rows("flip pair", False, str(e)), \
             f"flip pair: INVALID ({e.axiom}: {e})"
     payload = {"valid": True, "alphabet_size": pair.size,
                "involution": dict(pair.tau)}
-    return 0, payload, _report_rows(_single_report("flip pair", True)), \
-        "flip pair: valid"
-
-
-def _single_report(name: str, passed: bool, detail: str = "") -> Report:
-    rep = Report(title=name)
-    rep.add(name, passed, detail)
-    return rep
+    return 0, payload, _check_rows("flip pair", True), "flip pair: valid"
 
 
 def _cmd_count(args, inputs):
@@ -155,18 +151,22 @@ def _load_r(args, inputs, src, dst) -> IntMatrix:
     return jsonio.rect_from_doc(rows, src.alphabet, dst.alphabet, "R")
 
 
+def _certified(row: str, line: str, check, *args):
+    """Run a certificate checker: the valid or invalid payload, its csv row
+    named ``row`` and its plain line led by ``line``."""
+    try:
+        cert = check(*args)
+    except CertificateError as e:
+        payload = {"valid": False, "identity": e.identity, "message": str(e)}
+        return 1, payload, _check_rows(row, False, str(e)), f"{line}: INVALID ({e.identity})"
+    payload = {"valid": True, "certificate": jsonio.cert_to_doc(cert)}
+    return 0, payload, _check_rows(row, True), f"{line}: valid"
+
+
 def _cmd_he_check(args, inputs):
     src, dst = _load_endpoints(args, inputs)
     r = _load_r(args, inputs, src, dst)
-    try:
-        cert = he_check(src, dst, r)
-    except CertificateError as e:
-        payload = {"valid": False, "identity": e.identity, "message": str(e)}
-        return 1, payload, _report_rows(_single_report("splitting step", False, str(e))), \
-            f"splitting step: INVALID ({e.identity})"
-    payload = {"valid": True, "certificate": jsonio.cert_to_doc(cert)}
-    return 0, payload, _report_rows(_single_report("splitting step", True)), \
-        "splitting step: valid"
+    return _certified("splitting step", "splitting step", he_check, src, dst, r)
 
 
 def _cmd_he_search(args, inputs):
@@ -187,7 +187,8 @@ def _cmd_sse_verify(args, inputs):
     try:
         chain = jsonio.chain_from_doc(doc)
     except CertificateError as e:
-        rep = _single_report("chain", False, f"{e.identity}: {e}")
+        rep = Report(title="chain")
+        rep.add("chain", False, f"{e.identity}: {e}")
         return 1, {"report": rep.to_json()}, _report_rows(rep), rep.render_plain()
     rep = sse_verify(chain)
     code = 0 if rep.passed else 1
@@ -200,15 +201,8 @@ def _cmd_sfe_check(args, inputs):
         raise ValueError("--lag must be >= 1")
     src, dst = _load_endpoints(args, inputs)
     r = _load_r(args, inputs, src, dst)
-    try:
-        cert = sfe_check(src, dst, r, args.lag)
-    except CertificateError as e:
-        payload = {"valid": False, "identity": e.identity, "message": str(e)}
-        return 1, payload, _report_rows(_single_report("lag-k step", False, str(e))), \
-            f"lag-{args.lag} equivalence: INVALID ({e.identity})"
-    payload = {"valid": True, "certificate": jsonio.cert_to_doc(cert)}
-    return 0, payload, _report_rows(_single_report("lag-k step", True)), \
-        f"lag-{args.lag} equivalence: valid"
+    return _certified("lag-k step", f"lag-{args.lag} equivalence",
+                      sfe_check, src, dst, r, args.lag)
 
 
 def _cmd_sfe_search(args, inputs):
@@ -274,61 +268,47 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact-arithmetic toolkit for shift-flip systems of finite type.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser):
-        p.add_argument("--format", choices=("json", "csv", "plain"), default="json")
-        p.add_argument("--timing", action="store_true",
-                       help="include wall-clock seconds in the report")
-
     p = sub.add_parser("validate", help="check the flip-pair axioms of a pair file")
     p.add_argument("pair")
-    common(p)
 
     p = sub.add_parser("count", help="brute-force counts of jointly fixed points")
     p.add_argument("--pair", required=True)
     p.add_argument("--m-max", type=int, required=True)
     p.add_argument("--n", type=int, nargs="+", default=(0, 1))
-    common(p)
 
     p = sub.add_parser("zeta", help="zeta or generating-function series of a pair")
     p.add_argument("--pair", required=True)
     p.add_argument("--which", choices=("lind", "artin", "gen"), default="lind")
     p.add_argument("--order", type=int, default=DEFAULT_ORDER)
-    common(p)
 
     p = sub.add_parser("charpoly", help="exact characteristic polynomial of a matrix")
     p.add_argument("matrix")
-    common(p)
 
     p = sub.add_parser("rank-profile",
                        help="ranks of (M - shift*I)^j over the rationals")
     p.add_argument("matrix")
     p.add_argument("--shift", type=int, default=1)
     p.add_argument("--max-power", type=int, default=4)
-    common(p)
 
     p = sub.add_parser("he-check", help="verify a single splitting step")
     p.add_argument("--from", dest="src", required=True)
     p.add_argument("--to", dest="dst", required=True)
     p.add_argument("--R", required=True)
-    common(p)
 
     p = sub.add_parser("he-search", help="enumerate single splitting steps")
     p.add_argument("--from", dest="src", required=True)
     p.add_argument("--to", dest="dst", required=True)
     p.add_argument("--max-solutions", type=int, default=16)
     p.add_argument("--cell-budget", type=int, default=30)
-    common(p)
 
     p = sub.add_parser("sse-verify", help="verify a chain of splitting steps")
     p.add_argument("chain")
-    common(p)
 
     p = sub.add_parser("sfe-check", help="verify a lag-k equivalence witness")
     p.add_argument("--from", dest="src", required=True)
     p.add_argument("--to", dest="dst", required=True)
     p.add_argument("--R", required=True)
     p.add_argument("--lag", type=int, required=True)
-    common(p)
 
     p = sub.add_parser("sfe-search", help="bounded search for lag-k equivalences")
     p.add_argument("--from", dest="src", required=True)
@@ -336,29 +316,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lag-max", type=int, required=True)
     p.add_argument("--entry-max", type=int, required=True)
     p.add_argument("--budget", type=int, default=1_000_000)
-    common(p)
 
     p = sub.add_parser("higher-block",
                        help="block-recoded pair plus its splitting chain")
     p.add_argument("--pair", required=True)
     p.add_argument("--n", type=int, required=True)
-    common(p)
 
     p = sub.add_parser("build-pair",
                        help="flip pair from a sliding-block flip rule")
     p.add_argument("spec")
-    common(p)
 
     p = sub.add_parser("decompose",
                        help="decompose a one-block conjugacy into splitting steps")
     p.add_argument("conjugacy")
-    common(p)
 
     p = sub.add_parser("paper-examples",
                        help="run the bundled reference examples against expected values")
     p.add_argument("--order", type=int, default=12)
-    common(p)
 
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("json", "csv", "plain"), default="json")
+        p.add_argument("--timing", action="store_true",
+                       help="include wall-clock seconds in the report")
     return parser
 
 
