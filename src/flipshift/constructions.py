@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 from .equivalence import HalfElemCert, StrongChain, gamma_block, he_check
-from .errors import BudgetError, CertificateError, FlipPairError, SpecError
+from .errors import BudgetError, CertificateError, SpecError
 from .flips import FlipPair, Word
 from .matrices import IntMatrix, _as_labels
 from .report import Report
@@ -111,8 +111,7 @@ def higher_block(pair: FlipPair, n: int) -> tuple[FlipPair, StrongChain]:
         r = _ones(pairs[k].alphabet, pairs[k + 1].alphabet, us, vs,
                   lambda u: u, lambda v: v[:-1])
         links.append(he_check(pairs[k], pairs[k + 1], r))
-    chain = StrongChain(pairs=tuple(pairs), links=tuple(links))
-    return pairs[-1], chain
+    return pairs[-1], StrongChain(pairs[0], tuple(links))
 
 
 # -- flip pairs from sliding-block flip rules ------------------------------------
@@ -266,11 +265,13 @@ class OneBlockConjugacySpec:
 class ConjugacyDecomposition:
     """A verified even-lag chain realizing a one-block conjugacy.
 
-    ``source_recoding`` renames source symbols onto the chain's first pair
-    (the identity except for pure relabelings).  The raw composition of the
-    links lands on the lag-shifted image, and shifting back by half the lag
-    makes an even-lag chain a flip-system conjugacy; ``verify_decomposition``
-    decides that composed map against the conjugacy on blocks.
+    The chain runs from the source to the target, except at lag 0, where it
+    is the target alone.  ``source_recoding`` renames source symbols onto the
+    chain's source (the identity except for pure relabelings).  The raw
+    composition of the links lands on the lag-shifted image, and shifting
+    back by half the lag makes an even-lag chain a flip-system conjugacy;
+    ``verify_decomposition`` decides that composed map against the conjugacy
+    on blocks.
     """
 
     chain: StrongChain
@@ -296,7 +297,7 @@ def decompose_conjugacy(spec: OneBlockConjugacySpec) -> ConjugacyDecomposition:
     m = spec.inverse_window
     if m == 0:
         return ConjugacyDecomposition(
-            chain=StrongChain(pairs=(dst,), links=()),
+            chain=StrongChain(dst, ()),
             source_recoding=dict(spec.psi))
 
     kmax = 2 * m + 1
@@ -326,17 +327,17 @@ def decompose_conjugacy(spec: OneBlockConjugacySpec) -> ConjugacyDecomposition:
         j = k - 2 * i
         triples[k] = cand = read(k)
         dst_next, src_next = dst_blocks[k + 1], src_blocks[j + 1]
-        try:
-            pairs.append(_word_pair(
-                cand, [f"{_join(u)}|{_join(w)}|{_join(v)}" for u, w, v in cand],
-                tail=lambda t: (word_of[t][1:], t[1][1:]),
-                head=lambda t: (word_of[t][:-1], t[1][:-1]),
-                joins=lambda t, t2: (word_of[t] + word_of[t2][-1:] in dst_next
-                                     and t[1] + t2[1][-1:] in src_next),
-                mate=lambda t: (dst.flip_word(t[2]), src.flip_word(t[1]),
-                                dst.flip_word(t[0]))))
-        except FlipPairError as e:
-            raise SpecError("triple_pair", f"stage {k} is not a flip pair: {e}") from e
+        # a flip pair for every accepted spec: psi commutes with the flips, so
+        # mate(t) is the triple of the flipped source block, and the block
+        # sets dst_next and src_next are closed under flips
+        pairs.append(_word_pair(
+            cand, [f"{_join(u)}|{_join(w)}|{_join(v)}" for u, w, v in cand],
+            tail=lambda t: (word_of[t][1:], t[1][1:]),
+            head=lambda t: (word_of[t][:-1], t[1][:-1]),
+            joins=lambda t, t2: (word_of[t] + word_of[t2][-1:] in dst_next
+                                 and t[1] + t2[1][-1:] in src_next),
+            mate=lambda t: (dst.flip_word(t[2]), src.flip_word(t[1]),
+                            dst.flip_word(t[0]))))
 
     # the top stage is the block pair: its triples in the block pair's order
     hb_pair, hb_chain = higher_block(dst, 2 * m)
@@ -360,9 +361,8 @@ def decompose_conjugacy(spec: OneBlockConjugacySpec) -> ConjugacyDecomposition:
     # whenever (R, S) satisfies them from A to B
     for link in reversed(hb_chain.links):
         links.append(HalfElemCert(link.target, link.source, link.S, link.R))
-        pairs.append(link.source)
 
-    chain = StrongChain(pairs=tuple(pairs), links=tuple(links))
+    chain = StrongChain(src, tuple(links))
     identity = {s: s for s in src.alphabet}
     return ConjugacyDecomposition(chain=chain, source_recoding=identity)
 

@@ -108,11 +108,11 @@ class FlipPair:
 
     # -- derived pairs ---------------------------------------------------------
 
-    def relabel(self, mapping: dict[str, str], name: str | None = None) -> "FlipPair":
+    def relabel(self, mapping: dict[str, str]) -> "FlipPair":
         """Rename symbols; the underlying matrices keep their row order."""
-        return FlipPair(self._A.relabel(mapping), self._J.relabel(mapping), name=name)
+        return FlipPair(self._A.relabel(mapping), self._J.relabel(mapping))
 
-    def reorder(self, labels: Iterable[str], name: str | None = None) -> "FlipPair":
+    def reorder(self, labels: Iterable[str]) -> "FlipPair":
         """Permute both matrices into the given label order."""
         labs = tuple(labels)
-        return FlipPair(self._A.reorder(labs), self._J.reorder(labs), name=name)
+        return FlipPair(self._A.reorder(labs), self._J.reorder(labs))

@@ -171,7 +171,9 @@ def chain_to_doc(chain: StrongChain) -> dict:
 def chain_from_doc(doc: Any, path: str = "chain") -> StrongChain:
     """Parse a chain from outside, checking each link once with ``he_check``.
 
-    A bad link raises ``CertificateError`` here, before ``sse_verify``.
+    The document lists every pair; link i is read between pairs i and i+1,
+    so the joints hold and only the link count is checked against the pairs.
+    A bad link raises ``CertificateError`` here.
     """
     _expect(doc, dict, path)
     raw_pairs = _expect(doc.get("pairs"), list, f"{path}.pairs")
@@ -194,7 +196,7 @@ def chain_from_doc(doc: Any, path: str = "chain") -> StrongChain:
         if "S" in ldoc:
             supplied = rect_from_doc(ldoc["S"], dst.alphabet, src.alphabet, f"{lp}.S")
         links.append(he_check(src, dst, r, supplied_S=supplied))
-    return StrongChain(pairs=pairs, links=tuple(links))
+    return StrongChain(pairs[0], tuple(links))
 
 
 # -- block flip rules and conjugacies ----------------------------------------------------

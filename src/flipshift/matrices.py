@@ -157,16 +157,14 @@ class IntMatrix:
         cl = tuple(mapping.get(x, x) for x in self.col_labels)
         return IntMatrix(_as_labels(rl), _as_labels(cl), self.entries)
 
-    def reorder(self, row_labels: Iterable[str],
-                col_labels: Iterable[str] | None = None) -> "IntMatrix":
-        """Permute rows/columns into the given label order."""
-        rl = _as_labels(row_labels)
-        cl = rl if col_labels is None else _as_labels(col_labels)
-        if set(rl) != set(self.row_labels) or set(cl) != set(self.col_labels):
+    def reorder(self, labels: Iterable[str]) -> "IntMatrix":
+        """Permute rows and columns alike into the given label order."""
+        labs = _as_labels(labels)
+        if set(labs) != set(self.row_labels) or set(labs) != set(self.col_labels):
             raise MatrixShapeError("reorder must use the same label sets")
-        ri = [self.row_index(x) for x in rl]
-        ci = [self.col_index(x) for x in cl]
-        return IntMatrix(rl, cl, tuple(tuple(self.entries[i][j] for j in ci) for i in ri))
+        ri = [self.row_index(x) for x in labs]
+        ci = [self.col_index(x) for x in labs]
+        return IntMatrix(labs, labs, tuple(tuple(self.entries[i][j] for j in ci) for i in ri))
 
 
 @dataclass(frozen=True)

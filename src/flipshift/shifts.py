@@ -14,7 +14,6 @@ is left after pruning sinks and sources, in time linear in the transitions.
 
 from __future__ import annotations
 
-import warnings
 from functools import lru_cache
 from typing import Sequence
 
@@ -162,9 +161,6 @@ def blocks(a: IntMatrix, n: int) -> tuple[Word, ...]:
     if n < 1:
         raise ValueError("block length must be >= 1")
     past, future = _essential_flags(a)
-    if not (all(past) and all(future)):
-        warnings.warn("matrix has stranded symbols; they contribute no blocks",
-                      stacklevel=2)
     _, paths = _paths(a, [int(p) for p in past], n)
     return _labelled(a, [w for w in paths if future[ord(w[-1])]])
 

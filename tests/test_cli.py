@@ -1,10 +1,15 @@
+import copy
 import hashlib
+import io
 import json
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import flipshift
 from flipshift import constructions, equivalence, jsonio
@@ -211,6 +216,23 @@ def test_decompose_refuses_the_full_three_shift_in_little_memory(write):
     assert run.returncode == 2
 
 
+def test_stranded_symbols_leave_stderr_empty(write):
+    # blocks reads only bi-infinite points, so a stranded symbol is no warning
+    stranded = {"labels": ["a", "b"], "rows": [[1, 0], [0, 0]]}
+    pair = write("pair.json", {"alphabet": stranded["labels"], "A": stranded["rows"],
+                               "J": [[1, 0], [0, 1]]})
+    spec = write("spec.json", {"A": stranded, "window": 0,
+                               "phi": [{"block": "a", "image": "a"}]})
+    src = str(Path(flipshift.__file__).resolve().parents[1])
+    for argv, out in ((["higher-block", "--pair", pair, "--n", "1"], "2-block pair on 1 "),
+                      (["build-pair", spec], "built pair on 1 ")):
+        run = subprocess.run([sys.executable, "-m", "flipshift", *argv, "--format", "plain"],
+                             env={"PYTHONPATH": src}, capture_output=True, text=True,
+                             timeout=120)
+        assert (run.returncode, run.stderr) == (0, ""), argv[0]
+        assert run.stdout.startswith(out), argv[0]
+
+
 def test_paper_examples_cli(capsys):
     assert run_cli(["paper-examples"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -309,10 +331,10 @@ GOLDEN = {
         "rank-profile": "4f92c6cdea76e1c7b0a2a876d9d8dca887548d27fe76c4f573636fae3fcc6a4f",
         "he-check": "9d64bc30543b1ff3595082c7fcc892722aaeb43ec874a1178f7a7396b42611fd",
         "he-search": "da8f5aa5d99d515593cd6a3d6d106b791a3146b50dc42f8fb3a36692e1ce8d6a",
-        "sse-verify": "e1108ac59d02bd620e4ccb8128c92adb2e263433f840eef69de792c2abe00f37",
+        "sse-verify": "1d30170c755b1e000296d43f24a95def8219dc47834a890f1fa50a844f09fb33",
         "sfe-check": "13fdf42c177008e35a25fbc75fd3c22b08f10b5369718265ec30b451c96e3f93",
         "sfe-search": "9f23d7be0211aeea5be416eb3193adfc319847df4ba718ea96195b5cfdb9e353",
-        "higher-block": "9da6342c1b6ad420e2b88a28bf3b5c9b8d72ba634d67e76d5ba5d8160da97ad0",
+        "higher-block": "9adf6ab952a531858987bb06f0c41bf4bfef6733f8a32a6e08ccee30c389edcd",
         "build-pair": "4af4db00605b91c0568d411235681f0d2b385c3ebceed1eeadb1618d1992ecea",
         "decompose": "315c2fe399c9a8a1c55cff733db4b1f68a83f41847dc39c938e1c44e77012a96",
         "paper-examples": "468fbc1f227e83aabb8d7b24c961c8ca499fd049bec88d226a6093dc90d30ec9",
@@ -325,7 +347,7 @@ GOLDEN = {
         "rank-profile": "4b2bdda66d31f243ad730311bb9b639c4e030cc486f6b0a0daf79c5cc90d53e6",
         "he-check": "e56b0589cb9057bad7455fa804b04fcb62fb296d5819f69789a1b5f384566dba",
         "he-search": "ebbeb4997639ee54d136b4fc36c56a3e2579ad74e4035191af6b99b9c2d476fd",
-        "sse-verify": "31d4959dfed5bed2c9a24004e3e195a507afa43843359c190e7297d700fccf15",
+        "sse-verify": "b785a6d445154b18addc0c27deddcf6253ae591b591aa60c1348b32670542538",
         "sfe-check": "adf720d07af147745cacd56b29aa182c897aef89037a197cd9576c31e7dfbbb8",
         "sfe-search": "ebbeb4997639ee54d136b4fc36c56a3e2579ad74e4035191af6b99b9c2d476fd",
         "higher-block": "ebbeb4997639ee54d136b4fc36c56a3e2579ad74e4035191af6b99b9c2d476fd",
@@ -341,10 +363,10 @@ GOLDEN = {
         "rank-profile": "efc4dfef2ecdc615b3417ef78acacb863a6e83620d38e3642a33d7967b105704",
         "he-check": "16a858f80d3253868f722c5f5c7fcbd312ef9dc2d7b3e6f197b236ba21acd778",
         "he-search": "68ef1168c5e54c68fc2d3c6de8e28f76eed6168c5ece6aad96b014806b46f8a4",
-        "sse-verify": "a664ab35725e4269b858ee1b594e9bbce438c4bc58e332d35caf36c691dc46f6",
+        "sse-verify": "93defa9e38f11a5683d73b33834d4591fabbe545b1ef4a4bbb8b7e7de52eda3c",
         "sfe-check": "a504df5712fca3f4cd29dbbe347ddd50688a4cd34b31a605ff23a15b4ce2c11b",
         "sfe-search": "25723ee8bebf96e7bd5f591db400447c389c17ff6ba797cc2fbddb9574d3d484",
-        "higher-block": "ef09b1f605cc2ee9d4658f595d06b59c0b33ce0ba76ed33ad899c0da1da7ac51",
+        "higher-block": "41813ccc91ab424e724a1a54cc20fb7df8335368435d7d9763016d31eb3f0ee8",
         "build-pair": "66fa3be3498d1e7035a2de17c47529211420bcd0ae38d4b19e819c657f71ea8b",
         "decompose": "f023ec371a0f6b5142a7715f28e67fdc5ec5ed412ec30787740a1871f08f7cc9",
         "paper-examples": "c522b5d327b70219a56adeb9e3247465bdeb7f52f9d95f832246fc9e043ee469",
@@ -572,3 +594,126 @@ def test_certificate_error_escaping_a_handler_is_a_failed_check(monkeypatch, cap
     monkeypatch.setitem(cli._HANDLERS, "validate", broken)
     assert run_cli(["validate", str(DATA / "example1_AJ.json")]) == 1
     assert capsys.readouterr().err == "check failed: assembled chain failed verification\n"
+
+
+# -- fuzz: mutated documents keep the exit-code contract -------------------------
+
+
+_KEYS = ("alphabet", "A", "J", "labels", "rows", "R", "S", "kind", "lag", "pairs",
+         "links", "window", "phi", "block", "image", "from", "to", "psi",
+         "inverse_window")
+_LEAVES = st.one_of(st.integers(-3, 3), st.sampled_from([10 ** 30, -10 ** 30]),
+                    st.booleans(), st.floats(), st.none(),
+                    st.text(alphabet="ab1 |", max_size=4))
+_NODES = st.one_of(_LEAVES, st.recursive(
+    _LEAVES, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_KEYS), inner, max_size=2), max_leaves=4))
+
+
+def _node_paths(node, at=()):
+    yield at
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _node_paths(child, (*at, key))
+
+
+@st.composite
+def _mutated(draw, doc):
+    """``doc`` with one or two nodes replaced, deleted or duplicated."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(_node_paths(doc))))
+        if not path:
+            doc = draw(_NODES)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        op = draw(st.sampled_from(["replace", "delete", "duplicate"]))
+        if op == "replace":
+            # an int entry becomes 0 or 1 half the time: a new, often valid, matrix
+            small = isinstance(parent[key], int) and draw(st.booleans())
+            parent[key] = draw(st.sampled_from([0, 1]) if small else _NODES)
+        elif op == "delete":
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+        else:
+            parent[draw(st.sampled_from(_KEYS))] = copy.deepcopy(parent[key])
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_commands(tmp_path_factory):
+    """command -> (its arguments, with {i} for document i; its valid documents)."""
+    gm = golden_mean_pair()
+    hb2, chain2 = higher_block(gm, 1)
+    hb3, _ = higher_block(gm, 2)
+    gm_doc, hb2_doc = jsonio.pair_to_doc(gm), jsonio.pair_to_doc(hb2)
+    r_doc = {"rows": chain2.links[0].R.to_rows()}
+    psi = {lab: word_center(tuple(lab.split(" "))) for lab in hb3.alphabet}
+    step = ["--from", "{0}", "--to", "{1}"]
+    commands = {
+        "validate": (["{0}"], [gm_doc]),
+        "count": (["--pair", "{0}", "--m-max", "2"], [gm_doc]),
+        "zeta": (["--pair", "{0}", "--order", "4"], [gm_doc]),
+        "charpoly": (["{0}"], [_matrix_doc(gm.A)]),
+        "rank-profile": (["{0}", "--max-power", "2"], [_matrix_doc(gm.A)]),
+        "he-check": ([*step, "--R", "{2}"], [gm_doc, hb2_doc, r_doc]),
+        "he-search": (step, [gm_doc, hb2_doc]),
+        "sse-verify": (["{0}"], [jsonio.chain_to_doc(chain2)]),
+        "sfe-check": ([*step, "--R", "{2}", "--lag", "1"], [gm_doc, hb2_doc, r_doc]),
+        "sfe-search": ([*step, "--lag-max", "1", "--entry-max", "1", "--budget", "1000"],
+                       [gm_doc, gm_doc]),
+        "higher-block": (["--pair", "{0}", "--n", "1"], [gm_doc]),
+        "build-pair": (["{0}"], [{"A": _matrix_doc(gm.A), "window": 0,
+                                  "phi": [{"block": a, "image": a} for a in gm.alphabet]}]),
+        "decompose": (["{0}"], [{"from": jsonio.pair_to_doc(hb3), "to": gm_doc,
+                                 "psi": psi, "inverse_window": 1}]),
+        "paper-examples": (["--order", "2"], []),
+    }
+    return tmp_path_factory.mktemp("fuzz"), commands
+
+
+def test_fuzz_commands_are_every_command_and_valid(fuzz_commands):
+    from flipshift.cli import _HANDLERS
+    directory, commands = fuzz_commands
+    assert set(commands) == set(_HANDLERS)
+    for command, (argv, docs) in commands.items():
+        paths = []
+        for i, doc in enumerate(docs):
+            paths.append(str(directory / f"valid{i}.json"))
+            Path(paths[-1]).write_text(json.dumps(doc))
+        with redirect_stdout(io.StringIO()):
+            assert run_cli([command, *(a.format(*paths) for a in argv)]) == 0, command
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_mutated_documents_keep_the_exit_code_contract(fuzz_commands, data):
+    # 0: no stderr; 1: a report, or "check failed: "; 2: only "error: "
+    directory, commands = fuzz_commands
+    command = data.draw(st.sampled_from(sorted(commands)))
+    argv, docs = commands[command]
+    docs = list(docs)
+    if docs:
+        i = data.draw(st.integers(0, len(docs) - 1))
+        docs[i] = data.draw(_mutated(docs[i]))
+    paths = []
+    for i, doc in enumerate(docs):
+        paths.append(str(directory / f"{i}.json"))
+        Path(paths[-1]).write_text(json.dumps(doc))
+    fmt = data.draw(st.sampled_from(["json", "csv", "plain"]))
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = run_cli([command, *(a.format(*paths) for a in argv), "--format", fmt])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == "" and err.startswith("error: ")
+    elif code == 1:
+        assert (out and not err) or (not out and err.startswith("check failed: "))
+    else:
+        assert out and not err

@@ -1,5 +1,4 @@
 import random
-import warnings
 from itertools import permutations
 
 import pytest
@@ -11,8 +10,7 @@ from flipshift.constructions import (BlockFlipSpec, ConjugacyDecomposition,
                                      OneBlockConjugacySpec, build_flip_pair,
                                      decompose_conjugacy, higher_block,
                                      verify_decomposition)
-from flipshift.equivalence import (HalfElemCert, StrongChain, he_check,
-                                   sse_verify, verify_prop22)
+from flipshift.equivalence import HalfElemCert, StrongChain, he_check, verify_prop22
 from flipshift.errors import BudgetError, SpecError
 from flipshift.fixtures import (example1_pair, example1_symmetric_pair,
                                 golden_mean_pair, one_point_pair)
@@ -73,9 +71,7 @@ def rules(draw):
     pair = draw(zero_one_flip_pairs())
     window = draw(st.integers(0, 1))
     offset = draw(st.integers(-window, window))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # stranded symbols
-        windows = blocks(pair.A, 2 * window + 1)
+    windows = blocks(pair.A, 2 * window + 1)
     assume(windows)
     rule = {w: pair.tau[w[window + offset]] for w in windows}
     for w in draw(st.lists(st.sampled_from(windows), max_size=2)):
@@ -88,7 +84,7 @@ def test_higher_block_one_point():
     hb, chain = higher_block(p, 3)
     assert hb.size == 1
     assert chain.lag == 3
-    assert sse_verify(chain).passed
+    assert (chain.source, chain.target) == (p, hb)
 
 
 def test_higher_block_golden_mean():
@@ -98,7 +94,7 @@ def test_higher_block_golden_mean():
     assert dict(hb.tau) == {"1 1": "1 1", "1 2": "2 1", "2 1": "1 2"}
     assert chain.pairs[0] == gm
     assert chain.lag == 1
-    assert sse_verify(chain).passed
+    assert chain.target == hb
     assert verify_prop22(chain.links[0]).passed
 
 
@@ -106,17 +102,15 @@ def test_higher_block_example1():
     p1 = example1_pair()
     hb, chain = higher_block(p1, 1)
     assert hb.size == 8
-    assert sse_verify(chain).passed
+    assert (chain.source, chain.target, chain.lag) == (p1, hb, 1)
     assert lind_zeta(hb, 10) == lind_zeta(p1, 10)
 
 
 @settings(derandomize=True, database=None, deadline=None)
 @given(pair=zero_one_flip_pairs(), n=st.integers(1, 3))
 def test_higher_block_equals_the_all_pairs_oracle(pair, n):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # stranded symbols
-        hb, chain = higher_block(pair, n)
-        assert chain.pairs == tuple(all_pairs_block_pair(pair, k) for k in range(1, n + 2))
+    hb, chain = higher_block(pair, n)
+    assert chain.pairs == tuple(all_pairs_block_pair(pair, k) for k in range(1, n + 2))
     assert hb == chain.pairs[-1]
 
 
@@ -130,7 +124,7 @@ def test_higher_block_random_pairs():
         for n in (1, 2):
             hb, chain = higher_block(p, n)
             assert chain.lag == n
-            assert sse_verify(chain).passed
+            assert (chain.source, chain.target) == (p, hb)
             for link in chain.links:
                 assert verify_prop22(link).passed
 
@@ -223,12 +217,10 @@ def test_every_rule_reverses_time(drawn):
 @given(drawn=rules())
 def test_accepted_rules_pass_the_periodic_check(drawn):
     pair, window, rule = drawn
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # stranded symbols
-        try:
-            spec = BlockFlipSpec(pair.A, window, rule)
-        except SpecError:
-            return
+    try:
+        spec = BlockFlipSpec(pair.A, window, rule)
+    except SpecError:
+        return
     assert passes_periodic_check(spec, 8)
 
 
@@ -331,10 +323,8 @@ def _stranded_golden_mean() -> FlipPair:
 def test_builders_strand_no_symbol():
     # the oracle for building block pairs and stages without an essential cut
     chains = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # stranded symbols of the last base
-        for base in corpus(count=20, max_size=4) + [_stranded_golden_mean()]:
-            chains += [higher_block(base, n)[1] for n in (1, 2, 3)]
+    for base in corpus(count=20, max_size=4) + [_stranded_golden_mean()]:
+        chains += [higher_block(base, n)[1] for n in (1, 2, 3)]
     chains += [decompose_conjugacy(spec).chain for spec in _stage_oracle_specs()]
     for chain in chains:
         for p in chain.pairs:
@@ -346,13 +336,11 @@ def test_builders_strand_no_symbol():
 def test_flip_rule_pairs_strand_no_symbol(drawn):
     # the same oracle for build_flip_pair, stranded bases included
     pair, window, rule = drawn
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # stranded symbols
-        try:
-            spec = BlockFlipSpec(pair.A, window, rule)
-        except SpecError:
-            return
-        built, code = build_flip_pair(spec)
+    try:
+        spec = BlockFlipSpec(pair.A, window, rule)
+    except SpecError:
+        return
+    built, code = build_flip_pair(spec)
     assert essential_symbols(built.A) == built.alphabet
     assert set(code.mapping.values()) == set(built.alphabet)
 
@@ -381,9 +369,7 @@ def test_decompose_center_read():
     spec = _center_read_spec(gm, 1)
     dec = decompose_conjugacy(spec)
     assert dec.chain.lag == 4
-    assert dec.chain.pairs[0] == spec.source
-    assert dec.chain.pairs[-1] == gm
-    assert sse_verify(dec.chain).passed
+    assert (dec.chain.source, dec.chain.target) == (spec.source, gm)
     assert verify_decomposition(dec, spec).passed
 
 
@@ -401,7 +387,7 @@ def test_decomposition_chains_verify_over_the_corpus():
             spec = _center_read_spec(base, n)
             dec = decompose_conjugacy(spec)
             assert dec.chain.lag == 4 * n
-            assert sse_verify(dec.chain).passed
+            assert (dec.chain.source, dec.chain.target) == (spec.source, base)
             assert verify_decomposition(dec, spec).passed
             # the periodic points are the oracle of the block check
             for m in range(1, 5):
@@ -420,6 +406,20 @@ def test_drawn_decompositions_round_trip_and_every_link_checks_again(pair):
     dec = decompose_conjugacy(spec)
     assert verify_decomposition(dec, spec).passed
     for link in (*dec.chain.links, *higher_block(pair, 2)[1].links):
+        he_check(link.source, link.target, link.R, supplied_S=link.S)  # raises if bad
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(pair=zero_one_flip_pairs())
+def test_drawn_window_two_decompositions_round_trip(pair):
+    # window 1 builds only stage 2, whose outer words are empty; window 2
+    # also builds stages 3 and 4, whose flips read psi on both outer words
+    assume(is_essential(pair.A) and shifts.block_count(pair.A, 13) <= 400)
+    spec = _center_read_spec(pair, 2)
+    dec = decompose_conjugacy(spec)
+    assert dec.chain.lag == 8
+    assert verify_decomposition(dec, spec).passed
+    for link in dec.chain.links:
         he_check(link.source, link.target, link.R, supplied_S=link.S)  # raises if bad
 
 
@@ -451,13 +451,13 @@ def _swapped_last_link(dec: ConjugacyDecomposition) -> ConjugacyDecomposition:
     s = IntMatrix.rect(last.S.row_labels, last.S.col_labels,
                        [last.S.to_rows()[j] for j in cols])
     links = (*dec.chain.links[:-1], HalfElemCert(last.source, last.target, r, s))
-    return ConjugacyDecomposition(StrongChain(dec.chain.pairs, links), dec.source_recoding)
+    return ConjugacyDecomposition(StrongChain(dec.chain.source, links), dec.source_recoding)
 
 
 def test_verify_decomposition_refuses_a_swapped_recoding():
     gm = golden_mean_pair()
     spec = OneBlockConjugacySpec(gm, gm, {a: a for a in gm.alphabet}, 0)
-    dec = ConjugacyDecomposition(StrongChain((gm,), ()), {"1": "2", "2": "1"})
+    dec = ConjugacyDecomposition(StrongChain(gm, ()), {"1": "2", "2": "1"})
     report = verify_decomposition(dec, spec)
     assert not report.passed
     assert report.first_failure().detail == "block ('1',): 2 != 1"
@@ -474,7 +474,7 @@ def test_verify_decomposition_refuses_a_doctored_link():
     s = IntMatrix.rect(first.S.row_labels, first.S.col_labels,
                        [first.S.to_rows()[0]] * first.S.nrows)
     links = (HalfElemCert(first.source, first.target, first.R, s), *dec.chain.links[1:])
-    doctored = ConjugacyDecomposition(StrongChain(dec.chain.pairs, links), dec.source_recoding)
+    doctored = ConjugacyDecomposition(StrongChain(dec.chain.source, links), dec.source_recoding)
     report = verify_decomposition(doctored, spec)
     assert not report.passed
     assert report.first_failure().detail.startswith("link 0: unique b: ")

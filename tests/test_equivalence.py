@@ -1,5 +1,4 @@
 import random
-import warnings
 from itertools import product
 
 import pytest
@@ -238,15 +237,13 @@ def test_verify_prop22():
 @given(pair=zero_one_flip_pairs(), other=zero_one_flip_pairs(), n=st.integers(1, 2))
 def test_accepted_steps_intertwine_the_flips(pair, other, n):
     # Prop 2.2 for every step higher_block builds and he_search finds
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # stranded symbols
-        _, chain = higher_block(pair, n)
-        certs = list(chain.links)
-        for src, dst in ((pair, other), (other, pair)):
-            if src.size * dst.size <= DEFAULT_CELL_BUDGET:
-                certs += he_search(src, dst)
-        for cert in certs:
-            assert verify_prop22(cert).passed
+    _, chain = higher_block(pair, n)
+    certs = list(chain.links)
+    for src, dst in ((pair, other), (other, pair)):
+        if src.size * dst.size <= DEFAULT_CELL_BUDGET:
+            certs += he_search(src, dst)
+    for cert in certs:
+        assert verify_prop22(cert).passed
 
 
 def test_verify_prop22_localizes_on_doctored_cert():
@@ -293,22 +290,25 @@ def test_gamma_block_equals_the_entrywise_oracle():
 
 def test_sse_verify_empty_chain():
     gm = golden_mean_pair()
-    report = sse_verify(StrongChain(pairs=(gm,), links=()))
-    assert report.passed
-    assert "lag 0" in report.checks[-1].name
+    chain = StrongChain(gm, ())
+    assert chain.pairs == (gm,) and chain.target == gm
+    report = sse_verify(chain)
+    assert [(c.name, c.passed) for c in report.checks] == [("lag 0", True)]
 
 
 def test_sse_verify_block_chain_and_corruption():
     gm = golden_mean_pair()
     _, chain = higher_block(gm, 2)
-    assert sse_verify(chain).passed
-    # a link taken from another chain does not connect the adjacent pairs
+    assert (chain.source, chain.lag, chain.target.size) == (gm, 2, 5)
+    # a link taken from another chain does not start where the chain has reached
     _, other = higher_block(example1_pair(), 2)
-    mixed = StrongChain(pairs=chain.pairs, links=(chain.links[0], other.links[1]))
-    report = sse_verify(mixed)
-    assert not report.passed
-    assert report.first_failure().name == "link 1 endpoints"
-    # a corrupted link is refused where the chain is read, before sse_verify;
+    with pytest.raises(CertificateError) as e:
+        StrongChain(chain.source, (chain.links[0], other.links[1]))
+    assert e.value.identity == "link 1 endpoints"
+    with pytest.raises(CertificateError) as e:
+        StrongChain(example1_pair(), chain.links)
+    assert e.value.identity == "link 0 endpoints"
+    # a corrupted link is refused where the chain is read, by he_check;
     # the document carries R alone, so no supplied S is compared first
     doc = jsonio.chain_to_doc(chain)
     for link in doc["links"]:

@@ -37,12 +37,13 @@ def test_blocks_example1_symbols():
     assert blocks(example1_pair().A, 1) == (("1",), ("2",), ("3",), ("4",))
 
 
-def test_stranded_symbols_warn_and_vanish():
+def test_stranded_symbols_vanish_without_a_warning():
     # symbol "b" has no outgoing path back to a cycle, "c" is unreachable
     a = IntMatrix.square("abc", [[1, 1, 0], [0, 0, 0], [0, 0, 0]])
     assert essential_symbols(a) == ("a",)
     assert not is_essential(a)
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert blocks(a, 2) == (("a", "a"),)
 
 
@@ -96,9 +97,7 @@ def _counting_walks(tally: list[int]):
 
 def _enumerate_within(budget, enumerate_words, a, length, walks=shifts._walks):
     enumerate_words.cache_clear()
-    with patch.object(shifts, "WALK_BUDGET", budget), \
-            patch.object(shifts, "_walks", walks), warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # stranded symbols
+    with patch.object(shifts, "WALK_BUDGET", budget), patch.object(shifts, "_walks", walks):
         return enumerate_words(a, length)
 
 
@@ -123,9 +122,7 @@ def test_walk_budget_is_the_prefix_count(a, length):
 @settings(derandomize=True, database=None, deadline=None)
 @given(a=zero_one_matrices(), length=st.integers(1, 6))
 def test_block_count_is_the_number_of_blocks(a, length):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # stranded symbols
-        assert shifts.block_count(a, length) == len(blocks(a, length))
+    assert shifts.block_count(a, length) == len(blocks(a, length))
 
 
 # -- oracle: the essential flags from the transitive closure --------------------
@@ -203,9 +200,7 @@ def dfs_periodic(a: IntMatrix, m: int):
 @settings(derandomize=True, database=None, deadline=None)
 @given(pair=zero_one_flip_pairs(), length=st.integers(1, 8))
 def test_walks_equal_the_depth_first_oracle(pair, length):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # stranded symbols
-        assert blocks(pair.A, length) == dfs_blocks(pair.A, length)
+    assert blocks(pair.A, length) == dfs_blocks(pair.A, length)
     assert enumerate_periodic(pair.A, length) == dfs_periodic(pair.A, length)
 
 
