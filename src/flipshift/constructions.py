@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 from .equivalence import HalfElemCert, StrongChain, gamma_block, he_check
-from .errors import BudgetError, CertificateError, SpecError
+from .errors import BudgetError, CertificateError, MatrixShapeError, SpecError
 from .flips import FlipPair, Word
-from .matrices import IntMatrix, _as_labels
+from .matrices import IntMatrix
 from .report import Report
 from .shifts import block_count, blocks, is_essential, word_center
 
@@ -68,9 +68,13 @@ def _word_pair(words: Sequence, labels: Sequence[str], tail, head, joins,
     x is followed by y when tail(x) == head(y) and joins(x, y); J sends x to
     mate(x).  Only the labels are checked: the matrices are zero-one by
     construction.  Every caller reads its words off bi-infinite points, so no
-    symbol is stranded.
+    symbol is stranded.  Two words whose labels coincide are refused, by name.
     """
-    labs = _as_labels(labels)
+    word_of: dict[str, object] = {}
+    for w, lab in zip(words, labels):
+        if word_of.setdefault(lab, w) is not w:
+            raise MatrixShapeError(f"{word_of[lab]!r} and {w!r} both join to {lab!r}")
+    labs = tuple(word_of)
     a = _ones(labs, labs, words, words, tail, head, joins)
     jm = _ones(labs, labs, words, words, mate, lambda y: y)
     return FlipPair(a, jm)

@@ -13,12 +13,13 @@ coefficients, lifted to the residue nearest zero: exact by the bound, with
 no probability involved.  The rank and the integral kernel come from one
 fraction-free (Bareiss) elimination that touches only the rows a step
 eliminates; its entries are minors of the input, so they stay as small as
-those minors are.
+those minors are.  Rank profiles form no matrix power; see ``rank_profile``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import BudgetError, MatrixShapeError
@@ -486,16 +487,50 @@ def rank_over_rationals(a: IntMatrix) -> int:
     return len(_bareiss(a.entries, a.ncols)[1])
 
 
+def _row_chain(rows: list[list[int]], nonzeros: Sequence[Sequence[tuple[int, int]]],
+               shift: int, limit: int) -> tuple[list[int], list[list[int]]]:
+    """The ranks of U*N, U*N^2, ... (N = M - shift*I) until they stop falling or
+    reach ``limit``, and the last echelon rows.  U is echelon rows, M the
+    nonzeros of its rows; each step divides the rows by their content first.
+    """
+    ranks: list[int] = []
+    while len(ranks) < limit:
+        image = []
+        for row in rows:
+            g = gcd(*row)
+            row = [x // g for x in row]
+            out = [-shift * x for x in row]
+            for k, x in enumerate(row):
+                if x:
+                    for j, y in nonzeros[k]:
+                        out[j] += x * y
+            image.append(out)
+        prev, rows = len(rows), _bareiss(image, len(nonzeros))[0]
+        ranks.append(len(rows))
+        if len(rows) == prev:
+            break
+    return ranks, rows
+
+
 def rank_profile(m: IntMatrix, shift: int, max_power: int) -> list[int]:
     """The ranks over the rationals of (M - shift*I)^j for j = 1..max_power.
 
-    Each power is the previous one times M - shift*I, one product per step.
+    No power is formed.  The row space of M^(j+1) is that of M^j times M, so
+    the ranks of M^j are the chain from M's echelon rows, constant once its
+    rank stops falling (the spaces are nested).  Its last rows R span the
+    eventual range, of dimension d.  For s = shift != 0, every left generalized
+    eigenvector of a nonzero eigenvalue lies there, and M - sI is invertible on
+    the other n - d dimensions, K = {x : x*M^n = 0}, which M keeps.  So
+    rank((M - sI)^j) = n - d + rank(R*(M - sI)^j), the chain started at R.
     """
-    shifted = m - IntMatrix.identity(m.row_labels).scale(shift)
-    profile = []
-    power = shifted
-    for j in range(max_power):
-        if j:
-            power = mat_mul(shifted, power)
-        profile.append(rank_over_rationals(power))
-    return profile
+    if m.row_labels != m.col_labels:  # the error of forming M - shift*I
+        raise MatrixShapeError("matrix subtraction requires identical labels")
+    nz = [[(j, y) for j, y in enumerate(row) if y] for row in m.entries]
+    rows = _bareiss(m.entries, m.ncols)[0]
+    if shift == 0:
+        offset, ranks = 0, [len(rows)] + _row_chain(rows, nz, 0, max_power - 1)[0]
+    else:  # the rank falls at most n times, so the chain from M ends on its own
+        core = _row_chain(rows, nz, 0, m.nrows + 1)[1]
+        offset, ranks = m.nrows - len(core), _row_chain(core, nz, shift, max_power)[0]
+    ranks += [ranks[-1]] * (max_power - len(ranks))
+    return [offset + r for r in ranks]

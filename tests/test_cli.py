@@ -264,6 +264,12 @@ def test_paper_examples_order_override(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_paper_examples_at_order_one(capsys):
+    # the two generating functions of example 1 first differ at t^2
+    assert run_cli(["paper-examples", "--order", "1", "--format", "plain"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 def test_reports_are_deterministic(capsys):
     run_cli(["paper-examples"])
     first = capsys.readouterr().out
@@ -485,6 +491,28 @@ def test_count_refuses_a_walk_over_budget(write, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: words of length 5 need more than 1000000 walk prefixes\n"
+
+
+def test_colliding_block_labels_name_their_words(write, capsys):
+    # "a" + "a a" and "a a" + "a" are two 2-blocks with one label
+    doc = {"alphabet": ["a", "a a"], "A": [[1, 1], [1, 1]], "J": [[1, 0], [0, 1]]}
+    assert run_cli(["higher-block", "--pair", write("spaced.json", doc), "--n", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ('a', 'a a') and ('a a', 'a') both join to 'a a a'\n"
+
+
+@pytest.mark.parametrize("doc", [
+    {"row_labels": ["a", "b"], "col_labels": ["a", "b", "c"],
+     "rows": [[1, 0, 1], [0, 1, 1]]},
+    {"row_labels": ["a", "b", "c"], "col_labels": ["b", "c", "a"],
+     "rows": [[1, 1, 0], [0, 1, 1], [1, 0, 1]]},
+], ids=["rectangular", "permuted columns"])
+def test_rank_profile_refuses_a_matrix_without_one_label_list(doc, write, capsys):
+    assert run_cli(["rank-profile", write("m.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: matrix subtraction requires identical labels\n"
 
 
 @pytest.mark.parametrize("command, option, value", [

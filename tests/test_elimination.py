@@ -5,20 +5,24 @@ kept here only as an oracle: the integral kernel must be exactly d times its
 basis, with the same pivots and so the same rank.  ``dense_bareiss`` is the
 former elimination, which rescaled every row at every step; the one that
 rescales rows only when a step needs them must give the same rows.
+``power_loop_profile`` is the former rank profile, which formed and
+eliminated every power; the chain of echelon rows must give its ranks.
 """
 
 import random
 from fractions import Fraction
 from itertools import product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpus import corpus, integer_matrices
+from flipshift.constructions import higher_block
 from flipshift.equivalence import sfe_bounded_search, sfe_check
 from flipshift.errors import CertificateError
-from flipshift.fixtures import example2_matrix
-from flipshift.matrices import (IntMatrix, _bareiss, _integral_kernel, mat_pow,
-                                rank_over_rationals, rank_profile)
+from flipshift.fixtures import example2_matrix, example2_pair
+from flipshift.matrices import (IntMatrix, _bareiss, _integral_kernel, char_poly, mat_mul,
+                                mat_pow, rank_over_rationals, rank_profile)
 
 
 def dense_bareiss(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
@@ -156,20 +160,77 @@ def test_bareiss_equals_the_dense_elimination(a):
     assert rank_over_rationals(a) == len(dense_bareiss(rows, a.ncols)[1])
 
 
+def power_loop_profile(a: IntMatrix, shift: int, power: int) -> list[int]:
+    """The former rank profile: each power of M - shift*I formed and eliminated."""
+    shifted = a - IntMatrix.identity(a.row_labels).scale(shift)
+    profile, m = [], shifted
+    for j in range(power):
+        if j:
+            m = mat_mul(shifted, m)
+        profile.append(rank_over_rationals(m))
+    return profile
+
+
+def multiplicity(coeffs: tuple[int, ...], s: int) -> int:
+    """How often t - s divides a polynomial, by repeated synthetic division."""
+    mult, c = 0, list(coeffs)
+    while len(c) > 1:
+        acc, quotient = 0, []
+        for x in reversed(c):
+            acc = acc * s + x
+            quotient.append(acc)
+        if quotient.pop():  # the remainder, the value at s
+            break
+        c = quotient[::-1]
+        mult += 1
+    return mult
+
+
+SMALL_MATRICES = [example2_matrix(w) for w in "ABC"] + [p.A for p in corpus(count=40)]
+
+
 # example 2's A and B have a Jordan block of size 4 at 1, so their ranks of
 # (M - I)^j fall up to j = 4; the corpus ranks settle by j = 2 or 3
 @settings(derandomize=True, database=None, deadline=None)
-@given(a=st.sampled_from([example2_matrix(w) for w in "ABC"]
-                         + [p.A for p in corpus(count=40)]),
-       shift=st.integers(-2, 2), power=st.integers(1, 4))
+@given(a=st.sampled_from(SMALL_MATRICES), shift=st.integers(-2, 2), power=st.integers(1, 30))
 def test_rank_profiles_of_corpus_pairs_equal_the_dense_elimination(a, shift, power):
-    shifted = a - IntMatrix.identity(a.row_labels).scale(shift)
-    m = mat_pow(shifted, power)
+    m = mat_pow(a - IntMatrix.identity(a.row_labels).scale(shift), power)
     rows = [list(row) for row in m.entries]
     assert _bareiss(rows, m.ncols) == dense_bareiss(rows, m.ncols)
     assert rank_over_rationals(m) == len(dense_bareiss(rows, m.ncols)[1])
-    assert rank_profile(a, shift, power) == \
-        [rank_over_rationals(mat_pow(shifted, j)) for j in range(1, power + 1)]
+    assert rank_profile(a, shift, power) == power_loop_profile(a, shift, power)
+
+
+# negative entries, zero rows and entries of up to 23,000 bits, whose powers
+# make the power loop slow: so fewer powers
+@settings(derandomize=True, database=None, deadline=None)
+@given(a=integer_matrices(), shift=st.integers(-2, 2), power=st.integers(1, 8))
+def test_rank_profiles_of_integer_matrices_equal_the_power_loop(a, shift, power):
+    assert rank_profile(a, shift, power) == power_loop_profile(a, shift, power)
+
+
+# The 3- and 4-block matrices of example 2's A, B and C (A's have 53 and 138
+# symbols).  Their profiles fall at shifts 0 and 1 and settle by j = 5; the
+# power loop's cost grows with the entries of the powers, so the other shifts
+# take fewer powers.
+@pytest.mark.parametrize("word", "ABC")
+@pytest.mark.parametrize("n, powers", [(2, {0: 30, 1: 12, -1: 6, 2: 6, -2: 6}),
+                                       (3, {0: 12, 1: 6, -1: 2, 2: 2, -2: 2})],
+                         ids=["3-blocks", "4-blocks"])
+def test_rank_profiles_of_block_matrices_equal_the_power_loop(word, n, powers):
+    a = higher_block(example2_pair(word), n)[0].A
+    for shift, power in powers.items():
+        assert rank_profile(a, shift, power) == power_loop_profile(a, shift, power)
+
+
+# n - rank((M - s*I)^(n+1)) is the algebraic multiplicity of s, which the
+# modular characteristic polynomial gives by another road
+@settings(derandomize=True, database=None, deadline=None)
+@given(a=st.one_of(st.sampled_from(SMALL_MATRICES), integer_matrices()))
+def test_settled_ranks_are_the_multiplicities_of_the_characteristic_polynomial(a):
+    chi = char_poly(a).coeffs
+    for shift in (0, 1, -1, 2, -2):
+        assert a.nrows - rank_profile(a, shift, a.nrows + 1)[-1] == multiplicity(chi, shift)
 
 
 def oracle_sfe_search(src, dst, lag_max, entry_max):
