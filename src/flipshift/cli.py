@@ -24,11 +24,11 @@ from .constructions import build_flip_pair, decompose_conjugacy, higher_block, \
 from .equivalence import he_check, he_search, sfe_bounded_search, sfe_check, \
     sse_verify
 from .errors import CertificateError, FlipPairError, SchemaError, SpecError
-from .matrices import IntMatrix, char_poly, rank_over_rationals, rank_profile
+from .matrices import IntMatrix, _rank_profile, char_poly
 from .refchecks import run_reference_checks
 from .report import Report
 from .series import DEFAULT_ORDER
-from .shifts import count_pmn_bruteforce
+from .shifts import blocks, count_pmn_bruteforce
 from .zeta import artin_mazur_zeta, generating_function, lind_zeta
 
 
@@ -131,9 +131,8 @@ def _cmd_rank_profile(args, inputs):
     if args.max_power < 1:
         raise ValueError("--max-power must be >= 1")
     m = jsonio.matrix_from_doc(_load_json(args.matrix, inputs))
-    profile = rank_profile(m, args.shift, args.max_power)
-    payload = {"rank": rank_over_rationals(m), "shift": args.shift,
-               "profile": profile}
+    rank, profile = _rank_profile(m, args.shift, args.max_power)
+    payload = {"rank": rank, "shift": args.shift, "profile": profile}
     rows = [["power", "rank"]] + [[j + 1, r] for j, r in enumerate(profile)]
     plain = f"rank {payload['rank']}; profile at shift {args.shift}: {profile}"
     return 0, payload, rows, plain
@@ -241,6 +240,9 @@ def _cmd_build_pair(args, inputs):
 
 def _cmd_decompose(args, inputs):
     spec = jsonio.conjugacy_from_doc(_load_json(args.conjugacy, inputs))
+    # the lag-4m chain is verified on blocks of width 4m + 1: walked (and
+    # cached) first, so over the walk budget no stage is built
+    blocks(spec.source.A, 4 * spec.inverse_window + 1)
     dec = decompose_conjugacy(spec)
     rep = verify_decomposition(dec, spec)
     payload = {"lag": dec.chain.lag,

@@ -25,7 +25,7 @@ from typing import Hashable, Sequence
 from .equivalence import HalfElemCert, StrongChain, gamma_block, he_check
 from .errors import BudgetError, CertificateError, MatrixShapeError, SpecError
 from .flips import FlipPair, Word
-from .matrices import IntMatrix
+from .matrices import IntMatrix, _Ones
 from .report import Report
 from .shifts import block_count, blocks, is_essential, word_center
 
@@ -44,21 +44,15 @@ def _word_key(alphabet: tuple[str, ...]):
 # -- word pairs ------------------------------------------------------------------
 
 
-def _ones(row_labels, col_labels, xs: Sequence, ys: Sequence, x_key, y_key,
-          joins=None) -> IntMatrix:
-    """The zero-one matrix over xs by ys with a one where x_key(x) == y_key(y)
-    and joins(x, y); the ys are found through one dict from key to positions."""
+def _matches(xs: Sequence, ys: Sequence, x_key, y_key, joins=None) -> _Ones:
+    """Per x, the positions j, ascending, with x_key(x) == y_key(ys[j]) and
+    joins(x, ys[j]): the ones of a zero-one matrix over xs by ys, found
+    through one dict from key to positions."""
     at: dict[Hashable, list[int]] = {}
     for j, y in enumerate(ys):
         at.setdefault(y_key(y), []).append(j)
-    rows = []
-    for x in xs:
-        row = [0] * len(ys)
-        for j in at.get(x_key(x), ()):
-            if joins is None or joins(x, ys[j]):
-                row[j] = 1
-        rows.append(tuple(row))
-    return IntMatrix._trusted(row_labels, col_labels, tuple(rows))
+    return tuple(tuple(j for j in at.get(x_key(x), ()) if joins is None or joins(x, ys[j]))
+                 for x in xs)
 
 
 def _word_pair(words: Sequence, labels: Sequence[str], tail, head, joins,
@@ -66,18 +60,17 @@ def _word_pair(words: Sequence, labels: Sequence[str], tail, head, joins,
     """The flip pair on ``words``, one symbol per word, labelled by ``labels``.
 
     x is followed by y when tail(x) == head(y) and joins(x, y); J sends x to
-    mate(x).  Only the labels are checked: the matrices are zero-one by
-    construction.  Every caller reads its words off bi-infinite points, so no
-    symbol is stranded.  Two words whose labels coincide are refused, by name.
+    mate(x).  The pair takes the successor lists as found and checks its
+    axioms over them; only the labels are checked here.  Every caller reads
+    its words off bi-infinite points, so no symbol is stranded.  Two words
+    whose labels coincide are refused, by name.
     """
     word_of: dict[str, object] = {}
     for w, lab in zip(words, labels):
         if word_of.setdefault(lab, w) is not w:
             raise MatrixShapeError(f"{word_of[lab]!r} and {w!r} both join to {lab!r}")
-    labs = tuple(word_of)
-    a = _ones(labs, labs, words, words, tail, head, joins)
-    jm = _ones(labs, labs, words, words, mate, lambda y: y)
-    return FlipPair(a, jm)
+    return FlipPair._from_ones(tuple(word_of), _matches(words, words, tail, head, joins),
+                               _matches(words, words, mate, lambda y: y))
 
 
 # -- higher block pairs --------------------------------------------------------
@@ -112,8 +105,7 @@ def higher_block(pair: FlipPair, n: int) -> tuple[FlipPair, StrongChain]:
     links: list[HalfElemCert] = []
     for k in range(n):
         us, vs = word_lists[k], word_lists[k + 1]
-        r = _ones(pairs[k].alphabet, pairs[k + 1].alphabet, us, vs,
-                  lambda u: u, lambda v: v[:-1])
+        r = _matches(us, vs, lambda u: u, lambda v: v[:-1])
         links.append(he_check(pairs[k], pairs[k + 1], r))
     return pairs[-1], StrongChain(pairs[0], tuple(links))
 
@@ -353,8 +345,8 @@ def decompose_conjugacy(spec: OneBlockConjugacySpec) -> ConjugacyDecomposition:
     # block's adjacency; the S that he_check derives drops the first symbol
     links: list[HalfElemCert] = []
     for k in range(1, kmax):
-        r = _ones(pairs[k - 1].alphabet, pairs[k].alphabet, triples[k], triples[k + 1],
-                  lambda t: (word_of[t], t[1][-1]), lambda t: (word_of[t][:-1], t[1][0]))
+        r = _matches(triples[k], triples[k + 1],
+                     lambda t: (word_of[t], t[1][-1]), lambda t: (word_of[t][:-1], t[1][0]))
         try:
             links.append(he_check(pairs[k - 1], pairs[k], r))
         except CertificateError as err:
@@ -364,7 +356,7 @@ def decompose_conjugacy(spec: OneBlockConjugacySpec) -> ConjugacyDecomposition:
     # (S, R) satisfies A = RS, B = SR and the derivation rule from B to A
     # whenever (R, S) satisfies them from A to B
     for link in reversed(hb_chain.links):
-        links.append(HalfElemCert(link.target, link.source, link.S, link.R))
+        links.append(HalfElemCert(link.target, link.source, link.s_ones, link.r_ones))
 
     chain = StrongChain(src, tuple(links))
     identity = {s: s for s in src.alphabet}

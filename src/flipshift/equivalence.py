@@ -3,10 +3,11 @@
 A single splitting step is witnessed by a zero-one matrix R; the companion
 matrix S is always derived as S = K R^T J, which halves both the certificate
 format and every search space.  J and K are read as the symbol involutions
-they encode, so S is R transposed and re-indexed.  ``he_check`` checks each
-step once, where it is made.  Steps and the lag-k analogue with nonnegative
-integral R are verified identity by identity with the first violation
-reported by name; identities implied by the earlier ones are not re-checked.
+they encode, so S is R transposed and re-indexed.  A step is held as the
+ones of R and S, and ``he_check`` checks it once, where it is made, through
+them.  Steps and the lag-k analogue with nonnegative integral R are verified
+identity by identity with the first violation reported by name; identities
+implied by the earlier ones are not re-checked.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from itertools import product
 
 from .errors import BudgetError, CertificateError
 from .flips import FlipPair
-from .matrices import IntMatrix, _integral_kernel, mat_mul, mat_pow
+from .matrices import IntMatrix, _integral_kernel, _Ones, mat_mul, mat_pow
 from .report import Report
 from .shifts import blocks
 
@@ -30,26 +31,35 @@ class HalfElemCert:
     """A splitting step, made only by ``he_check`` or by reversing one it made.
 
     The makers are the builders, ``he_search`` and ``jsonio.chain_from_doc``.
+    R(a, b) == 1 iff b is in ``r_ones[a]``, and S(b, a) == 1 iff a is in
+    ``s_ones[b]``; ``R`` and ``S`` are their dense views.
     """
 
     source: FlipPair
     target: FlipPair
-    R: IntMatrix
-    S: IntMatrix
+    r_ones: _Ones
+    s_ones: _Ones
+
+    @cached_property
+    def R(self) -> IntMatrix:
+        return IntMatrix._from_ones(self.source.alphabet, self.target.alphabet, self.r_ones)
+
+    @cached_property
+    def S(self) -> IntMatrix:
+        return IntMatrix._from_ones(self.target.alphabet, self.source.alphabet, self.s_ones)
 
     @cached_property
     def _gamma_table(self) -> dict[tuple[str, str], str]:
         """(a1, a2) -> b for the source transitions joined by exactly one b
         with R(a1, b) == S(b, a2) == 1; R's ones meet S's ones at b."""
         hits: dict[tuple[str, str], list[str]] = {}
-        r, s, a = self.R, self.S, self.source.A.entries
-        for j, b in enumerate(r.col_labels):
-            into = [i for i, row in enumerate(r.entries) if row[j] == 1]
-            out = [k for k, x in enumerate(s.entries[j]) if x == 1]
-            for i in into:
-                for k in out:
-                    if a[i][k] == 1:
-                        hits.setdefault((r.row_labels[i], s.col_labels[k]), []).append(b)
+        src, dst = self.source.alphabet, self.target.alphabet
+        for i, bs in enumerate(self.r_ones):
+            allowed = set(self.source._succ[i])
+            for b in bs:
+                for k in self.s_ones[b]:
+                    if k in allowed:
+                        hits.setdefault((src[i], src[k]), []).append(dst[b])
         return {key: bs[0] for key, bs in hits.items() if len(bs) == 1}
 
 
@@ -110,26 +120,51 @@ def _companion(src: FlipPair, dst: FlipPair, R: IntMatrix) -> IntMatrix:
         tuple(rows[ta][tb] for ta in tau_j) for tb in dst.tau_index))
 
 
-def he_check(src: FlipPair, dst: FlipPair, R: IntMatrix,
+def _product_is(x: _Ones, y: _Ones, succ: _Ones) -> bool:
+    """Whether the zero-one matrices with ones x and y multiply to the one with
+    ones succ; a row stops once it passes its out-degree, so the work is O(nnz)."""
+    for xs, want in zip(x, succ):
+        row: list[int] = []
+        for k in xs:
+            row += y[k]
+            if len(row) > len(want):
+                return False
+        if tuple(sorted(row)) != want:  # a repeated column is an entry past 1
+            return False
+    return True
+
+
+def he_check(src: FlipPair, dst: FlipPair, R: IntMatrix | _Ones,
              supplied_S: IntMatrix | None = None) -> HalfElemCert:
     """Check R as a single splitting step from src to dst.
 
-    Derives S = K R^T J, then verifies A == R*S and B == S*R.  A supplied S is
-    only cross-validated against the derived one.  S is zero-one because it
+    R is an ``IntMatrix``, read once into its ones, or the ones themselves, as
+    the builders make them.  Derives S = K R^T J, then verifies A == R*S and
+    B == S*R over the ones and the successor lists.  A supplied S is only
+    cross-validated against the derived one.  S is zero-one because it
     re-indexes R, and R == J S^T K because J and K are involutions.
     """
-    if R.row_labels != src.alphabet or R.col_labels != dst.alphabet:
-        raise CertificateError("shape", "R must map the source alphabet to the target alphabet")
-    if not R.is_zero_one:
-        raise CertificateError("R zero-one", "R has an entry outside {0,1}")
-    s = _companion(src, dst, R)
-    if supplied_S is not None and supplied_S != s:
+    if isinstance(R, IntMatrix):
+        if R.row_labels != src.alphabet or R.col_labels != dst.alphabet:
+            raise CertificateError("shape",
+                                   "R must map the source alphabet to the target alphabet")
+        if not R.is_zero_one:
+            raise CertificateError("R zero-one", "R has an entry outside {0,1}")
+        R = R._support
+    # S(b, a) == 1 iff tau_K b is in R's ones at tau_J a
+    tau_k, s_rows = dst.tau_index, [[] for _ in dst.alphabet]
+    for a, ta in enumerate(src.tau_index):
+        for b in R[ta]:
+            s_rows[tau_k[b]].append(a)
+    s = tuple(map(tuple, s_rows))
+    if supplied_S is not None and \
+            supplied_S != IntMatrix._from_ones(dst.alphabet, src.alphabet, s):
         raise CertificateError("S == K*R^T*J", "supplied S differs from the derived one")
-    if mat_mul(R, s) != src.A:
+    if not _product_is(R, s, src._succ):
         raise CertificateError("A == R*S", "A != R*S")
-    if mat_mul(s, R) != dst.A:
+    if not _product_is(s, R, dst._succ):
         raise CertificateError("B == S*R", "B != S*R")
-    return HalfElemCert(source=src, target=dst, R=R, S=s)
+    return HalfElemCert(source=src, target=dst, r_ones=R, s_ones=s)
 
 
 def gamma_block(cert: HalfElemCert, a1: str, a2: str) -> str:

@@ -8,17 +8,19 @@ permutation matrix, and the symbol involution it encodes acts on words by
 
 from __future__ import annotations
 
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import FlipPairError
-from .matrices import IntMatrix
+from .matrices import IntMatrix, _Ones
 
 Word = tuple[str, ...]
 
 
 class FlipPair:
-    """A validated flip pair; construction performs full axiom checking."""
+    """A validated flip pair, held as its alphabet, the successor lists ``_succ``
+    of A (ascending) and tau; the dense A and J are views, built on demand."""
 
     def __init__(self, A: IntMatrix, J: IntMatrix, name: str | None = None):
         if not A.is_zero_one:
@@ -33,49 +35,57 @@ class FlipPair:
             raise FlipPairError("labels", "the two matrices must share one alphabet")
         if any(lab == "" for lab in A.row_labels):
             raise FlipPairError("labels", "empty symbol label")
+        self._setup(A.row_labels, A._support, J._support, name)
+        self.A, self.J = A, J  # the views, given
+
+    @classmethod
+    def _from_ones(cls, alphabet: tuple[str, ...], succ: _Ones, j_ones: _Ones) -> "FlipPair":
+        """The pair whose A and J have ones at ``succ`` and ``j_ones``, for builders
+        whose labels are distinct and lists ascending: only the axioms are checked."""
+        pair = object.__new__(cls)
+        pair._setup(alphabet, succ, j_ones, None)
+        return pair
+
+    def _setup(self, alphabet: tuple[str, ...], succ: _Ones, j_ones: _Ones,
+               name: str | None) -> None:
         # A zero-one J has J*J == I exactly when every row holds a single 1 and
         # the map tau it encodes squares to the identity.
-        tau_index = []
-        for row in J.entries:
-            ones = [j for j, x in enumerate(row) if x]
-            if len(ones) != 1:
-                raise FlipPairError("J_involution", "J*J != I")
-            tau_index.append(ones[0])
-        if any(tau_index[t] != i for i, t in enumerate(tau_index)):
+        if any(len(js) != 1 for js in j_ones):
             raise FlipPairError("J_involution", "J*J != I")
-        # (A*J)(a, c) == A(a, tau c) and (J*A^T)(a, c) == A(c, tau a), so the
-        # axiom reads A(a, b) == A(tau b, tau a).  That map on index pairs is an
-        # involution, so it suffices that it sends every nonzero to a nonzero.
-        rows = A.entries
-        for a, row in enumerate(rows):
-            ta = tau_index[a]
-            for b, x in enumerate(row):
-                if x and not rows[tau_index[b]][ta]:
-                    raise FlipPairError("flip_symmetry", "A*J != J*A^T")
-        self._A = A
-        self._J = J
-        self.name = name
-        self._tau_index = tuple(tau_index)
-        self._tau = MappingProxyType({a: J.col_labels[t]
-                                      for a, t in zip(J.row_labels, tau_index)})
+        tau = tuple(t for t, in j_ones)
+        if any(tau[t] != i for i, t in enumerate(tau)):
+            raise FlipPairError("J_involution", "J*J != I")
+        # (A*J)(a, c) == A(a, tau c) and (J*A^T)(a, c) == A(c, tau a), so the axiom
+        # reads A(a, b) == A(tau b, tau a): the transitions, mirrored, are themselves.
+        mirror: list[list[int]] = [[] for _ in succ]
+        for c, a in enumerate(tau):
+            for b in succ[a]:
+                mirror[tau[b]].append(c)
+        if tuple(map(tuple, mirror)) != succ:
+            raise FlipPairError("flip_symmetry", "A*J != J*A^T")
+        self.name, self._alphabet, self._succ, self._tau_index = name, alphabet, succ, tau
+        self._key = (alphabet, succ, tau)
+        self._hash = hash(self._key)
+        self._tau = MappingProxyType({a: alphabet[t] for a, t in zip(alphabet, tau)})
 
     # -- data access ---------------------------------------------------------
 
-    @property
+    @cached_property
     def A(self) -> IntMatrix:
-        return self._A
+        return IntMatrix._from_ones(self._alphabet, self._alphabet, self._succ)
 
-    @property
+    @cached_property
     def J(self) -> IntMatrix:
-        return self._J
+        return IntMatrix._from_ones(self._alphabet, self._alphabet,
+                                    tuple((t,) for t in self._tau_index))
 
     @property
     def alphabet(self) -> tuple[str, ...]:
-        return self._A.row_labels
+        return self._alphabet
 
     @property
     def size(self) -> int:
-        return self._A.nrows
+        return len(self._alphabet)
 
     @property
     def tau(self) -> Mapping[str, str]:
@@ -88,10 +98,10 @@ class FlipPair:
         return self._tau_index
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FlipPair) and self._A == other._A and self._J == other._J
+        return isinstance(other, FlipPair) and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash((self._A, self._J))
+        return self._hash
 
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
@@ -110,9 +120,9 @@ class FlipPair:
 
     def relabel(self, mapping: dict[str, str]) -> "FlipPair":
         """Rename symbols; the underlying matrices keep their row order."""
-        return FlipPair(self._A.relabel(mapping), self._J.relabel(mapping))
+        return FlipPair(self.A.relabel(mapping), self.J.relabel(mapping))
 
     def reorder(self, labels: Iterable[str]) -> "FlipPair":
         """Permute both matrices into the given label order."""
         labs = tuple(labels)
-        return FlipPair(self._A.reorder(labs), self._J.reorder(labs))
+        return FlipPair(self.A.reorder(labs), self.J.reorder(labs))

@@ -20,6 +20,7 @@ Every parser raises SchemaError with the offending field path.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Any
 
 from .constructions import BlockFlipSpec, OneBlockConjugacySpec
@@ -73,11 +74,13 @@ def rect_from_doc(doc: Any, row_labels: tuple[str, ...], col_labels: tuple[str, 
 _STR = json.encoder.encode_basestring_ascii
 _SCALAR = json.JSONEncoder(check_circular=False).encode  # any other leaf, or a refusal
 _LEAF = {str: _STR, int: int.__repr__}  # the common leaves, by exact type
+_DIGIT_INTS, _DIGITS = set(range(10)), b"0123456789".ljust(256)  # byte i to its digit
 
 
 def dumps(obj: Any) -> str:
     """The text ``json.dumps`` writes for ``obj`` at indent 2, mostly by C code:
-    json's C encoder runs only without indent, so a list of ints is one ``repr``."""
+    json's C encoder runs only without indent, so a list of ints is one ``repr``
+    and a matrix of digits one ``bytes`` translation (``_digit_rows``)."""
     out: list[str] = []
     _write(obj, "\n", out)
     return "".join(out)
@@ -96,11 +99,28 @@ def _write(obj: Any, nl: str, out: list[str]) -> None:
         out.append(nl + "}")
     elif set(map(type, obj)) == {int}:
         out.append(f"[{inner}{repr(list(obj))[1:-1].replace(', ', ',' + inner)}{nl}]")
+    elif (text := _digit_rows(obj, nl)) is not None:
+        out.append(text)
     else:
         for i, x in enumerate(obj):
             out.append(("[" if i == 0 else ",") + inner)
             _write(x, inner, out)
         out.append(nl + "]")
+
+
+def _digit_rows(rows: list | tuple, nl: str) -> str | None:
+    """Rows of one length with every entry an int 0..9 as json writes them, from
+    one ``bytes`` translated to digits and one ``join`` per row; else None."""
+    if not set(map(type, rows)) <= {list, tuple} or len(set(map(len, rows))) != 1:
+        return None
+    flat = [*chain(*rows)]
+    if set(map(type, flat)) != {int} or not set(flat) <= _DIGIT_INTS:
+        return None
+    digits, width, inner = bytes(flat).translate(_DIGITS).decode(), len(rows[0]), nl + "  "
+    sep = "," + inner + "  "
+    return "[" + inner + ("," + inner).join(
+        f"[{inner}  {sep.join(digits[k:k + width])}{inner}]"
+        for k in range(0, len(digits), width)) + nl + "]"
 
 
 def _key(k: Any) -> str:

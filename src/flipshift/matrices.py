@@ -19,13 +19,15 @@ those minors are.  Rank profiles form no matrix power; see ``rank_profile``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress, repeat
 from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import BudgetError, MatrixShapeError
 
 Labels = tuple[str, ...]
-_ZERO_ONE = frozenset((0, 1))
+_Ones = tuple[tuple[int, ...], ...]  # per row, the columns of its nonzeros, ascending
 
 
 def _as_labels(labels: Iterable[str]) -> Labels:
@@ -72,6 +74,19 @@ class IntMatrix:
         return m
 
     @classmethod
+    def _from_ones(cls, row_labels: Labels, col_labels: Labels, ones: _Ones) -> "IntMatrix":
+        """The zero-one matrix with ones at ``ones``, ascending, built unchecked."""
+        zero, rows = [0] * len(col_labels), []
+        for js in ones:
+            row = zero.copy()
+            for j in js:
+                row[j] = 1
+            rows.append(tuple(row))
+        m = cls._trusted(row_labels, col_labels, tuple(rows))
+        m.__dict__["_support"] = ones
+        return m
+
+    @classmethod
     def square(cls, labels: Iterable[str], rows: Sequence[Sequence[int]]) -> "IntMatrix":
         labs = _as_labels(labels)
         return cls(labs, labs, tuple(tuple(r) for r in rows))
@@ -105,7 +120,18 @@ class IntMatrix:
 
     @property
     def is_zero_one(self) -> bool:
-        return all(set(row) <= _ZERO_ONE for row in self.entries)
+        """Whether every nonzero entry is 1, read off the cached nonzero columns."""
+        return all(row.count(1) == len(ones) for row, ones in zip(self.entries, self._support))
+
+    @cached_property
+    def _support(self) -> _Ones:
+        """Per row, its nonzero columns: a zero-one matrix's successor lists."""
+        return tuple(map(tuple, map(compress, repeat(range(self.ncols)), self.entries)))
+
+    def __hash__(self) -> int:  # cached: a key of an lru_cache is hashed on every call
+        if "_hash" not in self.__dict__:
+            self.__dict__["_hash"] = hash((self.row_labels, self.col_labels, self.entries))
+        return self.__dict__["_hash"]
 
     def row_index(self, label: str) -> int:
         try:
@@ -513,7 +539,12 @@ def _row_chain(rows: list[list[int]], nonzeros: Sequence[Sequence[tuple[int, int
 
 
 def rank_profile(m: IntMatrix, shift: int, max_power: int) -> list[int]:
-    """The ranks over the rationals of (M - shift*I)^j for j = 1..max_power.
+    """The ranks over the rationals of (M - shift*I)^j for j = 1..max_power."""
+    return _rank_profile(m, shift, max_power)[1]
+
+
+def _rank_profile(m: IntMatrix, shift: int, max_power: int) -> tuple[int, list[int]]:
+    """The rank of M and the ranks of (M - shift*I)^j for j = 1..max_power.
 
     No power is formed.  The row space of M^(j+1) is that of M^j times M, so
     the ranks of M^j are the chain from M's echelon rows, constant once its
@@ -522,6 +553,7 @@ def rank_profile(m: IntMatrix, shift: int, max_power: int) -> list[int]:
     eigenvector of a nonzero eigenvalue lies there, and M - sI is invertible on
     the other n - d dimensions, K = {x : x*M^n = 0}, which M keeps.  So
     rank((M - sI)^j) = n - d + rank(R*(M - sI)^j), the chain started at R.
+    The rank of M is the count of M's echelon rows, where every chain starts.
     """
     if m.row_labels != m.col_labels:  # the error of forming M - shift*I
         raise MatrixShapeError("matrix subtraction requires identical labels")
@@ -533,4 +565,4 @@ def rank_profile(m: IntMatrix, shift: int, max_power: int) -> list[int]:
         core = _row_chain(rows, nz, 0, m.nrows + 1)[1]
         offset, ranks = m.nrows - len(core), _row_chain(core, nz, shift, max_power)[0]
     ranks += [ranks[-1]] * (max_power - len(ranks))
-    return [offset + r for r in ranks]
+    return len(rows), [offset + r for r in ranks]

@@ -68,9 +68,11 @@ def _essential_flags(a: IntMatrix) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
 
     A symbol has an infinite future iff it reaches a cycle, and an infinite
     past iff it is reachable from a cycle: the survivors of pruning sinks,
-    and of pruning sources, which are the sinks of the reversed graph.
+    and of pruning sources, which are the sinks of the reversed graph.  The
+    matrix is checked here, so once per matrix for every caller.
     """
-    succ = _successors(a)
+    _check_graph_matrix(a)
+    succ = a._support
     pred: list[list[int]] = [[] for _ in succ]
     for i, js in enumerate(succ):
         for j in js:
@@ -80,7 +82,6 @@ def _essential_flags(a: IntMatrix) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
 
 def essential_symbols(a: IntMatrix) -> tuple[str, ...]:
     """Symbols lying on some bi-infinite path, in label order."""
-    _check_graph_matrix(a)
     past, future = _essential_flags(a)
     return tuple(lab for i, lab in enumerate(a.row_labels) if past[i] and future[i])
 
@@ -104,11 +105,7 @@ def _walks(succ: list[str], starts: str, length: int) -> list[str]:
     return paths
 
 
-def _successors(a: IntMatrix) -> list[tuple[int, ...]]:
-    return [tuple(j for j, x in enumerate(row) if x == 1) for row in a.entries]
-
-
-def _step(succ: list[tuple[int, ...]], v: list[int]) -> list[int]:
+def _step(succ: Sequence[tuple[int, ...]], v: list[int]) -> list[int]:
     """The row vector v*A, for the zero-one matrix A with successor lists succ."""
     out = [0] * len(v)
     for i, x in enumerate(v):
@@ -118,7 +115,7 @@ def _step(succ: list[tuple[int, ...]], v: list[int]) -> list[int]:
     return out
 
 
-def _check_walk_budget(succ: list[tuple[int, ...]], starts: list[int],
+def _check_walk_budget(succ: Sequence[tuple[int, ...]], starts: list[int],
                        length: int) -> None:
     """Refuse a walk to ``length`` symbols from ``starts`` above WALK_BUDGET prefixes.
 
@@ -138,7 +135,7 @@ def _check_walk_budget(succ: list[tuple[int, ...]], starts: list[int],
 def _paths(a: IntMatrix, starts: list[int], length: int) -> tuple[list[str], list[str]]:
     """The successor strings of ``a`` and its paths of ``length`` symbols from
     the symbols flagged in ``starts``; refused above the budget before walking."""
-    succ = _successors(a)
+    succ = a._support
     _check_walk_budget(succ, starts, length)
     succ = ["".join(map(chr, js)) for js in succ]
     return succ, _walks(succ, "".join(chr(i) for i, s in enumerate(starts) if s), length)
@@ -157,19 +154,17 @@ def blocks(a: IntMatrix, n: int) -> tuple[Word, ...]:
     Canonical order is lexicographic by symbol position in the alphabet, so
     matrices built over block alphabets are reproducible bit for bit.
     """
-    _check_graph_matrix(a)
+    past, future = _essential_flags(a)
     if n < 1:
         raise ValueError("block length must be >= 1")
-    past, future = _essential_flags(a)
     _, paths = _paths(a, [int(p) for p in past], n)
     return _labelled(a, [w for w in paths if future[ord(w[-1])]])
 
 
 def block_count(a: IntMatrix, n: int) -> int:
     """len(blocks(a, n)), by vector iteration and without walking."""
-    _check_graph_matrix(a)
     past, future = _essential_flags(a)
-    succ, v = _successors(a), [int(p) for p in past]
+    succ, v = a._support, [int(p) for p in past]
     for _ in range(n - 1):
         v = _step(succ, v)
     return sum(x for x, f in zip(v, future) if f)

@@ -19,7 +19,7 @@ from .flips import FlipPair
 from .matrices import IntMatrix, char_poly
 from .report import Report
 from .series import TruncatedSeries, series_add, series_exp
-from .shifts import _step, _successors, count_pmn_bruteforce
+from .shifts import _step, count_pmn_bruteforce
 
 
 @dataclass(frozen=True)
@@ -42,13 +42,11 @@ def _flip_count_triples(pair: FlipPair, m_max: int) -> list[FlipCountTriple]:
     (u_(m-1) . dAJ, u_m . dJ, w_(m-1) . dAJ).  The diagonals are read through
     tau: dJ(a) = [tau a == a], dAJ(a) = A(a, tau a), dJA(a) = A(tau a, a).
     """
-    rows = pair.A.entries
-    tau = pair.tau_index
+    tau, succ = pair.tau_index, pair._succ
     n = pair.size
-    succ = _successors(pair.A)
     d_j = [1 if tau[i] == i else 0 for i in range(n)]
-    d_aj = [rows[i][tau[i]] for i in range(n)]
-    d_ja = [rows[tau[i]][i] for i in range(n)]
+    d_aj = [int(tau[i] in succ[i]) for i in range(n)]
+    d_ja = [int(i in succ[tau[i]]) for i in range(n)]
 
     def dot(v: list[int], d: list[int]) -> int:
         return sum(x for x, y in zip(v, d) if y)

@@ -17,7 +17,7 @@ from flipshift.cli import run_cli
 from flipshift.constructions import higher_block
 from flipshift.equivalence import he_check
 from flipshift.fixtures import (example1_pair, example1_symmetric_pair,
-                                golden_mean_pair)
+                                example2_pair, golden_mean_pair)
 from flipshift.flips import FlipPair
 from flipshift.matrices import IntMatrix
 from flipshift.shifts import blocks, word_center
@@ -214,6 +214,26 @@ def test_decompose_refuses_the_full_three_shift_in_little_memory(write):
     assert run.stdout == ""
     assert run.stderr == "error: words of length 9 need more than 1000000 walk prefixes\n"
     assert run.returncode == 2
+
+
+def test_decompose_refuses_over_budget_before_building_a_stage(write, capsys, monkeypatch):
+    # the centre read of example 2's 5-block pair (359 symbols) at window 2,
+    # whose lag-8 chain would be checked on 785,683 blocks of width 9
+    base = example2_pair("A")
+    hb5, _ = higher_block(base, 4)
+    psi = {lab: word_center(tuple(lab.split(" "))) for lab in hb5.alphabet}
+    conj = write("conj.json", {"from": jsonio.pair_to_doc(hb5),
+                               "to": jsonio.pair_to_doc(base),
+                               "psi": psi, "inverse_window": 2})
+
+    def build(*args, **kwargs):
+        raise AssertionError("a stage was built")
+    monkeypatch.setattr(constructions, "_word_pair", build)
+    monkeypatch.setattr(constructions, "higher_block", build)
+    assert run_cli(["decompose", conj]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: words of length 9 need more than 1000000 walk prefixes\n"
 
 
 def test_stranded_symbols_leave_stderr_empty(write):

@@ -445,11 +445,9 @@ def _swapped_last_link(dec: ConjugacyDecomposition) -> ConjugacyDecomposition:
     """The decomposition with the last link's first two target symbols swapped
     in R and S: every link still resolves, but to the other symbol."""
     last = dec.chain.links[-1]
-    cols = [1, 0, *range(2, last.target.size)]
-    r = IntMatrix.rect(last.R.row_labels, last.R.col_labels,
-                       [[row[j] for j in cols] for row in last.R.to_rows()])
-    s = IntMatrix.rect(last.S.row_labels, last.S.col_labels,
-                       [last.S.to_rows()[j] for j in cols])
+    cols = [1, 0, *range(2, last.target.size)]  # its own inverse
+    r = tuple(tuple(sorted(cols[j] for j in js)) for js in last.r_ones)
+    s = tuple(last.s_ones[j] for j in cols)
     links = (*dec.chain.links[:-1], HalfElemCert(last.source, last.target, r, s))
     return ConjugacyDecomposition(StrongChain(dec.chain.source, links), dec.source_recoding)
 
@@ -471,9 +469,8 @@ def test_verify_decomposition_refuses_a_doctored_link():
     assert report.first_failure().detail.startswith("block (")
     # a first link that no longer resolves is reported, not raised
     first = dec.chain.links[0]
-    s = IntMatrix.rect(first.S.row_labels, first.S.col_labels,
-                       [first.S.to_rows()[0]] * first.S.nrows)
-    links = (HalfElemCert(first.source, first.target, first.R, s), *dec.chain.links[1:])
+    s = (first.s_ones[0],) * len(first.s_ones)
+    links = (HalfElemCert(first.source, first.target, first.r_ones, s), *dec.chain.links[1:])
     doctored = ConjugacyDecomposition(StrongChain(dec.chain.source, links), dec.source_recoding)
     report = verify_decomposition(doctored, spec)
     assert not report.passed

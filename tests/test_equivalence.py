@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpus import corpus, random_flip_pair, zero_one_flip_pairs
-from flipshift import jsonio
+from flipshift import equivalence, jsonio, matrices
 from flipshift.constructions import decompose_conjugacy, higher_block
 from flipshift.equivalence import (DEFAULT_CELL_BUDGET, HalfElemCert,
                                    ShiftFlipCert, StrongChain, _companion,
@@ -90,6 +90,94 @@ def test_companion_equals_dense_product():
         r = IntMatrix.rect(src.alphabet, dst.alphabet, rows)
         assert _companion(src, dst, r) == \
             dense_mul(dense_mul(dst.J, r.transpose()), src.J)
+
+
+def dense_he_check(src, dst, R, supplied_S=None):
+    """The former he_check, on dense rows through ``_companion`` and
+    ``mat_mul``: the identity it refuses, or None where it accepts."""
+    if R.row_labels != src.alphabet or R.col_labels != dst.alphabet:
+        return "shape"
+    if not R.is_zero_one:
+        return "R zero-one"
+    s = _companion(src, dst, R)
+    if supplied_S is not None and supplied_S != s:
+        return "S == K*R^T*J"
+    if mat_mul(R, s) != src.A:
+        return "A == R*S"
+    if mat_mul(s, R) != dst.A:
+        return "B == S*R"
+    return None
+
+
+def _refusal(src, dst, R, supplied_S=None):
+    try:
+        he_check(src, dst, R, supplied_S=supplied_S)
+    except CertificateError as e:
+        return e.identity
+    return None
+
+
+def _with_entry(m: IntMatrix, i: int, j: int, value: int) -> IntMatrix:
+    rows = m.to_rows()
+    rows[i][j] = value
+    return IntMatrix.rect(m.row_labels, m.col_labels, rows)
+
+
+def test_he_check_refuses_as_the_dense_oracle_does():
+    # every built link, every single-bit corruption of its R and of a supplied
+    # S, an entry of 2, a foreign label and the planted failures: accepted, or
+    # refused by the same identity
+    links = []
+    for p in corpus(seed=97, count=8, max_size=4):
+        links += higher_block(p, 2)[1].links
+        links += decompose_conjugacy(_center_read_spec(p, 1)).chain.links
+    cases = [(*args, kwargs.get("supplied_S"))
+             for checker, args, kwargs, _ in FAILING if checker is he_check]
+    # R*S == [[2]]: a product entry past 1, where the ones of A*J match
+    full2 = FlipPair(IntMatrix.square("xy", [[1, 1], [1, 1]]), IntMatrix.identity("xy"))
+    cases.append((one_point_pair(), full2, IntMatrix.rect("a", "xy", [[1, 1]]), None))
+    for link in links:
+        src, dst, r, s = link.source, link.target, link.R, link.S
+        b, a = next((b, a) for b, row in enumerate(s.entries) for a, x in enumerate(row) if x)
+        cases += [(src, dst, r, None), (src, dst, r, s),
+                  (src, dst, _with_entry(r, 0, 0, 2), None),
+                  (src, dst, r, _with_entry(s, b, a, 2)),
+                  (src, dst, IntMatrix.rect((*src.alphabet[:-1], "?"), dst.alphabet,
+                                            r.entries), None)]
+        for i, j in product(range(r.nrows), range(r.ncols)):
+            cases += [(src, dst, _with_entry(r, i, j, 1 - r.entries[i][j]), None),
+                      (src, dst, r, _with_entry(s, j, i, 1 - s.entries[j][i]))]
+    seen = set()
+    for src, dst, R, S in cases:
+        want = dense_he_check(src, dst, R, S)
+        assert _refusal(src, dst, R, S) == want
+        seen.add(want)
+    assert seen == {None, "shape", "R zero-one", "S == K*R^T*J", "A == R*S", "B == S*R"}
+
+
+def test_he_check_on_a_359_to_936_link_forms_no_dense_matrix(monkeypatch):
+    # the first link of the centre read of example 2's 5-block pair at window 2
+    spec = _center_read_spec(example2_pair("A"), 2)
+    link = decompose_conjugacy(spec).chain.links[0]
+    assert (link.source.size, link.target.size) == (359, 936)
+
+    def refuse(*args):
+        raise AssertionError("mat_mul called")
+    monkeypatch.setattr(matrices, "mat_mul", refuse)
+    monkeypatch.setattr(equivalence, "mat_mul", refuse)
+    shapes = []
+    trusted = IntMatrix._trusted.__func__
+
+    def counted(cls, row_labels, col_labels, entries):
+        shapes.append((len(row_labels), len(col_labels)))
+        return trusted(cls, row_labels, col_labels, entries)
+    monkeypatch.setattr(IntMatrix, "_trusted", classmethod(counted))
+    cert = he_check(link.source, link.target, link.r_ones)
+    assert cert.s_ones == link.s_ones
+    with pytest.raises(CertificateError) as e:
+        he_check(link.source, link.target, ((), *link.r_ones[1:]))
+    assert e.value.identity == "A == R*S"
+    assert shapes == []
 
 
 def _two_cycle_pair():
@@ -188,7 +276,7 @@ def test_gamma_block_identity_style_cert():
     # a bare elementary certificate (R = I, S = A) still resolves blocks
     gm = golden_mean_pair()
     cert = HalfElemCert(source=gm, target=gm,
-                        R=IntMatrix.identity(gm.alphabet), S=gm.A)
+                        r_ones=IntMatrix.identity(gm.alphabet)._support, s_ones=gm.A._support)
     assert gamma_block(cert, "1", "2") == "1"
     assert gamma_block(cert, "2", "1") == "2"
     with pytest.raises(CertificateError):
@@ -251,10 +339,9 @@ def test_verify_prop22_localizes_on_doctored_cert():
     _, chain = higher_block(gm, 1)
     good = chain.links[0]
     # swap two rows of S so some blocks resolve to the wrong image
-    bad_s = IntMatrix.rect(good.S.row_labels, good.S.col_labels,
-                           [good.S.to_rows()[i] for i in (1, 0, 2)])
+    bad_s = tuple(good.s_ones[i] for i in (1, 0, 2))
     doctored = HalfElemCert(source=good.source, target=good.target,
-                            R=good.R, S=bad_s)
+                            r_ones=good.r_ones, s_ones=bad_s)
     report = verify_prop22(doctored)
     assert not report.passed
     assert report.first_failure().detail == "transition (1, 1): 1 2 != 2 1"
@@ -273,12 +360,10 @@ def test_gamma_block_equals_the_entrywise_oracle():
     _, chain = higher_block(gm, 2)
     good = chain.links[0]
     # S with two rows swapped joins some transitions by two b and some by none
-    doctored = HalfElemCert(source=good.source, target=good.target, R=good.R,
-                            S=IntMatrix.rect(good.S.row_labels, good.S.col_labels,
-                                             [good.S.to_rows()[i] for i in (1, 0, 2)]))
+    doctored = HalfElemCert(source=good.source, target=good.target, r_ones=good.r_ones,
+                            s_ones=tuple(good.s_ones[i] for i in (1, 0, 2)))
     # with S all ones, (2, 2) has a unique b but is not a transition of gm
-    loose = HalfElemCert(source=gm, target=gm, R=IntMatrix.identity(gm.alphabet),
-                         S=IntMatrix.square(gm.alphabet, [[1, 1], [1, 1]]))
+    loose = HalfElemCert(source=gm, target=gm, r_ones=((0,), (1,)), s_ones=((0, 1), (0, 1)))
     for cert in (*chain.links, doctored, loose):
         for a1, a2 in product(cert.source.alphabet, repeat=2):
             try:

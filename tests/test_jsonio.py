@@ -121,6 +121,30 @@ _LEAVES = st.one_of(
     st.lists(st.integers(-2 ** 200, 2 ** 200)),
     st.lists(st.one_of(st.integers(-3, 3), st.booleans(), st.none())),
     st.lists(st.integers(-3, 3).map(_Int), max_size=3))
+_DIGIT = st.integers(0, 9)
+# each breaks the writer's path for rows of digits 0..9
+_BREAKER = st.one_of(st.sampled_from([True, False, 10, 255, 256, -1]), _DIGIT.map(_Int))
+
+
+@st.composite
+def _matrices(draw):
+    """Rows of one length with entries 0..9, as lists or tuples, at times
+    with one entry, one empty row or one longer row that breaks them."""
+    width = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(_DIGIT, min_size=width, max_size=width),
+                         min_size=1, max_size=5))
+    i = draw(st.integers(0, len(rows) - 1))
+    kind = draw(st.sampled_from(["none", "entry", "empty", "ragged"]))
+    if kind == "entry":
+        rows[i][draw(st.integers(0, width - 1))] = draw(_BREAKER)
+    elif kind == "empty":
+        rows[i] = []
+    elif kind == "ragged":
+        rows[i].append(draw(_DIGIT))
+    return draw(st.sampled_from([rows, tuple(map(tuple, rows)), [tuple(r) for r in rows]]))
+
+
+_LEAVES = st.one_of(_LEAVES, _matrices())
 _KEYS = st.one_of(_TEXT, st.integers(), st.booleans(), st.none(), st.floats())
 _DOCS = st.recursive(_LEAVES, lambda inner: st.one_of(
     st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
@@ -131,6 +155,13 @@ _DOCS = st.recursive(_LEAVES, lambda inner: st.one_of(
 @given(doc=_DOCS)
 def test_dumps_is_json_dumps_at_indent_two(doc):
     assert jsonio.dumps(doc) == json.dumps(doc, indent=2)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(rows=_matrices())
+def test_dumps_writes_rows_as_json_dumps(rows):
+    assert jsonio.dumps(rows) == json.dumps(rows, indent=2)
+    assert jsonio.dumps({"A": rows}) == json.dumps({"A": rows}, indent=2)
 
 
 @pytest.mark.parametrize("doc", [{(1,): 2}, {"a": [1, {2, 3}]}, [object()], b"x"])

@@ -184,14 +184,14 @@ def dfs_walks(succ: list[tuple[int, ...]], start: int, length: int):
 
 def dfs_blocks(a: IntMatrix, n: int):
     past, future = shifts._essential_flags(a)
-    succ = shifts._successors(a)
+    succ = a._support
     return tuple(tuple(a.row_labels[i] for i in path)
                  for start in range(a.nrows) if past[start]
                  for path in dfs_walks(succ, start, n) if future[path[-1]])
 
 
 def dfs_periodic(a: IntMatrix, m: int):
-    succ = shifts._successors(a)
+    succ = a._support
     return tuple(tuple(a.row_labels[i] for i in path)
                  for start in range(a.nrows)
                  for path in dfs_walks(succ, start, m) if a.entries[path[-1]][start])
