@@ -19,8 +19,8 @@ import time
 from pathlib import Path
 
 from . import jsonio
-from .constructions import build_flip_pair, decompose_conjugacy, higher_block, \
-    verify_decomposition
+from .constructions import _verification_blocks, build_flip_pair, decompose_conjugacy, \
+    higher_block, verify_decomposition
 from .equivalence import he_check, he_search, sfe_bounded_search, sfe_check, \
     sse_verify
 from .errors import CertificateError, FlipPairError, SchemaError, SpecError
@@ -28,7 +28,7 @@ from .matrices import IntMatrix, _rank_profile, char_poly
 from .refchecks import run_reference_checks
 from .report import Report
 from .series import DEFAULT_ORDER
-from .shifts import blocks, count_pmn_bruteforce
+from .shifts import count_pmn_bruteforce
 from .zeta import artin_mazur_zeta, generating_function, lind_zeta
 
 
@@ -240,9 +240,7 @@ def _cmd_build_pair(args, inputs):
 
 def _cmd_decompose(args, inputs):
     spec = jsonio.conjugacy_from_doc(_load_json(args.conjugacy, inputs))
-    # the lag-4m chain is verified on blocks of width 4m + 1: walked (and
-    # cached) first, so over the walk budget no stage is built
-    blocks(spec.source.A, 4 * spec.inverse_window + 1)
+    _verification_blocks(spec)
     dec = decompose_conjugacy(spec)
     rep = verify_decomposition(dec, spec)
     payload = {"lag": dec.chain.lag,

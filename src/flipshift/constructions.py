@@ -363,6 +363,11 @@ def decompose_conjugacy(spec: OneBlockConjugacySpec) -> ConjugacyDecomposition:
     return ConjugacyDecomposition(chain=chain, source_recoding=identity)
 
 
+def _verification_blocks(spec: OneBlockConjugacySpec) -> tuple[Word, ...]:
+    """The blocks of width lag + 1 = 4m + 1 that ``verify_decomposition`` walks, cached."""
+    return blocks(spec.source.A, 4 * spec.inverse_window + 1)
+
+
 def verify_decomposition(dec: ConjugacyDecomposition,
                          spec: OneBlockConjugacySpec) -> Report:
     """Check the decomposition's composed map against the given conjugacy.

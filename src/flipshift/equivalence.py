@@ -3,18 +3,17 @@
 A single splitting step is witnessed by a zero-one matrix R; the companion
 matrix S is always derived as S = K R^T J, which halves both the certificate
 format and every search space.  J and K are read as the symbol involutions
-they encode, so S is R transposed and re-indexed.  A step is held as the
-ones of R and S, and ``he_check`` checks it once, where it is made, through
-them.  Steps and the lag-k analogue with nonnegative integral R are verified
-identity by identity with the first violation reported by name; identities
-implied by the earlier ones are not re-checked.
+they encode, so S is R transposed and re-indexed.  ``he_check`` checks each
+step once, where it is made.  Steps and the lag-k analogue with nonnegative
+integral R are verified identity by identity with the first violation
+reported by name; identities implied by the earlier ones are not re-checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import compress, product
 
 from .errors import BudgetError, CertificateError
 from .flips import FlipPair
@@ -120,29 +119,15 @@ def _companion(src: FlipPair, dst: FlipPair, R: IntMatrix) -> IntMatrix:
         tuple(rows[ta][tb] for ta in tau_j) for tb in dst.tau_index))
 
 
-def _product_is(x: _Ones, y: _Ones, succ: _Ones) -> bool:
-    """Whether the zero-one matrices with ones x and y multiply to the one with
-    ones succ; a row stops once it passes its out-degree, so the work is O(nnz)."""
-    for xs, want in zip(x, succ):
-        row: list[int] = []
-        for k in xs:
-            row += y[k]
-            if len(row) > len(want):
-                return False
-        if tuple(sorted(row)) != want:  # a repeated column is an entry past 1
-            return False
-    return True
-
-
 def he_check(src: FlipPair, dst: FlipPair, R: IntMatrix | _Ones,
              supplied_S: IntMatrix | None = None) -> HalfElemCert:
     """Check R as a single splitting step from src to dst.
 
     R is an ``IntMatrix``, read once into its ones, or the ones themselves, as
-    the builders make them.  Derives S = K R^T J, then verifies A == R*S and
-    B == S*R over the ones and the successor lists.  A supplied S is only
-    cross-validated against the derived one.  S is zero-one because it
-    re-indexes R, and R == J S^T K because J and K are involutions.
+    the builders make them.  Derives S = K R^T J by re-indexing R's ones, then
+    verifies A == R*S and B == S*R.  A supplied S is only cross-validated
+    against the derived one.  S is zero-one because it re-indexes R, and
+    R == J S^T K because J and K are involutions.
     """
     if isinstance(R, IntMatrix):
         if R.row_labels != src.alphabet or R.col_labels != dst.alphabet:
@@ -156,15 +141,14 @@ def he_check(src: FlipPair, dst: FlipPair, R: IntMatrix | _Ones,
     for a, ta in enumerate(src.tau_index):
         for b in R[ta]:
             s_rows[tau_k[b]].append(a)
-    s = tuple(map(tuple, s_rows))
-    if supplied_S is not None and \
-            supplied_S != IntMatrix._from_ones(dst.alphabet, src.alphabet, s):
+    cert = HalfElemCert(source=src, target=dst, r_ones=R, s_ones=tuple(map(tuple, s_rows)))
+    if supplied_S is not None and supplied_S != cert.S:
         raise CertificateError("S == K*R^T*J", "supplied S differs from the derived one")
-    if not _product_is(R, s, src._succ):
+    if mat_mul(cert.R, cert.S) != src.A:
         raise CertificateError("A == R*S", "A != R*S")
-    if not _product_is(s, R, dst._succ):
+    if mat_mul(cert.S, cert.R) != dst.A:
         raise CertificateError("B == S*R", "B != S*R")
-    return HalfElemCert(source=src, target=dst, r_ones=R, s_ones=s)
+    return cert
 
 
 def gamma_block(cert: HalfElemCert, a1: str, a2: str) -> str:
@@ -236,45 +220,39 @@ def he_search(src: FlipPair, dst: FlipPair, max_solutions: int = 16,
     na, nb = src.size, dst.size
     if na * nb > cell_budget:
         raise BudgetError(f"{na}x{nb} exceeds the search budget of {cell_budget} cells")
-    tau_j = src.tau_index
-    tau_k = dst.tau_index
-    # (A*J)[a][c] == A[a][tau c] and (K*B)[b] == B[tau b]
-    aj = [[row[t] for t in tau_j] for row in src.A.entries]
-    kb = [dst.A.entries[t] for t in tau_k]
-    row_candidates = list(product((0, 1), repeat=nb))
+    tau_j, tau_k = src.tau_index, dst.tau_index
+    a_sets, b_sets = [set(js) for js in src._succ], [set(js) for js in dst._succ]
+    row_candidates = [tuple(compress(range(nb), bits)) for bits in product((0, 1), repeat=nb)]
     rows: list[tuple[int, ...]] = []
     found: list[HalfElemCert] = []
 
     def partial_ok(t: int) -> bool:
-        # with rows 0..t placed, A*J == R*K*R^T is decided on those rows
-        rt = rows[t]
+        # with rows 0..t placed, A*J == R*K*R^T is decided on those rows, where
+        # (R*K*R^T)(i, i2) counts the b in R[i] with tau_K b in R[i2]
+        rt = set(rows[t])
         for i in range(t + 1):
-            ri = rows[i]
-            v1 = sum(rt[b] * ri[tau_k[b]] for b in range(nb))
-            if v1 != aj[t][i]:
+            ri = set(rows[i])
+            if sum(tau_k[b] in ri for b in rt) != (tau_j[i] in a_sets[t]) or \
+                    sum(tau_k[b] in rt for b in ri) != (tau_j[t] in a_sets[i]):
                 return False
-            v2 = sum(ri[b] * rt[tau_k[b]] for b in range(nb))
-            if v2 != aj[i][t]:
-                return False
-        # monotone lower bounds for K*B == R^T*J*R on fully placed symbol pairs
-        for b in range(nb):
-            for b2 in range(nb):
-                acc = 0
-                for a in range(t + 1):
-                    ja = tau_j[a]
-                    if ja <= t:
-                        acc += rows[a][b] * rows[ja][b2]
-                        if acc > kb[b][b2]:
+        # K*B == R^T*J*R on fully placed symbol pairs: each (b, b2) with
+        # R(a, b) == R(tau_J a, b2) == 1 at most once, and only where B(tau_K b, b2) == 1
+        seen: set[tuple[int, int]] = set()
+        for a in range(t + 1):
+            if tau_j[a] <= t:
+                for b in rows[a]:
+                    for b2 in rows[tau_j[a]]:
+                        if (b, b2) in seen or b2 not in b_sets[tau_k[b]]:
                             return False
+                        seen.add((b, b2))
         return True
 
     def descend():
         if len(found) >= max_solutions:
             return
         if len(rows) == na:
-            r = IntMatrix.rect(src.alphabet, dst.alphabet, rows)
             try:
-                found.append(he_check(src, dst, r))
+                found.append(he_check(src, dst, tuple(rows)))
             except CertificateError:
                 pass
             return

@@ -35,19 +35,14 @@ class FlipPair:
             raise FlipPairError("labels", "the two matrices must share one alphabet")
         if any(lab == "" for lab in A.row_labels):
             raise FlipPairError("labels", "empty symbol label")
-        self._setup(A.row_labels, A._support, J._support, name)
-        self.A, self.J = A, J  # the views, given
+        # the checked pair, made from the nonzero columns of the given matrices
+        vars(self).update(vars(self._from_ones(A.row_labels, A._support, J._support, name)))
 
     @classmethod
-    def _from_ones(cls, alphabet: tuple[str, ...], succ: _Ones, j_ones: _Ones) -> "FlipPair":
+    def _from_ones(cls, alphabet: tuple[str, ...], succ: _Ones, j_ones: _Ones,
+                   name: str | None = None) -> "FlipPair":
         """The pair whose A and J have ones at ``succ`` and ``j_ones``, for builders
         whose labels are distinct and lists ascending: only the axioms are checked."""
-        pair = object.__new__(cls)
-        pair._setup(alphabet, succ, j_ones, None)
-        return pair
-
-    def _setup(self, alphabet: tuple[str, ...], succ: _Ones, j_ones: _Ones,
-               name: str | None) -> None:
         # A zero-one J has J*J == I exactly when every row holds a single 1 and
         # the map tau it encodes squares to the identity.
         if any(len(js) != 1 for js in j_ones):
@@ -63,10 +58,12 @@ class FlipPair:
                 mirror[tau[b]].append(c)
         if tuple(map(tuple, mirror)) != succ:
             raise FlipPairError("flip_symmetry", "A*J != J*A^T")
-        self.name, self._alphabet, self._succ, self._tau_index = name, alphabet, succ, tau
-        self._key = (alphabet, succ, tau)
-        self._hash = hash(self._key)
-        self._tau = MappingProxyType({a: alphabet[t] for a, t in zip(alphabet, tau)})
+        pair = object.__new__(cls)
+        pair.name, pair._alphabet, pair._succ, pair._tau_index = name, alphabet, succ, tau
+        pair._key = (alphabet, succ, tau)
+        pair._hash = hash(pair._key)
+        pair._tau = MappingProxyType({a: alphabet[t] for a, t in zip(alphabet, tau)})
+        return pair
 
     # -- data access ---------------------------------------------------------
 

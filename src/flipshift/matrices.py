@@ -76,13 +76,11 @@ class IntMatrix:
     @classmethod
     def _from_ones(cls, row_labels: Labels, col_labels: Labels, ones: _Ones) -> "IntMatrix":
         """The zero-one matrix with ones at ``ones``, ascending, built unchecked."""
-        zero, rows = [0] * len(col_labels), []
-        for js in ones:
-            row = zero.copy()
+        rows = [[0] * len(col_labels) for _ in ones]
+        for row, js in zip(rows, ones):
             for j in js:
                 row[j] = 1
-            rows.append(tuple(row))
-        m = cls._trusted(row_labels, col_labels, tuple(rows))
+        m = cls._trusted(row_labels, col_labels, tuple(map(tuple, rows)))
         m.__dict__["_support"] = ones
         return m
 
@@ -119,8 +117,7 @@ class IntMatrix:
         return self.nrows == self.ncols
 
     @property
-    def is_zero_one(self) -> bool:
-        """Whether every nonzero entry is 1, read off the cached nonzero columns."""
+    def is_zero_one(self) -> bool:  # every nonzero, read off the cached columns, is 1
         return all(row.count(1) == len(ones) for row, ones in zip(self.entries, self._support))
 
     @cached_property
@@ -240,22 +237,21 @@ class IntPolynomial:
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Exact product; labels are inherited from the outer factors.
 
-    Only nonzero pairs are multiplied, so the cost is the number of nonzeros of
-    ``a`` times the row density of ``b``: put the sparser factor on the left.
+    Only nonzero pairs are multiplied, through the cached nonzero columns, so the
+    cost is the nonzeros of ``a`` times the row density of ``b``: put the sparser left.
     """
     if a.ncols != b.nrows or a.col_labels != b.row_labels:
         raise MatrixShapeError(
             f"cannot multiply {a.nrows}x{a.ncols} by {b.nrows}x{b.ncols} "
             "(inner labels must match)")
-    ncols = b.ncols
-    b_nonzeros = [[(j, y) for j, y in enumerate(brow) if y] for brow in b.entries]
+    ncols, b_rows, b_ones = b.ncols, b.entries, b._support
     rows = []
-    for arow in a.entries:
+    for arow, ks in zip(a.entries, a._support):
         acc = [0] * ncols
-        for k, x in enumerate(arow):
-            if x:
-                for j, y in b_nonzeros[k]:
-                    acc[j] += x * y
+        for k in ks:
+            x, brow = arow[k], b_rows[k]
+            for j in b_ones[k]:
+                acc[j] += x * brow[j]
         rows.append(tuple(acc))
     return IntMatrix._trusted(a.row_labels, b.col_labels, tuple(rows))
 

@@ -387,6 +387,9 @@ def test_decomposition_chains_verify_over_the_corpus():
             spec = _center_read_spec(base, n)
             dec = decompose_conjugacy(spec)
             assert dec.chain.lag == 4 * n
+            # the CLI walks these before building; they are the check's blocks
+            assert {len(w) for w in constructions._verification_blocks(spec)} == \
+                {dec.chain.lag + 1}
             assert (dec.chain.source, dec.chain.target) == (spec.source, base)
             assert verify_decomposition(dec, spec).passed
             # the periodic points are the oracle of the block check

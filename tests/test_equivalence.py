@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpus import corpus, random_flip_pair, zero_one_flip_pairs
-from flipshift import equivalence, jsonio, matrices
+from flipshift import jsonio
 from flipshift.constructions import decompose_conjugacy, higher_block
 from flipshift.equivalence import (DEFAULT_CELL_BUDGET, HalfElemCert,
                                    ShiftFlipCert, StrongChain, _companion,
@@ -153,31 +153,6 @@ def test_he_check_refuses_as_the_dense_oracle_does():
         assert _refusal(src, dst, R, S) == want
         seen.add(want)
     assert seen == {None, "shape", "R zero-one", "S == K*R^T*J", "A == R*S", "B == S*R"}
-
-
-def test_he_check_on_a_359_to_936_link_forms_no_dense_matrix(monkeypatch):
-    # the first link of the centre read of example 2's 5-block pair at window 2
-    spec = _center_read_spec(example2_pair("A"), 2)
-    link = decompose_conjugacy(spec).chain.links[0]
-    assert (link.source.size, link.target.size) == (359, 936)
-
-    def refuse(*args):
-        raise AssertionError("mat_mul called")
-    monkeypatch.setattr(matrices, "mat_mul", refuse)
-    monkeypatch.setattr(equivalence, "mat_mul", refuse)
-    shapes = []
-    trusted = IntMatrix._trusted.__func__
-
-    def counted(cls, row_labels, col_labels, entries):
-        shapes.append((len(row_labels), len(col_labels)))
-        return trusted(cls, row_labels, col_labels, entries)
-    monkeypatch.setattr(IntMatrix, "_trusted", classmethod(counted))
-    cert = he_check(link.source, link.target, link.r_ones)
-    assert cert.s_ones == link.s_ones
-    with pytest.raises(CertificateError) as e:
-        he_check(link.source, link.target, ((), *link.r_ones[1:]))
-    assert e.value.identity == "A == R*S"
-    assert shapes == []
 
 
 def _two_cycle_pair():
