@@ -158,7 +158,7 @@ def _certified(row: str, line: str, check, *args):
     except CertificateError as e:
         payload = {"valid": False, "identity": e.identity, "message": str(e)}
         return 1, payload, _check_rows(row, False, str(e)), f"{line}: INVALID ({e.identity})"
-    payload = {"valid": True, "certificate": jsonio.cert_to_doc(cert)}
+    payload = {"valid": True, "certificate": cert}
     return 0, payload, _check_rows(row, True), f"{line}: valid"
 
 
@@ -174,8 +174,7 @@ def _cmd_he_search(args, inputs):
     src, dst = _load_endpoints(args, inputs)
     sols = he_search(src, dst, max_solutions=args.max_solutions,
                      cell_budget=args.cell_budget)
-    payload = {"solutions": [jsonio.cert_to_doc(c) for c in sols],
-               "count": len(sols)}
+    payload = {"solutions": sols, "count": len(sols)}
     plain = f"{len(sols)} solution(s)" + "".join(
         f"\nR = {c.R.to_rows()}" for c in sols)
     return 0, payload, None, plain
@@ -207,8 +206,7 @@ def _cmd_sfe_search(args, inputs):
     src, dst = _load_endpoints(args, inputs)
     sols = sfe_bounded_search(src, dst, lag_max=args.lag_max,
                               entry_max=args.entry_max, budget=args.budget)
-    payload = {"solutions": [jsonio.cert_to_doc(c) for c in sols],
-               "count": len(sols)}
+    payload = {"solutions": sols, "count": len(sols)}
     if sols:
         plain = f"{len(sols)} solution(s)" + "".join(
             f"\nlag {c.lag}: R = {c.R.to_rows()}" for c in sols)
@@ -221,9 +219,7 @@ def _cmd_higher_block(args, inputs):
     pair = jsonio.pair_from_doc(_load_json(args.pair, inputs))
     block_pair, chain = higher_block(pair, args.n)
     rep = sse_verify(chain)
-    payload = {"pair": jsonio.pair_to_doc(block_pair),
-               "chain": jsonio.chain_to_doc(chain),
-               "verification": rep.to_json()}
+    payload = {"pair": block_pair, "chain": chain, "verification": rep.to_json()}
     return 0, payload, None, \
         f"{args.n + 1}-block pair on {block_pair.size} symbols; " + rep.render_plain()
 
@@ -231,7 +227,7 @@ def _cmd_higher_block(args, inputs):
 def _cmd_build_pair(args, inputs):
     spec = jsonio.blockflip_from_doc(_load_json(args.spec, inputs))
     pair, code_map = build_flip_pair(spec)
-    payload = {"pair": jsonio.pair_to_doc(pair),
+    payload = {"pair": pair,
                "code": {"radius": code_map.radius,
                         "map": [{"block": " ".join(w), "image": s}
                                 for w, s in sorted(code_map.mapping.items())]}}
@@ -245,7 +241,7 @@ def _cmd_decompose(args, inputs):
     rep = verify_decomposition(dec, spec)
     payload = {"lag": dec.chain.lag,
                "source_recoding": dec.source_recoding,
-               "chain": jsonio.chain_to_doc(dec.chain),
+               "chain": dec.chain,
                "verification": rep.to_json()}
     code = 0 if rep.passed else 1
     return code, payload, None, f"lag {dec.chain.lag}; " + rep.render_plain()

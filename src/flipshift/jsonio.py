@@ -20,14 +20,14 @@ Every parser raises SchemaError with the offending field path.
 from __future__ import annotations
 
 import json
-from itertools import chain
+from dataclasses import dataclass
 from typing import Any
 
 from .constructions import BlockFlipSpec, OneBlockConjugacySpec
 from .equivalence import HalfElemCert, ShiftFlipCert, StrongChain, he_check
 from .errors import FlipShiftError, SchemaError
 from .flips import FlipPair
-from .matrices import IntMatrix
+from .matrices import IntMatrix, _Ones, _rows_of_ones
 from .series import TruncatedSeries
 
 
@@ -74,13 +74,13 @@ def rect_from_doc(doc: Any, row_labels: tuple[str, ...], col_labels: tuple[str, 
 _STR = json.encoder.encode_basestring_ascii
 _SCALAR = json.JSONEncoder(check_circular=False).encode  # any other leaf, or a refusal
 _LEAF = {str: _STR, int: int.__repr__}  # the common leaves, by exact type
-_DIGIT_INTS, _DIGITS = set(range(10)), b"0123456789".ljust(256)  # byte i to its digit
 
 
 def dumps(obj: Any) -> str:
-    """The text ``json.dumps`` writes for ``obj`` at indent 2, mostly by C code:
-    json's C encoder runs only without indent, so a list of ints is one ``repr``
-    and a matrix of digits one ``bytes`` translation (``_digit_rows``)."""
+    """The text of ``json.dumps(obj, indent=2)``, with any pair, certificate or chain
+    in ``obj`` read as its document (``pair_to_doc``, ``cert_to_doc``, ``chain_to_doc``)
+    but written from its ones (``_ZeroOne``); the rest mostly by C code, since json's
+    C encoder runs only without indent, so a list of ints is one ``repr``."""
     out: list[str] = []
     _write(obj, "\n", out)
     return "".join(out)
@@ -89,7 +89,9 @@ def dumps(obj: Any) -> str:
 def _write(obj: Any, nl: str, out: list[str]) -> None:
     inner = nl + "  "
     if not isinstance(obj, (list, tuple, dict)):
-        out.append(_LEAF.get(type(obj), _SCALAR)(obj))
+        if isinstance(obj, (FlipPair, HalfElemCert, ShiftFlipCert, StrongChain)):
+            return _write(_doc(obj, _ZeroOne), nl, out)
+        out.append(obj.text(nl) if type(obj) is _ZeroOne else _LEAF.get(type(obj), _SCALAR)(obj))
     elif not obj:
         out.append("{}" if isinstance(obj, dict) else "[]")
     elif isinstance(obj, dict):
@@ -99,8 +101,6 @@ def _write(obj: Any, nl: str, out: list[str]) -> None:
         out.append(nl + "}")
     elif set(map(type, obj)) == {int}:
         out.append(f"[{inner}{repr(list(obj))[1:-1].replace(', ', ',' + inner)}{nl}]")
-    elif (text := _digit_rows(obj, nl)) is not None:
-        out.append(text)
     else:
         for i, x in enumerate(obj):
             out.append(("[" if i == 0 else ",") + inner)
@@ -108,19 +108,27 @@ def _write(obj: Any, nl: str, out: list[str]) -> None:
         out.append(nl + "]")
 
 
-def _digit_rows(rows: list | tuple, nl: str) -> str | None:
-    """Rows of one length with every entry an int 0..9 as json writes them, from
-    one ``bytes`` translated to digits and one ``join`` per row; else None."""
-    if not set(map(type, rows)) <= {list, tuple} or len(set(map(len, rows))) != 1:
-        return None
-    flat = [*chain(*rows)]
-    if set(map(type, flat)) != {int} or not set(flat) <= _DIGIT_INTS:
-        return None
-    digits, width, inner = bytes(flat).translate(_DIGITS).decode(), len(rows[0]), nl + "  "
-    sep = "," + inner + "  "
-    return "[" + inner + ("," + inner).join(
-        f"[{inner}  {sep.join(digits[k:k + width])}{inner}]"
-        for k in range(0, len(digits), width)) + nl + "]"
+@dataclass(frozen=True, slots=True)
+class _ZeroOne:
+    """A zero-one matrix as the writer meets it: its ones and its width."""
+
+    ones: _Ones
+    ncols: int
+
+    def text(self, nl: str) -> str:
+        """The rows as json writes them at ``nl``: all-zero text, a 1 set at each one."""
+        if not self.ones:
+            return "[]"
+        inner, entry = nl + "  ", nl + "    "
+        row = f"[{entry}{('0,' + entry) * (self.ncols - 1)}0{inner}]" if self.ncols else "[]"
+        sep = "," + inner
+        buf = bytearray(f"[{inner}{sep.join([row] * len(self.ones))}{nl}]", "ascii")
+        first, stride, step = 2 + len(inner) + len(entry), len(row) + len(sep), 2 + len(entry)
+        for r, js in enumerate(self.ones):
+            at = first + r * stride
+            for j in js:
+                buf[at + j * step] = 49  # "1"
+        return buf.decode()
 
 
 def _key(k: Any) -> str:
@@ -148,11 +156,7 @@ def matrix_from_doc(doc: Any, path: str = "matrix") -> IntMatrix:
 # -- flip pairs --------------------------------------------------------------------
 
 def pair_to_doc(p: FlipPair) -> dict:
-    doc: dict = {}
-    if p.name:
-        doc["name"] = p.name
-    doc.update({"alphabet": list(p.alphabet), "A": p.A.to_rows(), "J": p.J.to_rows()})
-    return doc
+    return _doc(p, _rows_of_ones)
 
 
 def pair_from_doc(doc: Any, path: str = "pair") -> FlipPair:
@@ -179,13 +183,28 @@ def series_to_doc(s: TruncatedSeries) -> dict:
 # -- certificates and chains -----------------------------------------------------------
 
 def cert_to_doc(cert: HalfElemCert | ShiftFlipCert) -> dict:
-    kind, lag = ("sfe", cert.lag) if isinstance(cert, ShiftFlipCert) else ("he", 1)
-    return {"kind": kind, "lag": lag, "R": cert.R.to_rows(), "S": cert.S.to_rows()}
+    return _doc(cert, _rows_of_ones)
 
 
 def chain_to_doc(chain: StrongChain) -> dict:
-    return {"pairs": [pair_to_doc(p) for p in chain.pairs],
-            "links": [cert_to_doc(c) for c in chain.links]}
+    return _doc(chain, _rows_of_ones)
+
+
+def _doc(obj: FlipPair | HalfElemCert | ShiftFlipCert | StrongChain, rows) -> dict:
+    """The document of a pair, a certificate or a chain, each zero-one matrix
+    made by ``rows(ones, ncols)``; a lag-k certificate's R and S are integral."""
+    if isinstance(obj, FlipPair):
+        doc = {"name": obj.name} if obj.name else {}
+        doc.update(alphabet=list(obj.alphabet), A=rows(obj._succ, obj.size),
+                   J=rows([(t,) for t in obj.tau_index], obj.size))
+        return doc
+    if isinstance(obj, HalfElemCert):
+        return {"kind": "he", "lag": 1, "R": rows(obj.r_ones, obj.target.size),
+                "S": rows(obj.s_ones, obj.source.size)}
+    if isinstance(obj, ShiftFlipCert):
+        return {"kind": "sfe", "lag": obj.lag, "R": obj.R.to_rows(), "S": obj.S.to_rows()}
+    return {"pairs": [_doc(p, rows) for p in obj.pairs],
+            "links": [_doc(link, rows) for link in obj.links]}
 
 
 def chain_from_doc(doc: Any, path: str = "chain") -> StrongChain:

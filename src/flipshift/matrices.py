@@ -37,6 +37,15 @@ def _as_labels(labels: Iterable[str]) -> Labels:
     return out
 
 
+def _rows_of_ones(ones: _Ones, ncols: int) -> list[list[int]]:
+    """The zero-one rows of width ``ncols`` with ones at ``ones``."""
+    rows = [[0] * ncols for _ in ones]
+    for row, js in zip(rows, ones):
+        for j in js:
+            row[j] = 1
+    return rows
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """Dense matrix of Python integers with labelled rows and columns."""
@@ -76,11 +85,8 @@ class IntMatrix:
     @classmethod
     def _from_ones(cls, row_labels: Labels, col_labels: Labels, ones: _Ones) -> "IntMatrix":
         """The zero-one matrix with ones at ``ones``, ascending, built unchecked."""
-        rows = [[0] * len(col_labels) for _ in ones]
-        for row, js in zip(rows, ones):
-            for j in js:
-                row[j] = 1
-        m = cls._trusted(row_labels, col_labels, tuple(map(tuple, rows)))
+        m = cls._trusted(row_labels, col_labels,
+                         tuple(map(tuple, _rows_of_ones(ones, len(col_labels)))))
         m.__dict__["_support"] = ones
         return m
 

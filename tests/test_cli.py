@@ -413,6 +413,37 @@ def test_cli_bytes_are_pinned(every_command, fmt, tmp_path, capsys):
     assert got == GOLDEN[fmt]
 
 
+def test_links_with_an_empty_side_are_written_as_json_writes_them(write, capsys):
+    # between the empty pair and a 1-symbol pair with no transition, a step
+    # has a 0x1 R and a 1x0 S, or the reverse; the block pair of the 1-symbol
+    # pair is empty
+    empty = write("empty.json", {"alphabet": [], "A": [], "J": []})
+    one = write("one.json", {"alphabet": ["a"], "A": [[0]], "J": [[1]]})
+    up = {"kind": "he", "lag": 1, "R": [], "S": [[]]}
+    down = {"kind": "he", "lag": 1, "R": [[]], "S": []}
+    empty_doc = {"alphabet": [], "A": [], "J": []}
+    verification = {"title": "splitting chain verification", "passed": True, "checks": [
+        {"name": "lag 1", "passed": True,
+         "detail": "odd lag: source conjugate to the once-shifted flip of the target"}]}
+    cases = [
+        (["he-search", "--from", empty, "--to", one], {"solutions": [up], "count": 1}),
+        (["he-search", "--from", one, "--to", empty], {"solutions": [down], "count": 1}),
+        (["he-check", "--from", empty, "--to", one, "--R", write("up.json", [])],
+         {"valid": True, "certificate": up}),
+        (["he-check", "--from", one, "--to", empty, "--R", write("down.json", [[]])],
+         {"valid": True, "certificate": down}),
+        (["higher-block", "--pair", one, "--n", "1"],
+         {"pair": empty_doc, "chain": {"pairs": [empty_doc, empty_doc], "links": [
+             {"kind": "he", "lag": 1, "R": [], "S": []}]}, "verification": verification}),
+    ]
+    for argv, body in cases:
+        inputs = {path: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+                  for path in argv if path.endswith(".json")}
+        doc = {"command": argv[0], "inputs": inputs, **body}
+        assert run_cli(argv) == 0
+        assert capsys.readouterr() == (json.dumps(doc, indent=2) + "\n", ""), argv
+
+
 @pytest.mark.parametrize("command, calls", [
     ("higher-block", 2), ("sse-verify", 2), ("decompose", 4)])
 def test_each_splitting_step_is_checked_once(every_command, command, calls,

@@ -1,16 +1,22 @@
 import json
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from corpus import corpus
 from flipshift import jsonio
-from flipshift.constructions import higher_block
+from flipshift.constructions import (OneBlockConjugacySpec, decompose_conjugacy,
+                                     higher_block)
+from flipshift.equivalence import StrongChain, he_search, sfe_bounded_search
 from flipshift.errors import SchemaError
-from flipshift.fixtures import (example1_pair, example2_matrix,
-                                golden_mean_pair)
+from flipshift.fixtures import (example1_pair, example1_symmetric_pair,
+                                example2_matrix, golden_mean_pair)
+from flipshift.flips import FlipPair
 from flipshift.matrices import IntMatrix
 from flipshift.series import TruncatedSeries
+from flipshift.shifts import word_center
 
 
 def test_matrix_round_trip_square():
@@ -122,7 +128,7 @@ _LEAVES = st.one_of(
     st.lists(st.one_of(st.integers(-3, 3), st.booleans(), st.none())),
     st.lists(st.integers(-3, 3).map(_Int), max_size=3))
 _DIGIT = st.integers(0, 9)
-# each breaks the writer's path for rows of digits 0..9
+# entries a row of digits may meet in a document: bools, wider ints, int subclasses
 _BREAKER = st.one_of(st.sampled_from([True, False, 10, 255, 256, -1]), _DIGIT.map(_Int))
 
 
@@ -171,3 +177,70 @@ def test_dumps_refuses_what_json_refuses(doc):
     with pytest.raises(TypeError) as ours:
         jsonio.dumps(doc)
     assert str(ours.value) == str(theirs.value)
+
+
+# -- the writer on pairs, certificates and chains ------------------------------------
+
+@lru_cache(maxsize=None)
+def _written_objects() -> tuple:
+    """Named and corpus pairs, and every chain from ``higher_block``,
+    ``decompose_conjugacy`` and ``he_search`` on them, with their links and
+    pairs; lag-k certificates too, whose R and S are integral."""
+    objs: list = [example1_pair(), golden_mean_pair(), example1_symmetric_pair()]
+    for base in corpus(seed=83, count=10, max_size=4) + [golden_mean_pair()]:
+        hb3, chain = higher_block(base, 2)
+        psi = {lab: word_center(tuple(lab.split(" "))) for lab in hb3.alphabet}
+        chains = [higher_block(base, 1)[1], chain,
+                  decompose_conjugacy(OneBlockConjugacySpec(hb3, base, psi, 1)).chain]
+        hb2 = chain.pairs[1]
+        if base.size * hb2.size <= 30:
+            chains += [StrongChain(base, (c,)) for c in he_search(base, hb2, max_solutions=2)]
+        for c in chains:
+            objs += [c, *c.links, *c.pairs]
+        objs += sfe_bounded_search(base, base, lag_max=2, entry_max=1)[:2]
+    return tuple(objs)
+
+
+def _to_doc(obj) -> dict:
+    if isinstance(obj, FlipPair):
+        return jsonio.pair_to_doc(obj)
+    if isinstance(obj, StrongChain):
+        return jsonio.chain_to_doc(obj)
+    return jsonio.cert_to_doc(obj)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_dumps_writes_objects_as_json_dumps_of_their_documents(data):
+    obj = data.draw(st.sampled_from(_written_objects()))
+    payload, doc = obj, _to_doc(obj)
+    for _ in range(data.draw(st.integers(0, 3))):
+        before, after = (data.draw(st.lists(_DIGIT, max_size=2)) for _ in "ab")
+        if data.draw(st.booleans()):
+            payload, doc = [*before, payload, *after], [*before, doc, *after]
+        else:
+            key = data.draw(_TEXT)
+            payload = {**dict.fromkeys(map(str, before), 0), key: payload, "~": after}
+            doc = {**dict.fromkeys(map(str, before), 0), key: doc, "~": after}
+    assert jsonio.dumps(payload) == json.dumps(doc, indent=2)
+
+
+def test_a_mutated_chain_document_is_written_as_mutated():
+    _, chain = higher_block(golden_mean_pair(), 2)
+    doc = jsonio.chain_to_doc(chain)
+    doc["links"][1]["R"][0][0] ^= 1
+    assert jsonio.dumps(doc) == json.dumps(doc, indent=2) != jsonio.dumps(chain)
+
+
+def test_the_writer_reads_pairs_and_steps_through_their_ones(monkeypatch):
+    block_pair, chain = higher_block(example1_pair(), 2)
+    expected = json.dumps({"pair": jsonio.pair_to_doc(block_pair),
+                           "chain": jsonio.chain_to_doc(chain)}, indent=2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense matrix was made for the writer")
+
+    monkeypatch.setattr(IntMatrix, "to_rows", refuse)
+    monkeypatch.setattr(IntMatrix, "_from_ones", refuse)
+    assert jsonio.dumps({"pair": block_pair, "chain": chain}) == expected
+    assert "J" not in vars(block_pair)
