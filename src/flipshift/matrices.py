@@ -19,7 +19,6 @@ those minors are.  Rank profiles form no matrix power; see ``rank_profile``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress, repeat
 from math import gcd
 from typing import Iterable, Sequence
@@ -87,7 +86,7 @@ class IntMatrix:
         """The zero-one matrix with ones at ``ones``, ascending, built unchecked."""
         m = cls._trusted(row_labels, col_labels,
                          tuple(map(tuple, _rows_of_ones(ones, len(col_labels)))))
-        m.__dict__["_support"] = ones
+        m.__dict__["_ones"] = ones
         return m
 
     @classmethod
@@ -126,10 +125,18 @@ class IntMatrix:
     def is_zero_one(self) -> bool:  # every nonzero, read off the cached columns, is 1
         return all(row.count(1) == len(ones) for row, ones in zip(self.entries, self._support))
 
-    @cached_property
+    @property
     def _support(self) -> _Ones:
-        """Per row, its nonzero columns: a zero-one matrix's successor lists."""
-        return tuple(map(tuple, map(compress, repeat(range(self.ncols)), self.entries)))
+        """Per row, its nonzero columns: a zero-one matrix's successor lists.
+
+        Cached in the instance dict, as the hash is: ``cached_property`` takes a
+        lock on the first access to each matrix, and products of fresh small
+        matrices pay it on every call.
+        """
+        if "_ones" not in self.__dict__:
+            self.__dict__["_ones"] = tuple(map(tuple, map(compress, repeat(range(self.ncols)),
+                                                              self.entries)))
+        return self.__dict__["_ones"]
 
     def __hash__(self) -> int:  # cached: a key of an lru_cache is hashed on every call
         if "_hash" not in self.__dict__:

@@ -4,17 +4,24 @@ Admissible blocks, word utilities, periodic-point enumeration, and the
 brute-force counter of points fixed jointly by a shift power and a shifted
 flip.  The enumerations here are deliberately naive: every word and every
 periodic point is built, because they are the oracle the closed-form
-counting formulas are tested against.  One walker serves them all: it grows
-every path one symbol at a time as a string of symbol indices.  The counter
-tests each point against the shifted flips by matching rotations of strings.
-The walk's work is counted in advance by vector iteration and refused above
-``WALK_BUDGET``.  The essential symbols, those on bi-infinite paths, are what
-is left after pruning sinks and sources, in time linear in the transitions.
+counting formulas are tested against.  Paths are strings of symbol indices.
+``blocks`` and ``enumerate_periodic`` grow every path one symbol at a time,
+in lex order.  The counter keeps one walk per pair, its paths grouped by
+first and last symbol and grown a whole group at a time, and resumes it when
+a longer period is asked for.  It tests all points of a period at once
+against every shifted flip, matching rotations of strings in whole-list
+passes.  The work of a walk is counted in advance by vector iteration and
+refused above ``WALK_BUDGET``.  The essential symbols, those on bi-infinite
+paths, are what is left after pruning sinks and sources, in time linear in
+the transitions.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
+from itertools import compress, repeat
+from operator import add
 from typing import Sequence
 
 from .errors import BudgetError, MatrixShapeError
@@ -119,9 +126,10 @@ def _check_walk_budget(succ: Sequence[tuple[int, ...]], starts: list[int],
                        length: int) -> None:
     """Refuse a walk to ``length`` symbols from ``starts`` above WALK_BUDGET prefixes.
 
-    ``_walks`` builds every prefix of every path, and the paths of k symbols
-    from the start vector v number v*A^(k-1)*1, so the total is summed by
-    vector iteration and the error comes before any walking.
+    A walk, ``_walks`` or the counter's, builds every prefix of every path
+    once, and the paths of k symbols from the start vector v number
+    v*A^(k-1)*1, so the total is summed by vector iteration and the error
+    comes before any walking.
     """
     v, total = starts, 0
     for _ in range(length):
@@ -172,12 +180,6 @@ def block_count(a: IntMatrix, n: int) -> int:
 
 # -- periodic points ----------------------------------------------------------
 
-def _periodic_words(a: IntMatrix, m: int) -> list[str]:
-    """The period-m points of ``a`` as index strings, in lex order."""
-    succ, paths = _paths(a, [1] * a.nrows, m)
-    return [w for w in paths if w[0] in succ[ord(w[-1])]]
-
-
 @lru_cache(maxsize=64)
 def enumerate_periodic(a: IntMatrix, m: int) -> tuple[Word, ...]:
     """All points fixed by the m-th shift power, as cyclic words, in lex order.
@@ -188,39 +190,110 @@ def enumerate_periodic(a: IntMatrix, m: int) -> tuple[Word, ...]:
     _check_graph_matrix(a)
     if m < 1:
         raise ValueError("period must be >= 1")
-    return _labelled(a, _periodic_words(a, m))
+    succ, paths = _paths(a, [1] * a.nrows, m)
+    return _labelled(a, [w for w in paths if w[0] in succ[ord(w[-1])]])
 
 
-@lru_cache(maxsize=64)
-def _pmn_table(pair: FlipPair, m: int) -> tuple[int, ...]:
-    """The counts of ``count_pmn_bruteforce`` at period m for n = 0..m-1.
+# -- the brute-force flip counts ----------------------------------------------
+
+def _extend(ends: list[dict[str, list[str]]], succ: list[str]) -> list[dict[str, list[str]]]:
+    """The paths one symbol longer than those of ``ends``, grouped the same way.
+
+    ``ends[s]`` maps each last symbol j to the paths from symbol s to j, and
+    ``succ[i]`` holds the successors of i, all as strings of ``chr(index)``.
+    The paths from s to j grow from the group of each predecessor i of j,
+    a whole group per ``map``.
+    """
+    grown = []
+    for groups in ends:
+        out: dict[str, list[str]] = {}
+        for i, paths in groups.items():
+            for j in succ[ord(i)]:
+                out.setdefault(j, []).extend(map(add, paths, repeat(j)))
+        grown.append(out)
+    return grown
+
+
+def _flip_table(words: list[str], tau: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """The counts at period m for n = 0..m-1, over the period-m points ``words``.
 
     For a point s let f_i = tau(s_(-i)), so f = tau(s_0) tau(s_(m-1)) ... tau(s_1).
     The n-shifted flip fixes s iff s_i = f_(i+n) for all i, that is, iff s is
-    f rotated left by n.  The first such n is k = (f+f).find(s), and the others
-    are k plus the multiples of the rotation period of s.
+    f rotated left by n.  The reversed word r = tau(s_(m-1)) ... tau(s_0) is f
+    rotated left by m - 1, so for k = (r+r).find(s) the first such n is k + 1
+    modulo the rotation period p of s, and the others follow every p.  Each
+    step runs over the whole list: all words are flipped in one reversed
+    string, and the hits are tallied by (k, p).
     """
-    tau = pair.tau_index
     counts = [0] * m
-    for s in _periodic_words(pair.A, m):
-        f = (s[0] + s[:0:-1]).translate(tau)
-        k = (f + f).find(s)
-        if k >= 0:
-            for j in range(k, m, (s + s).find(s, 1)):
-                counts[j] += 1
+    if not words:
+        return tuple(counts)
+    sep = chr(len(tau))  # no symbol index, so translate leaves it alone
+    flips = sep.join(words)[::-1].translate(tau).split(sep)
+    flips.reverse()
+    ks = list(map(str.find, map(add, flips, flips), words))
+    hit = list(map((-1).__lt__, ks))
+    hits = list(compress(words, hit))
+    periods = map(str.find, map(add, hits, hits), hits, repeat(1))
+    for (k, p), c in Counter(zip(compress(ks, hit), periods)).items():
+        for n in range((k + 1) % p, m, p):
+            counts[n] += c
     return tuple(counts)
+
+
+class _CountWalk:
+    """The walk of ``count_pmn_bruteforce`` on one pair, resumed from call to call.
+
+    ``tables[m - 1]`` holds the counts at period m, and ``ends`` the paths of
+    ``len(tables)`` symbols from every symbol, grouped by first and last
+    symbol as ``_extend`` takes them.  Asking for a longer period extends
+    the walk level by level, so one walk serves every period in any order.
+    """
+
+    def __init__(self, pair: FlipPair):
+        self.pair = pair
+        self.succ = ["".join(map(chr, js)) for js in pair._succ]
+        self.pred: list[list[str]] = [[] for _ in self.succ]  # j -> s closes a path from s
+        for i, js in enumerate(pair._succ):
+            for j in js:
+                self.pred[j].append(chr(i))
+        self.ends: list[dict[str, list[str]]] = []
+        self.tables: list[tuple[int, ...]] = []
+
+    def table(self, m: int) -> tuple[int, ...]:
+        tables = self.tables
+        if m > len(tables):
+            _check_walk_budget(self.pair._succ, [1] * self.pair.size, m)
+        while len(tables) < m:
+            if tables:
+                self.ends = _extend(self.ends, self.succ)
+            else:
+                self.ends = [{c: [c]} for c in map(chr, range(self.pair.size))]
+            words: list[str] = []
+            for groups, lasts in zip(self.ends, self.pred):
+                for j in lasts:
+                    words += groups.get(j, ())
+            tables.append(_flip_table(words, self.pair.tau_index, len(tables) + 1))
+        return tables[m - 1]
+
+
+@lru_cache(maxsize=4)  # few: each walk keeps its longest paths, up to the budget
+def _count_walk(pair: FlipPair) -> _CountWalk:
+    return _CountWalk(pair)
 
 
 def count_pmn_bruteforce(pair: FlipPair, m: int, n: int) -> int:
     """Count points fixed by the m-th shift power and the n-shifted flip.
 
-    Every period-m point is enumerated and matched against the rotations of
-    its flipped word (``_pmn_table``), so this is an oracle independent of the
-    closed-form counts.  ``tests/points.count_fixed`` checks it coordinate by
-    coordinate, x_i == tau(x_(-i-n)).  One pass over the points of period m
-    gives the counts for every n at once, and is cached; n is taken modulo m,
-    so negative n is fine.
+    Every period-m point is built and tested against every shifted flip
+    (``_flip_table``), so this is an oracle independent of the closed-form
+    counts.  ``tests/points.count_fixed`` checks it coordinate by coordinate,
+    x_i == tau(x_(-i-n)).  One test of the points of period m gives the
+    counts for every n at once; n is taken modulo m, so negative n is fine.
+    The points come from one walk per pair, kept and extended as longer
+    periods are asked for.  A period whose walk exceeds ``WALK_BUDGET``
+    prefixes is refused before the walk is extended.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    return _pmn_table(pair, m)[n % m]
+    return _count_walk(pair).table(m)[n % m]

@@ -10,6 +10,7 @@ from corpus import random_flip_pair, zero_one_flip_pairs
 from flipshift.errors import BudgetError
 from flipshift.fixtures import (example1_pair, example1_symmetric_pair,
                                 golden_mean_pair, one_point_pair)
+from flipshift.flips import FlipPair
 from flipshift.matrices import IntMatrix, mat_pow, trace
 from flipshift.shifts import (blocks, count_pmn_bruteforce, enumerate_periodic,
                               essential_symbols, is_essential, word_center)
@@ -212,6 +213,89 @@ def test_counts_equal_the_filter_oracle(pair):
         flipped = {x: flip_point(pair, x) for x in points}
         for n in range(-m, 2 * m + 1):
             assert count_pmn_bruteforce(pair, m, n) == count_fixed(points, flipped.get, n)
+
+
+def _counts_in_order(pair, periods):
+    """{(m, n): count} over ``periods`` in the order given, from a fresh walk."""
+    shifts._count_walk.cache_clear()
+    return {(m, n): count_pmn_bruteforce(pair, m, n)
+            for m in periods for n in range(-1, m + 1)}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(pair=zero_one_flip_pairs(), order=st.integers(1, 7).flatmap(
+    lambda top: st.permutations(range(1, top + 1))))
+def test_counts_do_not_depend_on_the_order_of_periods(pair, order):
+    top = len(order)
+    ascending = _counts_in_order(pair, range(1, top + 1))
+    assert _counts_in_order(pair, range(top, 0, -1)) == ascending
+    assert _counts_in_order(pair, order) == ascending
+    for m in range(1, top + 1):
+        points = dfs_periodic(pair.A, m)
+        flipped = {x: flip_point(pair, x) for x in points}
+        for n in range(-1, m + 1):
+            assert ascending[m, n] == count_fixed(points, flipped.get, n)
+
+
+def _counting_extend(tally: list[int]):
+    """shifts._extend, adding to tally[0] the paths of each level it builds."""
+    extend = shifts._extend
+
+    def counting(ends, succ):
+        grown = extend(ends, succ)
+        tally[0] += sum(len(paths) for groups in grown for paths in groups.values())
+        return grown
+
+    return counting
+
+
+def _prefixes(a: IntMatrix, length: int) -> int:
+    """The paths of at most ``length`` symbols: the sum of 1*A^(k-1)*1, k <= length."""
+    return sum(sum(map(sum, mat_pow(a, k).entries)) for k in range(length))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(pair=zero_one_flip_pairs(), top=st.integers(2, 8))
+def test_count_walks_once_up_to_its_highest_period(pair, top):
+    # as the CLI's count asks: every period in ascending order, each for several n
+    tally = [pair.size]  # the walk's first level, the symbols, is built in place
+    shifts._count_walk.cache_clear()
+    with patch.object(shifts, "_extend", _counting_extend(tally)):
+        for m in range(1, top + 1):
+            for n in range(4):
+                count_pmn_bruteforce(pair, m, n)
+    one_walk = _prefixes(pair.A, top)
+    # a walk restarted for each period builds more, so this test can fail
+    assert sum(_prefixes(pair.A, m) for m in range(1, top + 1)) > one_walk
+    assert tally[0] == one_walk
+
+
+def test_count_budget_refuses_before_walking():
+    def no_walk(*args):
+        raise AssertionError("walked past the budget")
+
+    full16 = IntMatrix.square([f"s{i}" for i in range(16)], [[1] * 16] * 16)
+    pair16 = FlipPair(full16, IntMatrix.identity(full16.row_labels))
+    full4 = IntMatrix.square("abcd", [[1] * 4] * 4)
+    pair4 = FlipPair(full4, IntMatrix.identity(full4.row_labels))
+    shifts._count_walk.cache_clear()
+    with patch.object(shifts, "_extend", no_walk):
+        with pytest.raises(BudgetError, match="^words of length 8 need more than 1000000 "
+                                              "walk prefixes$"):
+            count_pmn_bruteforce(pair16, 8, 0)
+        with pytest.raises(BudgetError, match="^words of length 40 "):
+            count_pmn_bruteforce(pair4, 40, 0)
+    # 4 + 16 + 64 prefixes reach period 3, and 256 more would reach period 4
+    shifts._count_walk.cache_clear()
+    with patch.object(shifts, "WALK_BUDGET", 100):
+        assert count_pmn_bruteforce(pair4, 2, 0) == 16
+        with patch.object(shifts, "_extend", no_walk):
+            with pytest.raises(BudgetError, match="^words of length 4 "):
+                count_pmn_bruteforce(pair4, 4, 1)
+        # the refused call left the walk where it was, and it resumes from there
+        points = dfs_periodic(full4, 3)
+        assert [count_pmn_bruteforce(pair4, 3, n) for n in range(3)] == \
+            [count_fixed(points, lambda x: flip_point(pair4, x), n) for n in range(3)]
 
 
 def test_count_pmn_examples():
