@@ -21,11 +21,11 @@ from pathlib import Path
 from . import jsonio
 from .constructions import _verification_blocks, build_flip_pair, decompose_conjugacy, \
     higher_block, verify_decomposition
-from .equivalence import he_check, he_search, sfe_bounded_search, sfe_check, \
-    sse_verify
+from .equivalence import DEFAULT_CELL_BUDGET, DEFAULT_MAX_SOLUTIONS, DEFAULT_SEARCH_BUDGET, \
+    he_check, he_search, sfe_bounded_search, sfe_check, sse_verify
 from .errors import CertificateError, FlipPairError, SchemaError, SpecError
 from .matrices import IntMatrix, _rank_profile, char_poly
-from .refchecks import run_reference_checks
+from .refchecks import REFERENCE_ORDER, run_reference_checks
 from .report import Report
 from .series import DEFAULT_ORDER
 from .shifts import count_pmn_bruteforce
@@ -292,8 +292,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("he-search", help="enumerate single splitting steps")
     p.add_argument("--from", dest="src", required=True)
     p.add_argument("--to", dest="dst", required=True)
-    p.add_argument("--max-solutions", type=int, default=16)
-    p.add_argument("--cell-budget", type=int, default=30)
+    p.add_argument("--max-solutions", type=int, default=DEFAULT_MAX_SOLUTIONS)
+    p.add_argument("--cell-budget", type=int, default=DEFAULT_CELL_BUDGET)
 
     p = sub.add_parser("sse-verify", help="verify a chain of splitting steps")
     p.add_argument("chain")
@@ -309,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="dst", required=True)
     p.add_argument("--lag-max", type=int, required=True)
     p.add_argument("--entry-max", type=int, required=True)
-    p.add_argument("--budget", type=int, default=1_000_000)
+    p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
 
     p = sub.add_parser("higher-block",
                        help="block-recoded pair plus its splitting chain")
@@ -326,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("paper-examples",
                        help="run the bundled reference examples against expected values")
-    p.add_argument("--order", type=int, default=12)
+    p.add_argument("--order", type=int, default=REFERENCE_ORDER)
 
     for p in sub.choices.values():
         p.add_argument("--format", choices=("json", "csv", "plain"), default="json")

@@ -23,6 +23,7 @@ from .shifts import blocks
 
 DEFAULT_CELL_BUDGET = 30
 DEFAULT_SEARCH_BUDGET = 1_000_000
+DEFAULT_MAX_SOLUTIONS = 16
 
 
 @dataclass(frozen=True)
@@ -123,25 +124,27 @@ def he_check(src: FlipPair, dst: FlipPair, R: IntMatrix | _Ones,
              supplied_S: IntMatrix | None = None) -> HalfElemCert:
     """Check R as a single splitting step from src to dst.
 
-    R is an ``IntMatrix``, read once into its ones, or the ones themselves, as
-    the builders make them.  Derives S = K R^T J by re-indexing R's ones, then
-    verifies A == R*S and B == S*R.  A supplied S is only cross-validated
-    against the derived one.  S is zero-one because it re-indexes R, and
-    R == J S^T K because J and K are involutions.
+    R is an ``IntMatrix``, read into its ones and kept as the dense R, or the
+    ones themselves, as the builders make them.  Derives S = K R^T J by
+    re-indexing R's ones, then verifies A == R*S and B == S*R.  A supplied S
+    is only cross-validated against the derived one.  S is zero-one because
+    it re-indexes R, and R == J S^T K because J and K are involutions.
     """
+    views = {}
     if isinstance(R, IntMatrix):
         if R.row_labels != src.alphabet or R.col_labels != dst.alphabet:
             raise CertificateError("shape",
                                    "R must map the source alphabet to the target alphabet")
         if not R.is_zero_one:
             raise CertificateError("R zero-one", "R has an entry outside {0,1}")
-        R = R._support
+        views["R"], R = R, R._support
     # S(b, a) == 1 iff tau_K b is in R's ones at tau_J a
     tau_k, s_rows = dst.tau_index, [[] for _ in dst.alphabet]
     for a, ta in enumerate(src.tau_index):
         for b in R[ta]:
             s_rows[tau_k[b]].append(a)
     cert = HalfElemCert(source=src, target=dst, r_ones=R, s_ones=tuple(map(tuple, s_rows)))
+    vars(cert).update(views)
     if supplied_S is not None and supplied_S != cert.S:
         raise CertificateError("S == K*R^T*J", "supplied S differs from the derived one")
     if mat_mul(cert.R, cert.S) != src.A:
@@ -209,7 +212,7 @@ def sse_verify(chain: StrongChain) -> Report:
 # -- single-step search ----------------------------------------------------------
 
 
-def he_search(src: FlipPair, dst: FlipPair, max_solutions: int = 16,
+def he_search(src: FlipPair, dst: FlipPair, max_solutions: int = DEFAULT_MAX_SOLUTIONS,
               cell_budget: int = DEFAULT_CELL_BUDGET) -> list[HalfElemCert]:
     """Enumerate all single splitting steps from src to dst, R row by row.
 

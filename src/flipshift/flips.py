@@ -35,8 +35,9 @@ class FlipPair:
             raise FlipPairError("labels", "the two matrices must share one alphabet")
         if any(lab == "" for lab in A.row_labels):
             raise FlipPairError("labels", "empty symbol label")
-        # the checked pair, made from the nonzero columns of the given matrices
-        vars(self).update(vars(self._from_ones(A.row_labels, A._support, J._support, name)))
+        # the checked pair, made from the given matrices' ones; they stay its dense views
+        vars(self).update(vars(self._from_ones(A.row_labels, A._support, J._support, name)),
+                          A=A, J=J)
 
     @classmethod
     def _from_ones(cls, alphabet: tuple[str, ...], succ: _Ones, j_ones: _Ones,

@@ -21,6 +21,8 @@ from .series import TruncatedSeries
 from .shifts import count_pmn_bruteforce
 from .zeta import artin_mazur_zeta, generating_function, lind_zeta, p_flip_counts
 
+REFERENCE_ORDER = 12  # series order the reference rows compare at
+
 
 def _poly_mul(p: list[int], q: list[int]) -> list[int]:
     out = [0] * (len(p) + len(q) - 1)
@@ -78,7 +80,7 @@ def expected_half_power_series(order: int) -> TruncatedSeries:
     return TruncatedSeries(order, tuple(coeffs))
 
 
-def run_reference_checks(order: int = 12) -> Report:
+def run_reference_checks(order: int = REFERENCE_ORDER) -> Report:
     report = Report(title="reference example checks")
 
     # ---- four-symbol family ----

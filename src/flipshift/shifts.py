@@ -1,19 +1,19 @@
 """The topological Markov chain of a zero-one matrix.
 
-Admissible blocks, word utilities, periodic-point enumeration, and the
-brute-force counter of points fixed jointly by a shift power and a shifted
-flip.  The enumerations here are deliberately naive: every word and every
-periodic point is built, because they are the oracle the closed-form
-counting formulas are tested against.  Paths are strings of symbol indices.
-``blocks`` and ``enumerate_periodic`` grow every path one symbol at a time,
-in lex order.  The counter keeps one walk per pair, its paths grouped by
-first and last symbol and grown a whole group at a time, and resumes it when
-a longer period is asked for.  It tests all points of a period at once
-against every shifted flip, matching rotations of strings in whole-list
-passes.  The work of a walk is counted in advance by vector iteration and
-refused above ``WALK_BUDGET``.  The essential symbols, those on bi-infinite
-paths, are what is left after pruning sinks and sources, in time linear in
-the transitions.
+Admissible blocks, periodic points, and the brute-force counter of points
+fixed jointly by a shift power and a shifted flip.  The enumerations are
+deliberately naive, every word and every point built, because they are the
+oracle the closed-form counts are tested against.  Paths are strings of
+symbol indices, and two walks build them.  ``blocks`` grows the paths from
+the symbols with an infinite past one symbol at a time, in lex order
+(``_walks``).  ``_CycleWalk`` grows the paths from every symbol grouped by
+first and last symbol, a whole group at a time, and its paths of m symbols
+that close are the period-m points: ``enumerate_periodic`` sorts those of a
+fresh walk, and the counter resumes one walk per pair and tests each period
+against every shifted flip at once, in whole-list passes.  A walk's work is
+counted in advance by vector iteration and refused above ``WALK_BUDGET``.
+The essential symbols, those on bi-infinite paths, are what is left after
+pruning sinks and sources, in time linear in the transitions.
 """
 
 from __future__ import annotations
@@ -22,11 +22,11 @@ from collections import Counter
 from functools import lru_cache
 from itertools import compress, repeat
 from operator import add
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import BudgetError, MatrixShapeError
 from .flips import FlipPair, Word
-from .matrices import IntMatrix
+from .matrices import IntMatrix, _Ones
 
 WALK_BUDGET = 1_000_000  # most walk prefixes one enumeration may visit
 
@@ -126,10 +126,11 @@ def _check_walk_budget(succ: Sequence[tuple[int, ...]], starts: list[int],
                        length: int) -> None:
     """Refuse a walk to ``length`` symbols from ``starts`` above WALK_BUDGET prefixes.
 
-    A walk, ``_walks`` or the counter's, builds every prefix of every path
-    once, and the paths of k symbols from the start vector v number
-    v*A^(k-1)*1, so the total is summed by vector iteration and the error
-    comes before any walking.
+    ``_walks`` for blocks starts at the symbols with an infinite past, and
+    ``_CycleWalk`` for periodic points at every symbol, counted from its first
+    level even when resumed.  Each builds every prefix of every path once; the
+    paths of k symbols from the start vector v number v*A^(k-1)*1, summed by
+    vector iteration, so the error comes before any walking.
     """
     v, total = starts, 0
     for _ in range(length):
@@ -138,15 +139,6 @@ def _check_walk_budget(succ: Sequence[tuple[int, ...]], starts: list[int],
             raise BudgetError(f"words of length {length} need more than "
                               f"{WALK_BUDGET} walk prefixes")
         v = _step(succ, v)
-
-
-def _paths(a: IntMatrix, starts: list[int], length: int) -> tuple[list[str], list[str]]:
-    """The successor strings of ``a`` and its paths of ``length`` symbols from
-    the symbols flagged in ``starts``; refused above the budget before walking."""
-    succ = a._support
-    _check_walk_budget(succ, starts, length)
-    succ = ["".join(map(chr, js)) for js in succ]
-    return succ, _walks(succ, "".join(chr(i) for i, s in enumerate(starts) if s), length)
 
 
 def _labelled(a: IntMatrix, paths) -> tuple[Word, ...]:
@@ -165,7 +157,9 @@ def blocks(a: IntMatrix, n: int) -> tuple[Word, ...]:
     past, future = _essential_flags(a)
     if n < 1:
         raise ValueError("block length must be >= 1")
-    _, paths = _paths(a, [int(p) for p in past], n)
+    _check_walk_budget(a._support, list(map(int, past)), n)
+    succ = ["".join(map(chr, js)) for js in a._support]
+    paths = _walks(succ, "".join(compress(map(chr, range(a.nrows)), past)), n)
     return _labelled(a, [w for w in paths if future[ord(w[-1])]])
 
 
@@ -179,22 +173,6 @@ def block_count(a: IntMatrix, n: int) -> int:
 
 
 # -- periodic points ----------------------------------------------------------
-
-@lru_cache(maxsize=64)
-def enumerate_periodic(a: IntMatrix, m: int) -> tuple[Word, ...]:
-    """All points fixed by the m-th shift power, as cyclic words, in lex order.
-
-    The count always equals trace(A^m).  Enumeration is exponential, so a
-    period whose walk exceeds ``WALK_BUDGET`` prefixes is refused.
-    """
-    _check_graph_matrix(a)
-    if m < 1:
-        raise ValueError("period must be >= 1")
-    succ, paths = _paths(a, [1] * a.nrows, m)
-    return _labelled(a, [w for w in paths if w[0] in succ[ord(w[-1])]])
-
-
-# -- the brute-force flip counts ----------------------------------------------
 
 def _extend(ends: list[dict[str, list[str]]], succ: list[str]) -> list[dict[str, list[str]]]:
     """The paths one symbol longer than those of ``ends``, grouped the same way.
@@ -213,6 +191,54 @@ def _extend(ends: list[dict[str, list[str]]], succ: list[str]) -> list[dict[str,
         grown.append(out)
     return grown
 
+
+class _CycleWalk:
+    """The paths from every symbol, a level at a time: the one source of periodic
+    points.  ``ends[s]`` maps each last symbol j to the paths of ``length``
+    symbols from s to j, as ``_extend`` takes them; those whose last symbol
+    leads back to s close, and are the points of period ``length``."""
+
+    def __init__(self, succ: _Ones):
+        self.ones, self.succ = succ, ["".join(map(chr, js)) for js in succ]
+        self.ends: list[dict[str, list[str]]] = []
+        self.length = 0
+
+    def closed(self) -> list[str]:
+        """The paths of the current level that close, by first symbol."""
+        words: list[str] = []
+        for s, groups in zip(map(chr, range(len(self.succ))), self.ends):
+            for j, paths in groups.items():
+                if s in self.succ[ord(j)]:
+                    words += paths
+        return words
+
+    def levels(self, length: int) -> Iterator[list[str]]:
+        """Grow the walk to ``length`` symbols, yielding the closed paths of each
+        new level; refused above ``WALK_BUDGET`` prefixes before it grows."""
+        if length > self.length:
+            _check_walk_budget(self.ones, [1] * len(self.ones), length)
+        while self.length < length:
+            self.ends = _extend(self.ends, self.succ) if self.length else \
+                [{c: [c]} for c in map(chr, range(len(self.succ)))]
+            self.length += 1
+            yield self.closed()
+
+
+@lru_cache(maxsize=64)
+def enumerate_periodic(a: IntMatrix, m: int) -> tuple[Word, ...]:
+    """All points fixed by the m-th shift power, as cyclic words, in lex order.
+
+    The count always equals trace(A^m).  Enumeration is exponential, so a
+    period whose walk exceeds ``WALK_BUDGET`` prefixes is refused.
+    """
+    _check_graph_matrix(a)
+    if m < 1:
+        raise ValueError("period must be >= 1")
+    *_, words = _CycleWalk(a._support).levels(m)
+    return _labelled(a, sorted(words))
+
+
+# -- the brute-force flip counts ----------------------------------------------
 
 def _flip_table(words: list[str], tau: tuple[int, ...], m: int) -> tuple[int, ...]:
     """The counts at period m for n = 0..m-1, over the period-m points ``words``.
@@ -241,45 +267,9 @@ def _flip_table(words: list[str], tau: tuple[int, ...], m: int) -> tuple[int, ..
     return tuple(counts)
 
 
-class _CountWalk:
-    """The walk of ``count_pmn_bruteforce`` on one pair, resumed from call to call.
-
-    ``tables[m - 1]`` holds the counts at period m, and ``ends`` the paths of
-    ``len(tables)`` symbols from every symbol, grouped by first and last
-    symbol as ``_extend`` takes them.  Asking for a longer period extends
-    the walk level by level, so one walk serves every period in any order.
-    """
-
-    def __init__(self, pair: FlipPair):
-        self.pair = pair
-        self.succ = ["".join(map(chr, js)) for js in pair._succ]
-        self.pred: list[list[str]] = [[] for _ in self.succ]  # j -> s closes a path from s
-        for i, js in enumerate(pair._succ):
-            for j in js:
-                self.pred[j].append(chr(i))
-        self.ends: list[dict[str, list[str]]] = []
-        self.tables: list[tuple[int, ...]] = []
-
-    def table(self, m: int) -> tuple[int, ...]:
-        tables = self.tables
-        if m > len(tables):
-            _check_walk_budget(self.pair._succ, [1] * self.pair.size, m)
-        while len(tables) < m:
-            if tables:
-                self.ends = _extend(self.ends, self.succ)
-            else:
-                self.ends = [{c: [c]} for c in map(chr, range(self.pair.size))]
-            words: list[str] = []
-            for groups, lasts in zip(self.ends, self.pred):
-                for j in lasts:
-                    words += groups.get(j, ())
-            tables.append(_flip_table(words, self.pair.tau_index, len(tables) + 1))
-        return tables[m - 1]
-
-
 @lru_cache(maxsize=4)  # few: each walk keeps its longest paths, up to the budget
-def _count_walk(pair: FlipPair) -> _CountWalk:
-    return _CountWalk(pair)
+def _count_walk(pair: FlipPair) -> tuple[_CycleWalk, list[tuple[int, ...]]]:
+    return _CycleWalk(pair._succ), []  # the walk and its counts, period by period
 
 
 def count_pmn_bruteforce(pair: FlipPair, m: int, n: int) -> int:
@@ -296,4 +286,7 @@ def count_pmn_bruteforce(pair: FlipPair, m: int, n: int) -> int:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    return _count_walk(pair).table(m)[n % m]
+    walk, tables = _count_walk(pair)
+    for words in walk.levels(m):
+        tables.append(_flip_table(words, pair.tau_index, walk.length))
+    return tables[m - 1][n % m]

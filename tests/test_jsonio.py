@@ -9,7 +9,7 @@ from corpus import corpus
 from flipshift import jsonio
 from flipshift.constructions import (OneBlockConjugacySpec, decompose_conjugacy,
                                      higher_block)
-from flipshift.equivalence import StrongChain, he_search, sfe_bounded_search
+from flipshift.equivalence import StrongChain, he_check, he_search, sfe_bounded_search
 from flipshift.errors import SchemaError
 from flipshift.fixtures import (example1_pair, example1_symmetric_pair,
                                 example2_matrix, golden_mean_pair)
@@ -244,3 +244,22 @@ def test_the_writer_reads_pairs_and_steps_through_their_ones(monkeypatch):
     monkeypatch.setattr(IntMatrix, "_from_ones", refuse)
     assert jsonio.dumps({"pair": block_pair, "chain": chain}) == expected
     assert "J" not in vars(block_pair)
+
+
+def test_pairs_and_steps_from_outside_keep_the_matrices_they_were_checked_from(monkeypatch):
+    _, chain = higher_block(example1_pair(), 2)
+    doc = jsonio.chain_to_doc(chain)
+    back = jsonio.chain_from_doc(doc)
+    a, j, r = back.source.A, back.source.J, back.links[0].R
+    pair = FlipPair(a, j)
+    cert = he_check(pair, back.pairs[1], r)
+
+    def refuse(*args):
+        raise AssertionError("a checked matrix was built again from its ones")
+
+    monkeypatch.setattr(IntMatrix, "_from_ones", refuse)
+    for p, pdoc in zip(back.pairs, doc["pairs"]):
+        assert (p.A.to_rows(), p.J.to_rows()) == (pdoc["A"], pdoc["J"])
+    for link, ldoc in zip(back.links, doc["links"]):
+        assert link.R.to_rows() == ldoc["R"]
+    assert pair.A is a and pair.J is j and cert.R is r

@@ -3,7 +3,7 @@ import warnings
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import flipshift.shifts as shifts
 from corpus import random_flip_pair, zero_one_flip_pairs
@@ -70,10 +70,11 @@ def test_walk_budget_refuses_before_walking(monkeypatch):
     def no_walk(*args):
         raise AssertionError("walked past the budget")
 
-    monkeypatch.setattr(shifts, "_walks", no_walk)
-    for enumerate_words in (blocks, enumerate_periodic):
-        with pytest.raises(BudgetError):
-            enumerate_words(full, 40)
+    for enumerate_words, builder in _BUILDERS.items():
+        with monkeypatch.context() as m:
+            m.setattr(shifts, builder, no_walk)
+            with pytest.raises(BudgetError):
+                enumerate_words(full, 40)
 
 
 def _counting_walks(tally: list[int]):
@@ -96,9 +97,28 @@ def _counting_walks(tally: list[int]):
     return counting
 
 
-def _enumerate_within(budget, enumerate_words, a, length, walks=shifts._walks):
+def _counting_extend(tally: list[int]):
+    """shifts._extend, adding to tally[0] the paths of each level it builds."""
+    extend = shifts._extend
+
+    def counting(ends, succ):
+        grown = extend(ends, succ)
+        tally[0] += sum(len(paths) for groups in grown for paths in groups.values())
+        return grown
+
+    return counting
+
+
+# the function each enumeration builds its paths with: the lex walk for blocks,
+# the grouped walk, which builds its first level in place, for periodic points
+_BUILDERS = {blocks: "_walks", enumerate_periodic: "_extend"}
+
+
+def _enumerate_within(budget, enumerate_words, a, length, counting=None):
     enumerate_words.cache_clear()
-    with patch.object(shifts, "WALK_BUDGET", budget), patch.object(shifts, "_walks", walks):
+    builder = _BUILDERS[enumerate_words]
+    with patch.object(shifts, "WALK_BUDGET", budget), \
+            patch.object(shifts, builder, counting or getattr(shifts, builder)):
         return enumerate_words(a, length)
 
 
@@ -112,9 +132,9 @@ def zero_one_matrices(draw):
 @settings(derandomize=True, database=None, deadline=None)
 @given(a=zero_one_matrices(), length=st.integers(1, 8))
 def test_walk_budget_is_the_prefix_count(a, length):
-    for enumerate_words in (blocks, enumerate_periodic):
-        tally = [0]
-        _enumerate_within(10 ** 9, enumerate_words, a, length, _counting_walks(tally))
+    for enumerate_words, tally, counting in ((blocks, [0], _counting_walks),
+                                             (enumerate_periodic, [a.nrows], _counting_extend)):
+        _enumerate_within(10 ** 9, enumerate_words, a, length, counting(tally))
         _enumerate_within(tally[0], enumerate_words, a, length)
         with pytest.raises(BudgetError):
             _enumerate_within(tally[0] - 1, enumerate_words, a, length)
@@ -199,10 +219,14 @@ def dfs_periodic(a: IntMatrix, m: int):
 
 
 @settings(derandomize=True, database=None, deadline=None)
-@given(pair=zero_one_flip_pairs(), length=st.integers(1, 8))
-def test_walks_equal_the_depth_first_oracle(pair, length):
-    assert blocks(pair.A, length) == dfs_blocks(pair.A, length)
-    assert enumerate_periodic(pair.A, length) == dfs_periodic(pair.A, length)
+@given(a=st.one_of(zero_one_matrices(), zero_one_flip_pairs().map(lambda p: p.A)),
+       length=st.integers(1, 8))
+@example(a=IntMatrix.square("abcde", [[1, 1, 0, 0, 1], [0] * 5, [1, 0, 0, 0, 0], [0] * 5,
+                                     [1, 0, 0, 0, 0]]),
+         length=4)  # b has no future, c no past, d neither
+def test_walks_equal_the_depth_first_oracle(a, length):
+    assert blocks(a, length) == dfs_blocks(a, length)
+    assert enumerate_periodic(a, length) == dfs_periodic(a, length)
 
 
 @settings(derandomize=True, database=None, deadline=None)
@@ -235,18 +259,6 @@ def test_counts_do_not_depend_on_the_order_of_periods(pair, order):
         flipped = {x: flip_point(pair, x) for x in points}
         for n in range(-1, m + 1):
             assert ascending[m, n] == count_fixed(points, flipped.get, n)
-
-
-def _counting_extend(tally: list[int]):
-    """shifts._extend, adding to tally[0] the paths of each level it builds."""
-    extend = shifts._extend
-
-    def counting(ends, succ):
-        grown = extend(ends, succ)
-        tally[0] += sum(len(paths) for groups in grown for paths in groups.values())
-        return grown
-
-    return counting
 
 
 def _prefixes(a: IntMatrix, length: int) -> int:
