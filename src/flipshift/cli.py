@@ -24,7 +24,7 @@ from .constructions import _verification_blocks, build_flip_pair, decompose_conj
 from .equivalence import DEFAULT_CELL_BUDGET, DEFAULT_MAX_SOLUTIONS, DEFAULT_SEARCH_BUDGET, \
     he_check, he_search, sfe_bounded_search, sfe_check, sse_verify
 from .errors import CertificateError, FlipPairError, SchemaError, SpecError
-from .matrices import IntMatrix, _rank_profile, char_poly
+from .matrices import _rank_profile, char_poly
 from .refchecks import REFERENCE_ORDER, run_reference_checks
 from .report import Report
 from .series import DEFAULT_ORDER
@@ -144,12 +144,6 @@ def _load_endpoints(args, inputs):
     return src, dst
 
 
-def _load_r(args, inputs, src, dst) -> IntMatrix:
-    doc = _load_json(args.R, inputs)
-    rows = doc["rows"] if isinstance(doc, dict) and "rows" in doc else doc
-    return jsonio.rect_from_doc(rows, src.alphabet, dst.alphabet, "R")
-
-
 def _certified(row: str, line: str, check, *args):
     """Run a certificate checker: the valid or invalid payload, its csv row
     named ``row`` and its plain line led by ``line``."""
@@ -164,7 +158,7 @@ def _certified(row: str, line: str, check, *args):
 
 def _cmd_he_check(args, inputs):
     src, dst = _load_endpoints(args, inputs)
-    r = _load_r(args, inputs, src, dst)
+    r = jsonio.r_from_doc(_load_json(args.R, inputs), src.alphabet, dst.alphabet)
     return _certified("splitting step", "splitting step", he_check, src, dst, r)
 
 
@@ -197,7 +191,7 @@ def _cmd_sfe_check(args, inputs):
     if args.lag < 1:
         raise ValueError("--lag must be >= 1")
     src, dst = _load_endpoints(args, inputs)
-    r = _load_r(args, inputs, src, dst)
+    r = jsonio.r_from_doc(_load_json(args.R, inputs), src.alphabet, dst.alphabet)
     return _certified("lag-k step", f"lag-{args.lag} equivalence",
                       sfe_check, src, dst, r, args.lag)
 

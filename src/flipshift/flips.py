@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
-from .errors import FlipPairError
-from .matrices import IntMatrix, _Ones
+from .errors import FlipPairError, MatrixShapeError
+from .matrices import IntMatrix, _as_labels, _Ones
 
 Word = tuple[str, ...]
 
@@ -27,14 +27,12 @@ class FlipPair:
             raise FlipPairError("A_zero_one", "transition matrix has an entry outside {0,1}")
         if not J.is_zero_one:
             raise FlipPairError("J_zero_one", "involution matrix has an entry outside {0,1}")
-        if not A.is_square or A.row_labels != A.col_labels:
+        if A.row_labels != A.col_labels:
             raise FlipPairError("shape", "transition matrix must be square with one label list")
-        if not J.is_square or J.row_labels != J.col_labels:
+        if J.row_labels != J.col_labels:
             raise FlipPairError("shape", "involution matrix must be square with one label list")
         if A.row_labels != J.row_labels:
             raise FlipPairError("labels", "the two matrices must share one alphabet")
-        if any(lab == "" for lab in A.row_labels):
-            raise FlipPairError("labels", "empty symbol label")
         # the checked pair, made from the given matrices' ones; they stay its dense views
         vars(self).update(vars(self._from_ones(A.row_labels, A._support, J._support, name)),
                           A=A, J=J)
@@ -42,8 +40,10 @@ class FlipPair:
     @classmethod
     def _from_ones(cls, alphabet: tuple[str, ...], succ: _Ones, j_ones: _Ones,
                    name: str | None = None) -> "FlipPair":
-        """The pair whose A and J have ones at ``succ`` and ``j_ones``, for builders
-        whose labels are distinct and lists ascending: only the axioms are checked."""
+        """The pair whose A and J have ones at ``succ`` and ``j_ones``, for builders whose
+        labels are distinct and lists ascending: checks the axioms and no empty label."""
+        if "" in alphabet:
+            raise FlipPairError("labels", "empty symbol label")
         # A zero-one J has J*J == I exactly when every row holds a single 1 and
         # the map tau it encodes squares to the identity.
         if any(len(js) != 1 for js in j_ones):
@@ -117,10 +117,20 @@ class FlipPair:
     # -- derived pairs ---------------------------------------------------------
 
     def relabel(self, mapping: dict[str, str]) -> "FlipPair":
-        """Rename symbols; the underlying matrices keep their row order."""
-        return FlipPair(self.A.relabel(mapping), self.J.relabel(mapping))
+        """Rename symbols; the symbol order stays."""
+        return self._permuted(_as_labels(mapping.get(x, x) for x in self._alphabet),
+                              range(self.size))
 
     def reorder(self, labels: Iterable[str]) -> "FlipPair":
-        """Permute both matrices into the given label order."""
-        labs = tuple(labels)
-        return FlipPair(self.A.reorder(labs), self.J.reorder(labs))
+        """Permute the symbols into the given label order."""
+        labs = _as_labels(labels)
+        if set(labs) != set(self._alphabet):
+            raise MatrixShapeError("reorder must use the same label sets")
+        index = {a: i for i, a in enumerate(self._alphabet)}
+        return self._permuted(labs, [index[a] for a in labs])
+
+    def _permuted(self, alphabet: tuple[str, ...], old: Sequence[int]) -> "FlipPair":
+        """The unnamed pair on ``alphabet`` whose symbol k is this pair's symbol ``old[k]``."""
+        new = sorted(range(len(old)), key=old.__getitem__)  # symbol i becomes symbol new[i]
+        succ = tuple(tuple(sorted(new[j] for j in self._succ[i])) for i in old)
+        return FlipPair._from_ones(alphabet, succ, tuple((new[self._tau_index[i]],) for i in old))

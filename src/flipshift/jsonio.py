@@ -8,6 +8,8 @@ Schemas (all integers are exact, series coefficients are fraction strings):
 * series          {"order": int, "coeffs": ["p/q" | "p", ...]}
 * certificate     {"kind": "he"|"sfe", "lag": int, "R": rows, "S"?: rows}
                   (labels come from the flanking pairs)
+* witness R       rows, {"rows": rows}, or a matrix whose row labels are the
+                  source alphabet and column labels the target's, in order
 * chain           {"pairs": [pair...], "links": [certificate...]}
 * block flip rule {"A": matrix, "window": int,
                    "phi": [{"block": "a b c", "image": "d"}...]}
@@ -27,7 +29,7 @@ from .constructions import BlockFlipSpec, OneBlockConjugacySpec
 from .equivalence import HalfElemCert, ShiftFlipCert, StrongChain, he_check
 from .errors import FlipShiftError, SchemaError
 from .flips import FlipPair
-from .matrices import IntMatrix, _Ones, _rows_of_ones
+from .matrices import IntMatrix, _first_non_int, _Ones, _rows_of_ones
 from .series import TruncatedSeries
 
 
@@ -50,11 +52,9 @@ def _int_rows(doc: Any, path: str) -> list[list[int]]:
     rows = []
     for i, row in enumerate(doc):
         _expect(row, list, f"{path}[{i}]")
-        if not set(map(type, row)) <= {int}:
-            # int subclasses other than bool pass too; the loop names the first bad entry
-            for j, x in enumerate(row):
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise SchemaError(f"{path}[{i}][{j}]", f"expected integer, got {x!r}")
+        j = _first_non_int(row)
+        if j is not None:
+            raise SchemaError(f"{path}[{i}][{j}]", f"expected integer, got {row[j]!r}")
         rows.append(list(row))
     return rows
 
@@ -151,6 +151,20 @@ def matrix_from_doc(doc: Any, path: str = "matrix") -> IntMatrix:
         return IntMatrix.rect(rl, cl, rows)
     except FlipShiftError as e:
         raise SchemaError(path, str(e)) from e
+
+
+def r_from_doc(doc: Any, row_labels: tuple[str, ...], col_labels: tuple[str, ...],
+               path: str = "R") -> IntMatrix:
+    """A witness R: rows, or ``{"rows": ...}``, in the order of the given alphabets,
+    or a matrix document whose labels are those alphabets."""
+    if not isinstance(doc, dict):
+        return rect_from_doc(doc, row_labels, col_labels, path)
+    if not {"labels", "row_labels", "col_labels"} & doc.keys():
+        return rect_from_doc(doc.get("rows", doc), row_labels, col_labels, path)
+    m = matrix_from_doc(doc, path)
+    if m.row_labels != row_labels or m.col_labels != col_labels:
+        raise SchemaError(path, f"row and column labels must be {row_labels} and {col_labels}")
+    return m
 
 
 # -- flip pairs --------------------------------------------------------------------

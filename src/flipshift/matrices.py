@@ -14,6 +14,10 @@ no probability involved.  The rank and the integral kernel come from one
 fraction-free (Bareiss) elimination that touches only the rows a step
 eliminates; its entries are minors of the input, so they stay as small as
 those minors are.  Rank profiles form no matrix power; see ``rank_profile``.
+
+Each input rule lives once, here: integer entries in ``_first_non_int`` (the
+document readers call it too), distinct labels in ``_as_labels``, squareness
+as equal label lists.  Matrices computed from checked ones are built unchecked.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, repeat
 from math import gcd
+from operator import add, sub
 from typing import Iterable, Sequence
 
 from .errors import BudgetError, MatrixShapeError
@@ -34,6 +39,15 @@ def _as_labels(labels: Iterable[str]) -> Labels:
     if len(set(out)) != len(out):
         raise MatrixShapeError(f"duplicate labels: {out}")
     return out
+
+
+def _first_non_int(row: Sequence) -> int | None:
+    """Where ``row`` first holds an entry that is no int, or a bool, else None; int
+    subclasses pass, and a row of plain ints is one C-level check."""
+    if set(map(type, row)) <= {int}:
+        return None
+    return next((j for j, x in enumerate(row) if not isinstance(x, int) or isinstance(x, bool)),
+                None)
 
 
 def _rows_of_ones(ones: _Ones, ncols: int) -> list[list[int]]:
@@ -61,13 +75,11 @@ class IntMatrix:
             if len(row) != len(self.col_labels):
                 raise MatrixShapeError(
                     f"row of length {len(row)} for {len(self.col_labels)} column labels")
-            for x in row:
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise MatrixShapeError(f"non-integer entry {x!r}")
-        if len(set(self.row_labels)) != len(self.row_labels):
-            raise MatrixShapeError("duplicate row labels")
-        if len(set(self.col_labels)) != len(self.col_labels):
-            raise MatrixShapeError("duplicate column labels")
+            j = _first_non_int(row)
+            if j is not None:
+                raise MatrixShapeError(f"non-integer entry {row[j]!r}")
+        _as_labels(self.row_labels)
+        _as_labels(self.col_labels)
 
     # -- constructors ------------------------------------------------------
 
@@ -103,9 +115,7 @@ class IntMatrix:
     @classmethod
     def identity(cls, labels: Iterable[str]) -> "IntMatrix":
         labs = _as_labels(labels)
-        n = len(labs)
-        return cls(labs, labs, tuple(tuple(1 if i == j else 0 for j in range(n))
-                                     for i in range(n)))
+        return cls._from_ones(labs, labs, tuple((i,) for i in range(len(labs))))
 
     # -- shape and access ---------------------------------------------------
 
@@ -116,10 +126,6 @@ class IntMatrix:
     @property
     def ncols(self) -> int:
         return len(self.col_labels)
-
-    @property
-    def is_square(self) -> bool:
-        return self.nrows == self.ncols
 
     @property
     def is_zero_one(self) -> bool:  # every nonzero, read off the cached columns, is 1
@@ -143,36 +149,27 @@ class IntMatrix:
             self.__dict__["_hash"] = hash((self.row_labels, self.col_labels, self.entries))
         return self.__dict__["_hash"]
 
-    def row_index(self, label: str) -> int:
-        try:
-            return self.row_labels.index(label)
-        except ValueError:
-            raise MatrixShapeError(f"unknown row label {label!r}") from None
-
-    def col_index(self, label: str) -> int:
-        try:
-            return self.col_labels.index(label)
-        except ValueError:
-            raise MatrixShapeError(f"unknown column label {label!r}") from None
-
     def entry(self, row_label: str, col_label: str) -> int:
-        return self.entries[self.row_index(row_label)][self.col_index(col_label)]
+        if row_label not in self.row_labels:
+            raise MatrixShapeError(f"unknown row label {row_label!r}")
+        if col_label not in self.col_labels:
+            raise MatrixShapeError(f"unknown column label {col_label!r}")
+        return self.entries[self.row_labels.index(row_label)][self.col_labels.index(col_label)]
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.row_labels != other.row_labels or self.col_labels != other.col_labels:
-            raise MatrixShapeError("matrix addition requires identical labels")
-        return IntMatrix(self.row_labels, self.col_labels,
-                         tuple(tuple(a + b for a, b in zip(r1, r2))
-                               for r1, r2 in zip(self.entries, other.entries)))
+        return self._entrywise(other, add, "addition")
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
+        return self._entrywise(other, sub, "subtraction")
+
+    def _entrywise(self, other: "IntMatrix", op, name: str) -> "IntMatrix":
         if self.row_labels != other.row_labels or self.col_labels != other.col_labels:
-            raise MatrixShapeError("matrix subtraction requires identical labels")
-        return IntMatrix(self.row_labels, self.col_labels,
-                         tuple(tuple(a - b for a, b in zip(r1, r2))
-                               for r1, r2 in zip(self.entries, other.entries)))
+            raise MatrixShapeError(f"matrix {name} requires identical labels")
+        return IntMatrix._trusted(self.row_labels, self.col_labels,
+                                  tuple(tuple(map(op, r1, r2))
+                                        for r1, r2 in zip(self.entries, other.entries)))
 
     def scale(self, c: int) -> "IntMatrix":
         return IntMatrix(self.row_labels, self.col_labels,
@@ -185,23 +182,6 @@ class IntMatrix:
 
     def to_rows(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
-
-    # -- relabeling ---------------------------------------------------------
-
-    def relabel(self, mapping: dict[str, str]) -> "IntMatrix":
-        """Rename labels in place; entries are untouched."""
-        rl = tuple(mapping.get(x, x) for x in self.row_labels)
-        cl = tuple(mapping.get(x, x) for x in self.col_labels)
-        return IntMatrix(_as_labels(rl), _as_labels(cl), self.entries)
-
-    def reorder(self, labels: Iterable[str]) -> "IntMatrix":
-        """Permute rows and columns alike into the given label order."""
-        labs = _as_labels(labels)
-        if set(labs) != set(self.row_labels) or set(labs) != set(self.col_labels):
-            raise MatrixShapeError("reorder must use the same label sets")
-        ri = [self.row_index(x) for x in labs]
-        ci = [self.col_index(x) for x in labs]
-        return IntMatrix(labs, labs, tuple(tuple(self.entries[i][j] for j in ci) for i in ri))
 
 
 @dataclass(frozen=True)
@@ -253,7 +233,7 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     Only nonzero pairs are multiplied, through the cached nonzero columns, so the
     cost is the nonzeros of ``a`` times the row density of ``b``: put the sparser left.
     """
-    if a.ncols != b.nrows or a.col_labels != b.row_labels:
+    if a.col_labels != b.row_labels:
         raise MatrixShapeError(
             f"cannot multiply {a.nrows}x{a.ncols} by {b.nrows}x{b.ncols} "
             "(inner labels must match)")
@@ -271,7 +251,7 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 def mat_pow(a: IntMatrix, k: int) -> IntMatrix:
     """k-th power of a square matrix; the zeroth power is the identity."""
-    if not a.is_square or a.row_labels != a.col_labels:
+    if a.row_labels != a.col_labels:
         raise MatrixShapeError("matrix power needs a square matrix with one label list")
     if k < 0:
         raise MatrixShapeError("matrix power needs k >= 0")
@@ -287,7 +267,7 @@ def mat_pow(a: IntMatrix, k: int) -> IntMatrix:
 
 
 def trace(a: IntMatrix) -> int:
-    if not a.is_square or a.row_labels != a.col_labels:
+    if a.row_labels != a.col_labels:
         raise MatrixShapeError("trace needs a square matrix with one label list")
     return sum(a.entries[i][i] for i in range(a.nrows))
 
@@ -420,7 +400,7 @@ def char_poly(a: IntMatrix) -> IntPolynomial:
     inequality.  So every coefficient lies strictly inside (-M/2, M/2), where
     the symmetric lift is exact.
     """
-    if not a.is_square or a.row_labels != a.col_labels:
+    if a.row_labels != a.col_labels:
         raise MatrixShapeError("characteristic polynomial needs a square matrix")
     rows = a.entries
     primes = _mersenne_primes_past(_hadamard_squared(rows) << (2 * len(rows) + 2))

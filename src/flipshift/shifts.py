@@ -42,7 +42,7 @@ def word_center(w: Word) -> str:
 # -- graph structure ----------------------------------------------------------
 
 def _check_graph_matrix(a: IntMatrix) -> None:
-    if not a.is_square or a.row_labels != a.col_labels:
+    if a.row_labels != a.col_labels:
         raise MatrixShapeError("a shift needs a square matrix with one label list")
     if not a.is_zero_one:
         raise MatrixShapeError("a shift needs a zero-one matrix")

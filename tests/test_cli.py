@@ -796,3 +796,59 @@ def test_mutated_documents_keep_the_exit_code_contract(fuzz_commands, data):
         assert (out and not err) or (not out and err.startswith("check failed: "))
     else:
         assert out and not err
+
+
+# -- the witness R of he-check and sfe-check ----------------------------------------
+
+
+_EX1_LAG2 = ["sfe-check", "--from", str(DATA / "example1_AJ.json"),
+             "--to", str(DATA / "example1_AI.json"), "--lag", "2", "--format", "plain"]
+
+
+@pytest.mark.parametrize("labels", [list("xyzw"), ["1", "3", "2", "4"]],
+                         ids=["foreign labels", "rows in another order"])
+def test_r_documents_whose_labels_are_not_the_alphabets_are_refused(labels, write, capsys):
+    # read in the pairs' order, the first was valid and the second, a correct A, invalid
+    a = example1_pair().A
+    at = {x: i for i, x in enumerate(a.row_labels)}
+    rows = [[a.entries[at.get(x, i)][at.get(y, j)] for j, y in enumerate(labels)]
+            for i, x in enumerate(labels)]
+    assert run_cli([*_EX1_LAG2, "--R", write("r.json", {"labels": labels, "rows": rows})]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: R: row and column labels must be ('1', '2', '3', '4') "
+                            "and ('1', '2', '3', '4')\n")
+
+
+def test_r_documents_are_read_in_the_alphabets_order(write, capsys):
+    rows = example1_pair().A.to_rows()
+    labelled = {"row_labels": list("1234"), "col_labels": list("1234"), "rows": rows}
+    for r in (str(DATA / "example1_A.json"), write("rows.json", rows),
+              write("doc.json", {"rows": rows}), write("rect.json", labelled)):
+        assert run_cli([*_EX1_LAG2, "--R", r]) == 0
+        assert capsys.readouterr().out == "lag-2 equivalence: valid\n"
+    gm = golden_mean_pair()
+    hb2, chain = higher_block(gm, 1)
+    r = write("r.json", {"row_labels": list(gm.alphabet), "col_labels": list(hb2.alphabet),
+                         "rows": chain.links[0].R.to_rows()})
+    assert run_cli(["he-check", "--from", str(DATA / "golden_mean.json"),
+                    "--to", write("hb2.json", jsonio.pair_to_doc(hb2)), "--R", r,
+                    "--format", "plain"]) == 0
+    assert capsys.readouterr().out == "splitting step: valid\n"
+
+
+# -- the Artin-Mazur zeta --------------------------------------------------------------
+
+
+def test_artin_zeta_of_example1_is_one_over_one_minus_4t2(capsys):
+    # example 1's A has characteristic polynomial t^4 - 4t^2, so 1/det(I - tA) = 1/(1 - 4t^2)
+    path = str(DATA / "example1_AJ.json")
+    argv = ["zeta", "--pair", path, "--which", "artin", "--order", "6"]
+    assert run_cli([*argv, "--format", "plain"]) == 0
+    assert capsys.readouterr().out == "".join(
+        f"t^{d}: {c}\n" for d, c in enumerate([1, 0, 4, 0, 16, 0, 64]))
+    assert run_cli(argv) == 0
+    digest = hashlib.sha256((DATA / "example1_AJ.json").read_bytes()).hexdigest()
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "zeta", "inputs": {path: digest}, "which": "artin",
+        "series": {"order": 6, "coeffs": ["1", "0", "4", "0", "16", "0", "64"]}}

@@ -11,7 +11,7 @@ from flipshift.constructions import (BlockFlipSpec, ConjugacyDecomposition,
                                      decompose_conjugacy, higher_block,
                                      verify_decomposition)
 from flipshift.equivalence import HalfElemCert, StrongChain, he_check, verify_prop22
-from flipshift.errors import BudgetError, SpecError
+from flipshift.errors import BudgetError, CertificateError, SpecError
 from flipshift.fixtures import (example1_pair, example1_symmetric_pair,
                                 golden_mean_pair, one_point_pair)
 from flipshift.flips import FlipPair
@@ -560,3 +560,56 @@ def test_conjugacy_spec_rejects_flip_breaking_map():
     with pytest.raises(SpecError) as e:
         OneBlockConjugacySpec(p1, p1i, {a: a for a in p1.alphabet}, 0)
     assert e.value.reason == "psi_flip"
+
+
+def _stranded_pair() -> FlipPair:
+    """a loops, a -> b and c -> a, tau swaps b and c: b is a sink and c a source."""
+    return FlipPair(IntMatrix.square("abc", [[1, 1, 0], [0, 0, 0], [1, 0, 0]]),
+                    IntMatrix.square("abc", [[1, 0, 0], [0, 0, 1], [0, 1, 0]]))
+
+
+_GM = golden_mean_pair()
+
+
+@pytest.mark.parametrize("make, reason, message", [
+    (lambda: OneBlockConjugacySpec(_GM, _GM, {"1": "1", "2": "2"}, -1),
+     "inverse_window", "inverse window must be >= 0"),
+    (lambda: OneBlockConjugacySpec(_stranded_pair(), _GM, {"a": "1", "b": "2", "c": "2"}, 0),
+     "essential", "both pairs must have no stranded symbols"),
+    (lambda: OneBlockConjugacySpec(_GM, _stranded_pair(), {"1": "a", "2": "a"}, 0),
+     "essential", "both pairs must have no stranded symbols"),
+    (lambda: OneBlockConjugacySpec(_GM, _GM, {"1": "1"}, 0),
+     "psi_total", "psi must be defined on exactly the source alphabet"),
+    (lambda: OneBlockConjugacySpec(_GM, _GM, {"1": "1", "2": "2", "3": "1"}, 0),
+     "psi_total", "psi must be defined on exactly the source alphabet"),
+    (lambda: OneBlockConjugacySpec(_GM, _GM, {"1": "1", "2": "3"}, 0),
+     "psi_into", "psi maps outside the target alphabet"),
+    (lambda: BlockFlipSpec(_GM.A, -1, {}), "window", "window must be >= 0"),
+    (lambda: BlockFlipSpec(_GM.A, 0, {("1",): "1", ("2",): "3"}),
+     "phi_into", "rule image '3' is not a symbol"),
+])
+def test_spec_refusals(make, reason, message):
+    with pytest.raises(SpecError) as e:
+        make()
+    assert (e.value.reason, str(e.value)) == (reason, message)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_higher_block_refuses_n_below_1(n):
+    with pytest.raises(ValueError) as e:
+        higher_block(_GM, n)
+    assert str(e.value) == "n must be >= 1"
+
+
+def test_a_refused_link_of_a_decomposition_is_named_by_its_index(monkeypatch):
+    spec = _center_read_spec(_GM, 1)
+    check = constructions.he_check
+
+    def refuse_from_the_source(src, dst, r):
+        if src is spec.source:
+            raise CertificateError("B == S*R", "B != S*R")
+        return check(src, dst, r)
+    monkeypatch.setattr(constructions, "he_check", refuse_from_the_source)
+    with pytest.raises(CertificateError) as e:
+        decompose_conjugacy(spec)
+    assert (e.value.identity, str(e.value)) == ("B == S*R", "link 1: B != S*R")

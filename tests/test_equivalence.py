@@ -451,3 +451,11 @@ def test_sfe_search_budget():
     p = example2_pair("A")
     with pytest.raises(BudgetError):
         sfe_bounded_search(p, p, lag_max=1, entry_max=3, budget=100)
+
+
+def test_verify_prop22_reports_the_first_transition_without_an_image():
+    gm = golden_mean_pair()
+    rep = verify_prop22(HalfElemCert(gm, gm, ((), ()), ((), ())))
+    assert not rep.passed
+    assert [(c.name, c.passed, c.detail) for c in rep.checks] == [
+        ("source transitions", False, "transition (1, 1): no unique image symbol for ('1', '1')")]

@@ -263,3 +263,48 @@ def test_pairs_and_steps_from_outside_keep_the_matrices_they_were_checked_from(m
     for link, ldoc in zip(back.links, doc["links"]):
         assert link.R.to_rows() == ldoc["R"]
     assert pair.A is a and pair.J is j and cert.R is r
+
+
+_GM_DOC = {"alphabet": ["1", "2"], "A": [[1, 1], [1, 0]], "J": [[1, 0], [0, 1]]}
+_GM_MATRIX = {"labels": ["1", "2"], "rows": [[1, 1], [1, 0]]}
+
+
+@pytest.mark.parametrize("read, doc, message", [
+    (jsonio.matrix_from_doc, [], "matrix: expected dict, got list"),
+    (jsonio.matrix_from_doc, {"labels": ["a"], "rows": [[1.5]]},
+     "matrix.rows[0][0]: expected integer, got 1.5"),
+    (jsonio.matrix_from_doc, {"labels": ["a"], "rows": [1]},
+     "matrix.rows[0]: expected list, got int"),
+    (jsonio.matrix_from_doc, {"labels": ["a", "a"], "rows": [[1, 0], [0, 1]]},
+     "matrix: duplicate labels: ('a', 'a')"),
+    (jsonio.matrix_from_doc, {"labels": ["a", "b"], "rows": [[1, 0]]},
+     "matrix: 1 rows for 2 row labels"),
+    (jsonio.matrix_from_doc, {"row_labels": ["a"], "col_labels": ["b", "b"], "rows": [[1, 1]]},
+     "matrix: duplicate labels: ('b', 'b')"),
+    (jsonio.pair_from_doc, {**_GM_DOC, "A": [[1, 1], [1]]},
+     "pair: row of length 1 for 2 column labels"),
+    (jsonio.pair_from_doc, {**_GM_DOC, "J": [[True, 0], [0, 1]]},
+     "pair.J[0][0]: expected integer, got True"),
+    (jsonio.pair_from_doc, {**_GM_DOC, "name": 3}, "pair.name: expected str, got int"),
+    (lambda doc: jsonio.rect_from_doc(doc, ("a",), ("b", "c"), "R"), [[1]],
+     "R: row of length 1 for 2 column labels"),
+    (jsonio.chain_from_doc, {"pairs": []}, "chain.pairs: a chain needs at least one pair"),
+    (jsonio.chain_from_doc, {"pairs": [_GM_DOC], "links": [{}]},
+     "chain.links: 1 links do not fit 1 pairs"),
+    (jsonio.chain_from_doc, {"pairs": [_GM_DOC, _GM_DOC], "links": [{"kind": "sfe"}]},
+     "chain.links[0].kind: chain links must have kind 'he'"),
+    (jsonio.blockflip_from_doc, {"A": _GM_MATRIX, "window": -1, "phi": []},
+     "spec.window: expected integer >= 0"),
+    (jsonio.blockflip_from_doc, {"A": _GM_MATRIX, "window": True, "phi": []},
+     "spec.window: expected integer >= 0"),
+    (jsonio.blockflip_from_doc, {"A": _GM_MATRIX, "window": 0, "phi": [{"block": 1}]},
+     "spec.phi[0].block: expected str, got int"),
+    (jsonio.conjugacy_from_doc, {"from": _GM_DOC, "to": _GM_DOC, "psi": {"1": 1}},
+     "conjugacy.psi[1]: expected str, got int"),
+    (jsonio.conjugacy_from_doc, {"from": _GM_DOC, "to": _GM_DOC, "psi": {}, "inverse_window": -1},
+     "conjugacy.inverse_window: expected integer >= 0"),
+])
+def test_reader_refusals(read, doc, message):
+    with pytest.raises(SchemaError) as e:
+        read(doc)
+    assert str(e.value) == message

@@ -4,8 +4,8 @@ import pytest
 
 from flipshift.errors import MatrixShapeError
 from flipshift.fixtures import example1_matrix_A, example2_matrix
-from flipshift.matrices import (IntMatrix, IntPolynomial, char_poly, mat_mul,
-                                mat_pow, rank_over_rationals, trace)
+from flipshift.matrices import (IntMatrix, IntPolynomial, _first_non_int, char_poly,
+                                mat_mul, mat_pow, rank_over_rationals, trace)
 from flipshift.refchecks import expected_char_poly
 from test_sparse_kernel import dense_mul
 
@@ -185,3 +185,72 @@ def test_polynomial_str():
     p = IntPolynomial.from_coeffs([0, 1, -7, 19, -26, 19, -7, 1])
     assert str(p) == "t^7 - 7*t^6 + 19*t^5 - 26*t^4 + 19*t^3 - 7*t^2 + t"
     assert IntPolynomial.from_coeffs([0]).degree == -1
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize("row, at", [
+    ((), None), ((1, -2, 10 ** 30), None), ((1, _Int(2)), None),
+    ((1, True, 2.0), 1), ((0, 1, "1"), 2), ((_Int(3), None), 1),
+])
+def test_first_non_int_names_the_first_bad_entry(row, at):
+    assert _first_non_int(row) == at
+
+
+_AB = IntMatrix.square("ab", [[1, 0], [1, 1]])
+_COLUMN = IntMatrix.rect("ab", "a", [[1], [0]])
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: IntMatrix.square("ab", [[1, 0]]), "1 rows for 2 row labels"),
+    (lambda: IntMatrix.square("ab", [[1, 0], [1]]), "row of length 1 for 2 column labels"),
+    (lambda: IntMatrix.square("ab", [[1, 0], [1, 1.5]]), "non-integer entry 1.5"),
+    (lambda: IntMatrix.square("ab", [[1, True], [1, 1]]), "non-integer entry True"),
+    (lambda: IntMatrix.square("aa", [[1, 0], [1, 1]]), "duplicate labels: ('a', 'a')"),
+    (lambda: IntMatrix.rect("ab", "c", [["1"], [1]]), "non-integer entry '1'"),
+    (lambda: IntMatrix.rect("ab", "cc", [[1, 0], [1, 1]]), "duplicate labels: ('c', 'c')"),
+    (lambda: IntMatrix.rect("aa", "c", [[1], [1]]), "duplicate labels: ('a', 'a')"),
+    (lambda: IntMatrix.identity("aba"), "duplicate labels: ('a', 'b', 'a')"),
+    (lambda: IntMatrix(("a",), ("b",), ((0.5,),)), "non-integer entry 0.5"),
+    (lambda: IntMatrix(("a",), ("b",), ()), "0 rows for 1 row labels"),
+    (lambda: _AB + IntMatrix.identity("ba"), "matrix addition requires identical labels"),
+    (lambda: _AB + _COLUMN, "matrix addition requires identical labels"),
+    (lambda: _AB - IntMatrix.identity("ba"), "matrix subtraction requires identical labels"),
+    (lambda: _COLUMN - _AB, "matrix subtraction requires identical labels"),
+    (lambda: _AB.scale(1.5), "non-integer entry 1.5"),
+    (lambda: _AB.entry("z", "a"), "unknown row label 'z'"),
+    (lambda: _AB.entry("a", "z"), "unknown column label 'z'"),
+    (lambda: _COLUMN.entry("a", "b"), "unknown column label 'b'"),
+    (lambda: mat_mul(_AB, _COLUMN.transpose()),
+     "cannot multiply 2x2 by 1x2 (inner labels must match)"),
+    (lambda: mat_pow(_COLUMN, 2), "matrix power needs a square matrix with one label list"),
+    (lambda: mat_pow(IntMatrix.rect("ab", "ba", [[1, 0], [0, 1]]), 1),
+     "matrix power needs a square matrix with one label list"),
+    (lambda: mat_pow(_AB, -1), "matrix power needs k >= 0"),
+    (lambda: trace(_COLUMN), "trace needs a square matrix with one label list"),
+    (lambda: char_poly(_COLUMN), "characteristic polynomial needs a square matrix"),
+])
+def test_refusal_messages(make, message):
+    with pytest.raises(MatrixShapeError) as e:
+        make()
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("rows, cols, message", [
+    ("aa", "ab", "duplicate labels: ('a', 'a')"), ("ab", "bb", "duplicate labels: ('b', 'b')"),
+])
+def test_direct_constructor_refuses_duplicate_labels_by_the_label_rule(rows, cols, message):
+    with pytest.raises(MatrixShapeError) as e:
+        IntMatrix(tuple(rows), tuple(cols), ((1, 0), (0, 1)))
+    assert str(e.value) == message
+
+
+def test_computed_matrices_equal_checked_ones():
+    a, b = IntMatrix.square("ab", [[3, -1], [0, 2]]), _AB
+    assert a + b == IntMatrix.square("ab", [[4, -1], [1, 3]])
+    assert a - b == IntMatrix.square("ab", [[2, -1], [-1, 1]])
+    assert IntMatrix.identity("abc") == IntMatrix.square("abc", [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert IntMatrix.identity(()) == IntMatrix.square((), ())
+    assert IntMatrix.square("a", [[_Int(3)]]).entry("a", "a") == 3

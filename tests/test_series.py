@@ -133,3 +133,14 @@ def test_substitute_is_ring_homomorphism():
             series_add(substitute_t_squared(f), substitute_t_squared(g))
         assert substitute_t_squared(series_mul(f, g)) == \
             series_mul(substitute_t_squared(f), substitute_t_squared(g))
+
+
+@pytest.mark.parametrize("order, coeffs, message", [
+    (-1, (), "series order must be >= 0"),
+    (2, (Fraction(1),), "series of order 2 needs 3 coefficients, got 1"),
+    (0, (Fraction(1), Fraction(0)), "series of order 0 needs 1 coefficients, got 2"),
+])
+def test_shape_refusals(order, coeffs, message):
+    with pytest.raises(OrderMismatchError) as e:
+        TruncatedSeries(order, coeffs)
+    assert str(e.value) == message

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import flipshift.shifts as shifts
 from corpus import random_flip_pair, zero_one_flip_pairs
-from flipshift.errors import BudgetError
+from flipshift.errors import BudgetError, MatrixShapeError
 from flipshift.fixtures import (example1_pair, example1_symmetric_pair,
                                 golden_mean_pair, one_point_pair)
 from flipshift.flips import FlipPair
@@ -345,3 +345,22 @@ def test_flip_permutes_periodic_points():
             assert sorted(images) == sorted(points)
             for x in points:
                 assert flip_point(p, flip_point(p, x)) == x
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: blocks(IntMatrix.rect("ab", "a", [[1], [0]]), 1), MatrixShapeError,
+     "a shift needs a square matrix with one label list"),
+    (lambda: enumerate_periodic(IntMatrix.rect("ab", "ba", [[1, 0], [0, 1]]), 1),
+     MatrixShapeError, "a shift needs a square matrix with one label list"),
+    (lambda: essential_symbols(IntMatrix.square("ab", [[2, 0], [0, 1]])), MatrixShapeError,
+     "a shift needs a zero-one matrix"),
+    (lambda: blocks(golden_mean_pair().A, 0), ValueError, "block length must be >= 1"),
+    (lambda: enumerate_periodic(golden_mean_pair().A, 0), ValueError, "period must be >= 1"),
+    (lambda: count_pmn_bruteforce(golden_mean_pair(), 0, 0), ValueError, "m must be >= 1"),
+    (lambda: count_pmn_bruteforce(golden_mean_pair(), -2, 1), ValueError, "m must be >= 1"),
+    (lambda: word_center(("a", "b")), ValueError, "center symbol needs a word of odd length"),
+])
+def test_refusals(make, error, message):
+    with pytest.raises(error) as e:
+        make()
+    assert type(e.value) is error and str(e.value) == message

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 
 from corpus import random_flip_pair, zero_one_flip_pairs
@@ -9,6 +10,7 @@ from flipshift.fixtures import (example1_pair, example1_symmetric_pair,
                                 one_point_pair)
 from flipshift.flips import FlipPair
 from flipshift.matrices import IntMatrix
+from flipshift.refchecks import reference_closed_form_triple
 from flipshift.series import TruncatedSeries, series_mul
 from flipshift.shifts import count_pmn_bruteforce
 from flipshift.zeta import (artin_mazur_zeta, generating_function, lind_zeta,
@@ -135,3 +137,17 @@ def test_verify_prop31_composed_rows_use_an_independent_flip(monkeypatch):
     assert [c.name for c in row3] == ["p(2,1) == p(2,0 of composed)",
                                       "p(4,1) == p(4,0 of composed)"]
     assert not any(c.passed for c in row3)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda p: p_flip_counts(p, 0), "m must be >= 1"),
+    (lambda p: generating_function(p, 0), "order must be >= 1"),
+    (lambda p: artin_mazur_zeta(p.A, 0), "order must be >= 1"),
+    (lambda p: lind_zeta(p, -1), "order must be >= 1"),
+    (lambda p: verify_prop31(p, 0), "m_max must be >= 1"),
+    (lambda p: reference_closed_form_triple(0), "m must be >= 1"),
+])
+def test_range_refusals(call, message):
+    with pytest.raises(ValueError) as e:
+        call(golden_mean_pair())
+    assert str(e.value) == message
