@@ -16,20 +16,31 @@ Schemas (all integers are exact, series coefficients are fraction strings):
 * conjugacy       {"from": pair, "to": pair, "psi": {label: label},
                    "inverse_window": int}
 
-Every parser raises SchemaError with the offending field path.
+Every parser raises SchemaError with the offending field path.  A document is
+checked once: each label list is read once, the entry types and row types of a
+whole matrix in one C pass each, the label repeats and the shape once, and the
+matrices are then built unchecked.  Only a document that fails a whole pass is
+scanned row by row, to name its first bad entry.  A pair's axioms are then
+checked by ``FlipPair``, a zero-one test on each matrix first.  A pair
+document's faults are reported in one fixed order: label types, the entries
+of A, then of J, the name, repeated labels, the shape of A, then of J, and
+last the pair's axioms.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
+from itertools import chain
+from json.encoder import c_make_encoder
 from typing import Any
 
 from .constructions import BlockFlipSpec, OneBlockConjugacySpec
 from .equivalence import HalfElemCert, ShiftFlipCert, StrongChain, he_check
 from .errors import FlipShiftError, SchemaError
 from .flips import FlipPair
-from .matrices import IntMatrix, _first_non_int, _Ones, _rows_of_ones
+from .matrices import IntMatrix, _as_labels, _first_non_int, _Ones, _rows_of_ones
 from .series import TruncatedSeries
 
 
@@ -44,29 +55,39 @@ def _str_list(doc: Any, path: str) -> list[str]:
     if not set(map(type, doc)) <= {str}:
         for i, x in enumerate(doc):
             _expect(x, str, f"{path}[{i}]")
-    return list(doc)
+    return doc
 
 
 def _int_rows(doc: Any, path: str) -> list[list[int]]:
+    """``doc`` as rows of ints.  A list of lists of plain ints passes in two C passes
+    over the whole document; any other is scanned row by row, which names its first
+    bad row or entry and lets int subclasses pass."""
+    if type(doc) is list and set(map(type, doc)) <= {list} \
+            and set(map(type, chain.from_iterable(doc))) <= {int}:
+        return doc
     _expect(doc, list, path)
-    rows = []
     for i, row in enumerate(doc):
         _expect(row, list, f"{path}[{i}]")
         j = _first_non_int(row)
         if j is not None:
             raise SchemaError(f"{path}[{i}][{j}]", f"expected integer, got {row[j]!r}")
-        rows.append(list(row))
-    return rows
+    return doc
+
+
+def _at(path: str, make, *args):
+    """``make(*args)``, with a fault in it reported as a SchemaError at ``path``."""
+    try:
+        return make(*args)
+    except FlipShiftError as e:
+        raise SchemaError(path, str(e)) from e
 
 
 def rect_from_doc(doc: Any, row_labels: tuple[str, ...], col_labels: tuple[str, ...],
                   path: str) -> IntMatrix:
     """Integer rows labelled by the given alphabets, e.g. a certificate's R or S."""
     rows = _int_rows(doc, path)
-    try:
-        return IntMatrix.rect(row_labels, col_labels, rows)
-    except FlipShiftError as e:
-        raise SchemaError(path, str(e)) from e
+    return _at(path, IntMatrix._of_int_rows, _at(path, _as_labels, row_labels),
+               _at(path, _as_labels, col_labels), rows)
 
 
 # -- writing ---------------------------------------------------------------------
@@ -74,13 +95,24 @@ def rect_from_doc(doc: Any, row_labels: tuple[str, ...], col_labels: tuple[str, 
 _STR = json.encoder.encode_basestring_ascii
 _SCALAR = json.JSONEncoder(check_circular=False).encode  # any other leaf, or a refusal
 _LEAF = {str: _STR, int: int.__repr__}  # the common leaves, by exact type
+_SCALARS = {str, int, float, bool, type(None)}  # json's leaves, by exact type
+
+
+@cache
+def _flat(inner: str):
+    """json's encoder with the item separator of a container whose items sit at
+    ``inner``, called as ``encode(obj, 0)`` for the pieces of a flat container written
+    whole, its items on the right lines; the C one when the interpreter has it."""
+    if c_make_encoder is None:
+        return json.JSONEncoder(separators=("," + inner, ": "), check_circular=False).iterencode
+    return c_make_encoder(None, _SCALAR, _STR, None, ": ", "," + inner, False, False, True)
 
 
 def dumps(obj: Any) -> str:
     """The text of ``json.dumps(obj, indent=2)``, with any pair, certificate or chain
     in ``obj`` read as its document (``pair_to_doc``, ``cert_to_doc``, ``chain_to_doc``)
     but written from its ones (``_ZeroOne``); the rest mostly by C code, since json's
-    C encoder runs only without indent, so a list of ints is one ``repr``."""
+    C encoder runs only without indent: a list, or a dict, of scalars is one call."""
     out: list[str] = []
     _write(obj, "\n", out)
     return "".join(out)
@@ -94,13 +126,15 @@ def _write(obj: Any, nl: str, out: list[str]) -> None:
         out.append(obj.text(nl) if type(obj) is _ZeroOne else _LEAF.get(type(obj), _SCALAR)(obj))
     elif not obj:
         out.append("{}" if isinstance(obj, dict) else "[]")
+    elif set(map(type, obj)) <= _SCALARS and (
+            not isinstance(obj, dict) or set(map(type, obj.values())) <= _SCALARS):
+        text = "".join(_flat(inner)(obj, 0))
+        out.append(f"{text[0]}{inner}{text[1:-1]}{nl}{text[-1]}")
     elif isinstance(obj, dict):
         for i, (k, v) in enumerate(obj.items()):
             out.append(("{" if i == 0 else ",") + inner + _key(k) + ": ")
             _write(v, inner, out)
         out.append(nl + "}")
-    elif set(map(type, obj)) == {int}:
-        out.append(f"[{inner}{repr(list(obj))[1:-1].replace(', ', ',' + inner)}{nl}]")
     else:
         for i, x in enumerate(obj):
             out.append(("[" if i == 0 else ",") + inner)
@@ -143,14 +177,14 @@ def _key(k: Any) -> str:
 def matrix_from_doc(doc: Any, path: str = "matrix") -> IntMatrix:
     _expect(doc, dict, path)
     rows = _int_rows(doc.get("rows"), f"{path}.rows")
-    try:
-        if "labels" in doc:
-            return IntMatrix.square(_str_list(doc["labels"], f"{path}.labels"), rows)
+    if "labels" in doc:
+        rl = cl = _str_list(doc["labels"], f"{path}.labels")
+    else:
         rl = _str_list(doc.get("row_labels"), f"{path}.row_labels")
         cl = _str_list(doc.get("col_labels"), f"{path}.col_labels")
-        return IntMatrix.rect(rl, cl, rows)
-    except FlipShiftError as e:
-        raise SchemaError(path, str(e)) from e
+    row_labels = _at(path, _as_labels, rl)
+    col_labels = row_labels if cl is rl else _at(path, _as_labels, cl)
+    return _at(path, IntMatrix._of_int_rows, row_labels, col_labels, rows)
 
 
 def r_from_doc(doc: Any, row_labels: tuple[str, ...], col_labels: tuple[str, ...],
@@ -181,12 +215,9 @@ def pair_from_doc(doc: Any, path: str = "pair") -> FlipPair:
     name = doc.get("name")
     if name is not None:
         _expect(name, str, f"{path}.name")
-    try:
-        a = IntMatrix.square(alphabet, a_rows)
-        j = IntMatrix.square(alphabet, j_rows)
-    except FlipShiftError as e:
-        raise SchemaError(path, str(e)) from e
-    return FlipPair(a, j, name=name)
+    labels = _at(path, _as_labels, alphabet)
+    return FlipPair(_at(path, IntMatrix._of_int_rows, labels, labels, a_rows),
+                    _at(path, IntMatrix._of_int_rows, labels, labels, j_rows), name=name)
 
 
 # -- series --------------------------------------------------------------------

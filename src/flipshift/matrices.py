@@ -15,15 +15,18 @@ fraction-free (Bareiss) elimination that touches only the rows a step
 eliminates; its entries are minors of the input, so they stay as small as
 those minors are.  Rank profiles form no matrix power; see ``rank_profile``.
 
-Each input rule lives once, here: integer entries in ``_first_non_int`` (the
-document readers call it too), distinct labels in ``_as_labels``, squareness
-as equal label lists.  Matrices computed from checked ones are built unchecked.
+Each input rule lives once, here: integer entries in ``_first_non_int``,
+distinct labels in ``_as_labels``, the shape in ``_shape_fault``, squareness
+as equal label lists.  The document readers check a whole document's entry
+types in one pass of their own, call ``_first_non_int`` only to name a bad
+entry, and build through ``IntMatrix._of_int_rows``, which checks the shape
+alone.  Matrices computed from checked ones are built unchecked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from math import gcd
 from operator import add, sub
 from typing import Iterable, Sequence
@@ -35,7 +38,7 @@ _Ones = tuple[tuple[int, ...], ...]  # per row, the columns of its nonzeros, asc
 
 
 def _as_labels(labels: Iterable[str]) -> Labels:
-    out = tuple(str(x) for x in labels)
+    out = tuple(map(str, labels))
     if len(set(out)) != len(out):
         raise MatrixShapeError(f"duplicate labels: {out}")
     return out
@@ -48,6 +51,16 @@ def _first_non_int(row: Sequence) -> int | None:
         return None
     return next((j for j, x in enumerate(row) if not isinstance(x, int) or isinstance(x, bool)),
                 None)
+
+
+def _shape_fault(rows: Sequence[Sequence], nrows: int, ncols: int) -> str | None:
+    """What keeps ``rows`` from being ``nrows`` rows of width ``ncols``, else None."""
+    if len(rows) != nrows:
+        return f"{len(rows)} rows for {nrows} row labels"
+    if set(map(len, rows)) <= {ncols}:
+        return None
+    width = next(len(row) for row in rows if len(row) != ncols)
+    return f"row of length {width} for {ncols} column labels"
 
 
 def _rows_of_ones(ones: _Ones, ncols: int) -> list[list[int]]:
@@ -68,16 +81,14 @@ class IntMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if len(self.entries) != len(self.row_labels):
-            raise MatrixShapeError(
-                f"{len(self.entries)} rows for {len(self.row_labels)} row labels")
-        for row in self.entries:
-            if len(row) != len(self.col_labels):
-                raise MatrixShapeError(
-                    f"row of length {len(row)} for {len(self.col_labels)} column labels")
-            j = _first_non_int(row)
-            if j is not None:
-                raise MatrixShapeError(f"non-integer entry {row[j]!r}")
+        fault = _shape_fault(self.entries, len(self.row_labels), len(self.col_labels))
+        if fault is not None:
+            raise MatrixShapeError(fault)
+        if not set(map(type, chain.from_iterable(self.entries))) <= {int}:
+            for row in self.entries:
+                j = _first_non_int(row)
+                if j is not None:
+                    raise MatrixShapeError(f"non-integer entry {row[j]!r}")
         _as_labels(self.row_labels)
         _as_labels(self.col_labels)
 
@@ -100,6 +111,16 @@ class IntMatrix:
                          tuple(map(tuple, _rows_of_ones(ones, len(col_labels)))))
         m.__dict__["_ones"] = ones
         return m
+
+    @classmethod
+    def _of_int_rows(cls, row_labels: Labels, col_labels: Labels,
+                     rows: Sequence[Sequence[int]]) -> "IntMatrix":
+        """The matrix of ``rows`` under the given distinct labels, for readers that have
+        checked every entry is an int: checks the shape alone."""
+        fault = _shape_fault(rows, len(row_labels), len(col_labels))
+        if fault is not None:
+            raise MatrixShapeError(fault)
+        return cls._trusted(row_labels, col_labels, tuple(map(tuple, rows)))
 
     @classmethod
     def square(cls, labels: Iterable[str], rows: Sequence[Sequence[int]]) -> "IntMatrix":

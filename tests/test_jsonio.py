@@ -3,16 +3,16 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from corpus import corpus
-from flipshift import jsonio
+from corpus import corpus, zero_one_flip_pairs
+from flipshift import jsonio, matrices
 from flipshift.constructions import (OneBlockConjugacySpec, decompose_conjugacy,
                                      higher_block)
 from flipshift.equivalence import StrongChain, he_check, he_search, sfe_bounded_search
-from flipshift.errors import SchemaError
+from flipshift.errors import FlipPairError, FlipShiftError, MatrixShapeError, SchemaError
 from flipshift.fixtures import (example1_pair, example1_symmetric_pair,
-                                example2_matrix, golden_mean_pair)
+                                example2_matrix, example2_pair, golden_mean_pair)
 from flipshift.flips import FlipPair
 from flipshift.matrices import IntMatrix
 from flipshift.series import TruncatedSeries
@@ -170,6 +170,33 @@ def test_dumps_writes_rows_as_json_dumps(rows):
     assert jsonio.dumps({"A": rows}) == json.dumps({"A": rows}, indent=2)
 
 
+_FLAT = {"rows": [{"m": 1, "n": 0, "count": 3}, {"a\u00e9\n": "x\"y", 2: None, 1.5: True}],
+         "coeffs": ["1", "-1/2", "\ud800"], "mixed": [1, "a", 2.5, float("nan"), False, None],
+         "inputs": {"p.json": "ab" * 32}}
+
+
+@pytest.mark.parametrize("c_encoder", [True, False], ids=["C encoder", "python encoder"])
+def test_flat_containers_are_written_whole_as_json_dumps_writes_them(c_encoder, monkeypatch):
+    if not c_encoder:
+        monkeypatch.setattr(jsonio, "c_make_encoder", None)
+    jsonio._flat.cache_clear()
+    try:
+        assert jsonio.dumps(_FLAT) == json.dumps(_FLAT, indent=2)
+        assert jsonio.dumps([_FLAT]) == json.dumps([_FLAT], indent=2)
+    finally:
+        jsonio._flat.cache_clear()
+
+
+def test_a_count_report_is_written_one_call_per_row(monkeypatch):
+    rows = [{"m": m, "n": n, "count": 2 ** m + n} for m in range(1, 11) for n in (0, 1)]
+    report = {"command": "count", "inputs": {"p.json": "ab" * 32}, "rows": rows}
+    calls = []
+    write = jsonio._write
+    monkeypatch.setattr(jsonio, "_write", lambda *args: calls.append(1) or write(*args))
+    assert jsonio.dumps(report) == json.dumps(report, indent=2)
+    assert len(calls) == 4 + len(rows)  # the report, its three values, each row
+
+
 @pytest.mark.parametrize("doc", [{(1,): 2}, {"a": [1, {2, 3}]}, [object()], b"x"])
 def test_dumps_refuses_what_json_refuses(doc):
     with pytest.raises(TypeError) as theirs:
@@ -281,6 +308,10 @@ _GM_MATRIX = {"labels": ["1", "2"], "rows": [[1, 1], [1, 0]]}
      "matrix: 1 rows for 2 row labels"),
     (jsonio.matrix_from_doc, {"row_labels": ["a"], "col_labels": ["b", "b"], "rows": [[1, 1]]},
      "matrix: duplicate labels: ('b', 'b')"),
+    (jsonio.matrix_from_doc, {"labels": "ab", "rows": [[1]]},
+     "matrix.labels: expected list, got str"),
+    (jsonio.matrix_from_doc, {"row_labels": ["a"], "rows": [[1]]},
+     "matrix.col_labels: expected list, got NoneType"),
     (jsonio.pair_from_doc, {**_GM_DOC, "A": [[1, 1], [1]]},
      "pair: row of length 1 for 2 column labels"),
     (jsonio.pair_from_doc, {**_GM_DOC, "J": [[True, 0], [0, 1]]},
@@ -308,3 +339,98 @@ def test_reader_refusals(read, doc, message):
     with pytest.raises(SchemaError) as e:
         read(doc)
     assert str(e.value) == message
+
+
+# Each document holds two faults; the reader reports the one it always has.
+@pytest.mark.parametrize("doc, error, message", [
+    ({**_GM_DOC, "A": [[1, 1], [1]], "J": [[1, 0], [0, True]]},
+     SchemaError, "pair.J[1][1]: expected integer, got True"),
+    ({**_GM_DOC, "alphabet": ["1", "1"], "A": [[1, 2], [1, 0]]},
+     SchemaError, "pair: duplicate labels: ('1', '1')"),
+    ({**_GM_DOC, "A": [[1, 2], [1, 0]], "J": [[0, 1], [0, 1]]},
+     FlipPairError, "transition matrix has an entry outside {0,1}"),
+    ({**_GM_DOC, "alphabet": ["1", ""], "A": [[1, 1], [0, 0]]},
+     FlipPairError, "empty symbol label"),
+], ids=["bool in J, ragged A", "duplicate label, 2 in A", "2 in A, J not involutive",
+        "empty label, no flip symmetry"])
+def test_reader_reports_the_first_of_two_faults(doc, error, message):
+    with pytest.raises(error) as e:
+        jsonio.pair_from_doc(doc)
+    assert str(e.value) == message
+
+
+@lru_cache(maxsize=None)
+def _block_pair_doc(n: int) -> tuple:
+    """Example 2's (n+1)-block pair of A and its document: 20 symbols at n = 1, 359 at 4."""
+    pair, _ = higher_block(example2_pair("A"), n)
+    return pair, json.dumps(jsonio.pair_to_doc(pair))
+
+
+@pytest.mark.parametrize("n, size", [(1, 20), (4, 359)])
+def test_the_reader_checks_a_valid_document_once(n, size, monkeypatch):
+    pair, text = _block_pair_doc(n)
+
+    def refuse(*args):
+        raise AssertionError("a valid document was checked again")
+
+    monkeypatch.setattr(jsonio, "_first_non_int", refuse)
+    monkeypatch.setattr(matrices, "_first_non_int", refuse)
+    monkeypatch.setattr(IntMatrix, "__post_init__", refuse)
+    doc = json.loads(text)
+    back = jsonio.pair_from_doc(doc)
+    assert back.size == size and back == pair
+    assert jsonio.matrix_from_doc({"labels": doc["alphabet"], "rows": doc["A"]}) == pair.A
+
+
+def _built(alphabet, a_rows, j_rows):
+    """The pair the checked constructors build, or the error they raise."""
+    try:
+        return FlipPair(IntMatrix.square(alphabet, a_rows), IntMatrix.square(alphabet, j_rows))
+    except FlipShiftError as e:
+        return e
+
+
+_DEFECTS = ["none", "bool", "float", "int subclass", "ragged row", "missing row", "entry 2",
+            "J not involutive", "duplicate label"]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(pair=zero_one_flip_pairs(), data=st.data())
+def test_a_planted_defect_is_read_as_the_checked_constructors_build_it(pair, data):
+    doc = jsonio.pair_to_doc(pair)
+    n = pair.size
+    defect = data.draw(st.sampled_from(_DEFECTS))
+    rows = doc[data.draw(st.sampled_from("AJ"))]
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    if defect == "bool":
+        rows[i][j] = bool(rows[i][j])
+    elif defect == "float":
+        rows[i][j] = float(rows[i][j])
+    elif defect == "int subclass":
+        rows[i][j] = _Int(rows[i][j])
+    elif defect == "ragged row":
+        rows[i] = rows[i][:-1] if data.draw(st.booleans()) else rows[i] + [0]
+    elif defect == "missing row":
+        del rows[i]
+    elif defect == "entry 2":
+        rows[i][j] = 2
+    elif defect == "J not involutive":  # row i's one moves to column j, or goes
+        doc["J"][i] = [int(k == j != pair.tau_index[i]) for k in range(n)]
+    elif defect == "duplicate label":
+        assume(n > 1)
+        doc["alphabet"][i] = doc["alphabet"][(i + 1) % n]
+    want = _built(doc["alphabet"], doc["A"], doc["J"])
+    try:
+        got = jsonio.pair_from_doc(doc)
+    except FlipShiftError as e:
+        got = e
+    if isinstance(want, FlipPair):
+        assert got == want
+    elif isinstance(want, FlipPairError):
+        assert type(got) is FlipPairError and (got.axiom, str(got)) == (want.axiom, str(want))
+    else:
+        assert isinstance(want, MatrixShapeError) and type(got) is SchemaError
+    if defect in ("none", "int subclass"):
+        assert got == pair
+    elif defect in ("bool", "float", "ragged row", "missing row", "duplicate label"):
+        assert type(got) is SchemaError
