@@ -308,10 +308,6 @@ _GM_MATRIX = {"labels": ["1", "2"], "rows": [[1, 1], [1, 0]]}
      "matrix: 1 rows for 2 row labels"),
     (jsonio.matrix_from_doc, {"row_labels": ["a"], "col_labels": ["b", "b"], "rows": [[1, 1]]},
      "matrix: duplicate labels: ('b', 'b')"),
-    (jsonio.matrix_from_doc, {"labels": "ab", "rows": [[1]]},
-     "matrix.labels: expected list, got str"),
-    (jsonio.matrix_from_doc, {"row_labels": ["a"], "rows": [[1]]},
-     "matrix.col_labels: expected list, got NoneType"),
     (jsonio.pair_from_doc, {**_GM_DOC, "A": [[1, 1], [1]]},
      "pair: row of length 1 for 2 column labels"),
     (jsonio.pair_from_doc, {**_GM_DOC, "J": [[True, 0], [0, 1]]},
@@ -334,6 +330,10 @@ _GM_MATRIX = {"labels": ["1", "2"], "rows": [[1, 1], [1, 0]]}
      "conjugacy.psi[1]: expected str, got int"),
     (jsonio.conjugacy_from_doc, {"from": _GM_DOC, "to": _GM_DOC, "psi": {}, "inverse_window": -1},
      "conjugacy.inverse_window: expected integer >= 0"),
+    (jsonio.matrix_from_doc, {"labels": "ab", "rows": [[1]]},
+     "matrix.labels: expected list, got str"),
+    (jsonio.matrix_from_doc, {"row_labels": ["a"], "rows": [[1]]},
+     "matrix.col_labels: expected list, got NoneType"),
 ])
 def test_reader_refusals(read, doc, message):
     with pytest.raises(SchemaError) as e:
