@@ -49,18 +49,24 @@ class HalfElemCert:
         return IntMatrix._from_ones(self.target.alphabet, self.source.alphabet, self.s_ones)
 
     @cached_property
-    def _gamma_table(self) -> dict[tuple[str, str], str]:
-        """(a1, a2) -> b for the source transitions joined by exactly one b
-        with R(a1, b) == S(b, a2) == 1; R's ones meet S's ones at b."""
-        hits: dict[tuple[str, str], list[str]] = {}
-        src, dst = self.source.alphabet, self.target.alphabet
+    def _gamma_codes(self) -> dict[str, str]:
+        """chr(i) + chr(k) -> chr(b) for the source transitions (i, k) joined by
+        exactly one b with R(i, b) == S(b, k) == 1; R's ones meet S's ones at b."""
+        hits: dict[str, list[int]] = {}
         for i, bs in enumerate(self.r_ones):
             allowed = set(self.source._succ[i])
             for b in bs:
                 for k in self.s_ones[b]:
                     if k in allowed:
-                        hits.setdefault((src[i], src[k]), []).append(dst[b])
-        return {key: bs[0] for key, bs in hits.items() if len(bs) == 1}
+                        hits.setdefault(chr(i) + chr(k), []).append(b)
+        return {key: chr(bs[0]) for key, bs in hits.items() if len(bs) == 1}
+
+    @cached_property
+    def _gamma_table(self) -> dict[tuple[str, str], str]:
+        """``_gamma_codes`` in the labels: (a1, a2) -> b."""
+        src, dst = self.source.alphabet, self.target.alphabet
+        return {(src[ord(i)], src[ord(k)]): dst[ord(b)]
+                for (i, k), b in self._gamma_codes.items()}
 
 
 @dataclass(frozen=True)

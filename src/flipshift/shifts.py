@@ -3,17 +3,21 @@
 Admissible blocks, periodic points, and the brute-force counter of points
 fixed jointly by a shift power and a shifted flip.  The enumerations are
 deliberately naive, every word and every point built, because they are the
-oracle the closed-form counts are tested against.  Paths are strings of
-symbol indices, and two walks build them.  ``blocks`` grows the paths from
-the symbols with an infinite past one symbol at a time, in lex order
-(``_walks``).  ``_CycleWalk`` grows the paths from every symbol grouped by
-first and last symbol, a whole group at a time, and its paths of m symbols
-that close are the period-m points: ``enumerate_periodic`` sorts those of a
-fresh walk, and the counter resumes one walk per pair and tests each period
-against every shifted flip at once, in whole-list passes.  A walk's work is
-counted in advance by vector iteration and refused above ``WALK_BUDGET``.
-The essential symbols, those on bi-infinite paths, are what is left after
-pruning sinks and sources, in time linear in the transitions.
+oracle the closed-form counts are tested against.  Inside the package a word
+is an index string, a ``str`` of ``chr(index)``; labels are spelled out only
+at the boundary.  Two walks build the paths.  ``_index_blocks`` grows the
+paths from the symbols with an infinite past one symbol at a time, in lex
+order (``_walks``), and caches the blocks as index strings, which the
+builders of ``constructions`` work on; ``blocks`` is its cached labelled
+view, the same words as tuples of labels.  ``_CycleWalk`` grows the paths
+from every symbol grouped by first and last symbol, a whole group at a time,
+and its paths of m symbols that close are the period-m points:
+``enumerate_periodic`` sorts those of a fresh walk, and the counter resumes
+one walk per pair and tests each period against every shifted flip at once,
+in whole-list passes.  A walk's work is counted in advance by vector
+iteration and refused above ``WALK_BUDGET``.  The essential symbols, those on
+bi-infinite paths, are what is left after pruning sinks and sources, in time
+linear in the transitions.
 """
 
 from __future__ import annotations
@@ -97,6 +101,11 @@ def is_essential(a: IntMatrix) -> bool:
     return essential_symbols(a) == a.row_labels
 
 
+def _index_successors(succ: Sequence[Sequence[int]]) -> list[str]:
+    """Per symbol, its successors as one index string, in index order."""
+    return ["".join(map(chr, js)) for js in succ]
+
+
 def _walks(succ: list[str], starts: str, length: int) -> list[str]:
     """Every path of ``length`` symbol indices from ``starts``, in lex order.
 
@@ -148,19 +157,31 @@ def _labelled(a: IntMatrix, paths) -> tuple[Word, ...]:
 
 
 @lru_cache(maxsize=256)
-def blocks(a: IntMatrix, n: int) -> tuple[Word, ...]:
-    """All length-n words occurring in some bi-infinite point, in canonical order.
+def _index_blocks(a: IntMatrix, n: int) -> tuple[str, ...]:
+    """The length-n words on bi-infinite points as index strings, in lex order.
 
-    Canonical order is lexicographic by symbol position in the alphabet, so
-    matrices built over block alphabets are reproducible bit for bit.
+    These are the words the builders work on; ``blocks`` is their labelled view.
     """
     past, future = _essential_flags(a)
     if n < 1:
         raise ValueError("block length must be >= 1")
     _check_walk_budget(a._support, list(map(int, past)), n)
-    succ = ["".join(map(chr, js)) for js in a._support]
-    paths = _walks(succ, "".join(compress(map(chr, range(a.nrows)), past)), n)
-    return _labelled(a, [w for w in paths if future[ord(w[-1])]])
+    starts = "".join(compress(map(chr, range(a.nrows)), past))
+    paths = _walks(_index_successors(a._support), starts, n)
+    if all(future):
+        return tuple(paths)
+    return tuple(w for w in paths if future[ord(w[-1])])
+
+
+@lru_cache(maxsize=256)
+def blocks(a: IntMatrix, n: int) -> tuple[Word, ...]:
+    """All length-n words occurring in some bi-infinite point, in canonical order.
+
+    Canonical order is lexicographic by symbol position in the alphabet, so
+    matrices built over block alphabets are reproducible bit for bit.  The
+    words are those of ``_index_blocks``, spelled in the labels of ``a``.
+    """
+    return _labelled(a, _index_blocks(a, n))
 
 
 def block_count(a: IntMatrix, n: int) -> int:
@@ -199,7 +220,7 @@ class _CycleWalk:
     leads back to s close, and are the points of period ``length``."""
 
     def __init__(self, succ: _Ones):
-        self.ones, self.succ = succ, ["".join(map(chr, js)) for js in succ]
+        self.ones, self.succ = succ, _index_successors(succ)
         self.ends: list[dict[str, list[str]]] = []
         self.length = 0
 

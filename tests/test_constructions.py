@@ -1,8 +1,9 @@
 import random
+from collections import Counter
 from itertools import permutations
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from corpus import corpus, zero_one_flip_pairs
 from flipshift import constructions, shifts
@@ -106,8 +107,15 @@ def test_higher_block_example1():
     assert lind_zeta(hb, 10) == lind_zeta(p1, 10)
 
 
+def _labels_against_positions(pair: FlipPair) -> FlipPair:
+    """The pair with its labels renamed to sort in the reverse of their positions."""
+    names = [chr(ord("z") - i) for i in range(pair.size)]
+    return pair.relabel(dict(zip(pair.alphabet, names)))
+
+
 @settings(derandomize=True, database=None, deadline=None)
 @given(pair=zero_one_flip_pairs(), n=st.integers(1, 3))
+@example(pair=_labels_against_positions(example1_pair()), n=2)
 def test_higher_block_equals_the_all_pairs_oracle(pair, n):
     hb, chain = higher_block(pair, n)
     assert chain.pairs == tuple(all_pairs_block_pair(pair, k) for k in range(1, n + 2))
@@ -296,6 +304,9 @@ def _stage_oracle_specs() -> list[OneBlockConjugacySpec]:
         hb, _cycle_pair(7, centre=2), {lab: lab.split(" ")[2] for lab in hb.alphabet}, 1))
     loose = _center_read_spec(golden_mean_pair(), 1)
     specs.append(OneBlockConjugacySpec(loose.source, loose.target, loose.psi, 2))
+    # targets whose labels sort against their positions: words sort by position
+    specs += [_center_read_spec(_labels_against_positions(golden_mean_pair()), 2),
+              _center_read_spec(_labels_against_positions(example1_pair()), 1)]
     return specs
 
 
@@ -303,6 +314,39 @@ def test_decomposition_stages_equal_the_candidate_oracle():
     for spec in _stage_oracle_specs():
         stages = decompose_conjugacy(spec).chain.pairs[:2 * spec.inverse_window + 1]
         assert stages == tuple(candidate_stages(spec))
+
+
+def _cycle_of(n: int) -> FlipPair:
+    """``_cycle_pair(n)`` built from its ones, without its n x n dense matrices."""
+    return FlipPair._from_ones(tuple(map(str, range(n))),
+                               tuple(((i + 1) % n,) for i in range(n)),
+                               tuple(((-i) % n,) for i in range(n)))
+
+
+def test_empty_overlaps_take_their_candidates_from_the_successor_lists(monkeypatch):
+    # at block length 1 and at window 0 every pair of symbols agrees on the
+    # empty overlap: comparing all of them would examine 1,001,000 candidates
+    # on this 1,000-cycle, and its pairs have 1,000 transitions each
+    cycle = _cycle_of(1000)
+    assert cycle == _cycle_pair(1000)
+    examined: list[tuple[int, int]] = []
+    matches = constructions._matches
+
+    def counting(xs, ys, x_keys, y_key, joins=None):
+        # the candidates of x are the ys whose key is one of x's keys
+        sizes = Counter(map(y_key, ys))
+        found = matches(xs, ys, x_keys, y_key, joins)
+        examined.append((sum(sizes[key] for x in xs for key in x_keys(x)),
+                         sum(map(len, found))))
+        return found
+
+    monkeypatch.setattr(constructions, "_matches", counting)
+    _, chain = higher_block(cycle, 1)
+    spec = BlockFlipSpec(cycle.A, 0, {(a,): cycle.tau[a] for a in cycle.alphabet})
+    built, _ = build_flip_pair(spec)
+    assert all(ones <= candidates for candidates, ones in examined)
+    pairs = (*chain.pairs, built)
+    assert sum(c for c, _ in examined) <= sum(sum(map(len, p._succ)) + p.size for p in pairs)
 
 
 def test_full_three_shift_at_window_two_builds_only_its_stages():
@@ -487,9 +531,11 @@ def test_verify_decomposition_refuses_over_budget_before_any_link(monkeypatch):
     # the prefixes of a walk to the lag's width: every narrower walk fits
     budget = sum(len(blocks(a, k)) for k in range(1, dec.chain.lag + 1))
     blocks.cache_clear()
+    shifts._index_blocks.cache_clear()
     monkeypatch.setattr(shifts, "WALK_BUDGET", budget)
     calls = []
     monkeypatch.setattr(constructions, "gamma_block", lambda *args: calls.append(args))
+    monkeypatch.setattr(HalfElemCert, "_gamma_codes", property(calls.append))
     blocks(a, dec.chain.lag)
     with pytest.raises(BudgetError):
         verify_decomposition(dec, spec)

@@ -116,6 +116,7 @@ _BUILDERS = {blocks: "_walks", enumerate_periodic: "_extend"}
 
 def _enumerate_within(budget, enumerate_words, a, length, counting=None):
     enumerate_words.cache_clear()
+    shifts._index_blocks.cache_clear()  # the walk behind blocks, cached on its own
     builder = _BUILDERS[enumerate_words]
     with patch.object(shifts, "WALK_BUDGET", budget), \
             patch.object(shifts, builder, counting or getattr(shifts, builder)):
