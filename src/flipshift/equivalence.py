@@ -7,13 +7,15 @@ they encode, so S is R transposed and re-indexed.  ``he_check`` checks each
 step once, where it is made.  Steps and the lag-k analogue with nonnegative
 integral R are verified identity by identity with the first violation
 reported by name; identities implied by the earlier ones are not re-checked.
+Both bounded searches are one pruned walk over the integral kernel of the
+linear condition A*R == R*B: a splitting step is a lag-1 witness whose R is
+zero-one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, product
 
 from .errors import BudgetError, CertificateError
 from .flips import FlipPair
@@ -215,69 +217,7 @@ def sse_verify(chain: StrongChain) -> Report:
     return report
 
 
-# -- single-step search ----------------------------------------------------------
-
-
-def he_search(src: FlipPair, dst: FlipPair, max_solutions: int = DEFAULT_MAX_SOLUTIONS,
-              cell_budget: int = DEFAULT_CELL_BUDGET) -> list[HalfElemCert]:
-    """Enumerate all single splitting steps from src to dst, R row by row.
-
-    S is forced by the derivation rule, so only zero-one R matrices are
-    enumerated, in lexicographic row order.  Partial assignments are pruned
-    against both product identities before descending.
-    """
-    na, nb = src.size, dst.size
-    if na * nb > cell_budget:
-        raise BudgetError(f"{na}x{nb} exceeds the search budget of {cell_budget} cells")
-    tau_j, tau_k = src.tau_index, dst.tau_index
-    a_sets, b_sets = [set(js) for js in src._succ], [set(js) for js in dst._succ]
-    row_candidates = [tuple(compress(range(nb), bits)) for bits in product((0, 1), repeat=nb)]
-    rows: list[tuple[int, ...]] = []
-    found: list[HalfElemCert] = []
-
-    def partial_ok(t: int) -> bool:
-        # with rows 0..t placed, A*J == R*K*R^T is decided on those rows, where
-        # (R*K*R^T)(i, i2) counts the b in R[i] with tau_K b in R[i2]
-        rt = set(rows[t])
-        for i in range(t + 1):
-            ri = set(rows[i])
-            if sum(tau_k[b] in ri for b in rt) != (tau_j[i] in a_sets[t]) or \
-                    sum(tau_k[b] in rt for b in ri) != (tau_j[t] in a_sets[i]):
-                return False
-        # K*B == R^T*J*R on fully placed symbol pairs: each (b, b2) with
-        # R(a, b) == R(tau_J a, b2) == 1 at most once, and only where B(tau_K b, b2) == 1
-        seen: set[tuple[int, int]] = set()
-        for a in range(t + 1):
-            if tau_j[a] <= t:
-                for b in rows[a]:
-                    for b2 in rows[tau_j[a]]:
-                        if (b, b2) in seen or b2 not in b_sets[tau_k[b]]:
-                            return False
-                        seen.add((b, b2))
-        return True
-
-    def descend():
-        if len(found) >= max_solutions:
-            return
-        if len(rows) == na:
-            try:
-                found.append(he_check(src, dst, tuple(rows)))
-            except CertificateError:
-                pass
-            return
-        for cand in row_candidates:
-            rows.append(cand)
-            if partial_ok(len(rows) - 1):
-                descend()
-            rows.pop()
-            if len(found) >= max_solutions:
-                return
-
-    descend()
-    return found
-
-
-# -- lag-k checking and bounded search -------------------------------------------
+# -- lag-k checking ------------------------------------------------------------
 
 
 def sfe_check(src: FlipPair, dst: FlipPair, R: IntMatrix, lag: int) -> ShiftFlipCert:
@@ -304,32 +244,27 @@ def sfe_check(src: FlipPair, dst: FlipPair, R: IntMatrix, lag: int) -> ShiftFlip
     return ShiftFlipCert(source=src, target=dst, R=R, S=s, lag=lag)
 
 
-def sfe_bounded_search(src: FlipPair, dst: FlipPair, lag_max: int, entry_max: int,
-                       budget: int = DEFAULT_SEARCH_BUDGET) -> list[ShiftFlipCert]:
-    """All lag-k certificates with entries of R bounded by entry_max, k <= lag_max.
+# -- bounded searches: one walk over the kernel of A*R == R*B ------------------
 
-    The intertwining condition A*R == R*B is linear in R, so candidates are
-    enumerated inside its kernel: free coordinates of the kernel are entries
-    of R and therefore range over 0..entry_max.  The kernel basis is integral
-    with scale d, so a candidate is kept when every coordinate is a multiple
-    of d with quotient in 0..entry_max.  This is complete within the stated
-    bounds; an empty result means "none within bounds", never a non-existence
-    proof.
 
-    A candidate has the right shape, is nonnegative and satisfies A*R == R*B
-    by construction, so of ``sfe_check``'s identities only A^k == R*S and
-    B^k == S*R are tested here: the powers once per lag, R*S once per
-    candidate, and S*R once for a candidate whose R*S is one of the powers.
-    ``sfe_check`` stays the full checker for certificates from outside.
-    Certificates come candidate by candidate, lags ascending.
+def _kernel_walk(src: FlipPair, dst: FlipPair, lag_max: int, entry_max: int, budget: int
+                 ) -> list[tuple[tuple[int, ...], IntMatrix, IntMatrix, list[int]]]:
+    """Every R with A*R == R*B and entries in 0..entry_max, with the lags
+    k <= lag_max at which A^k == R*S and B^k == S*R, for any R that has one:
+    (R at the kernel's free cells, R, S, the lags), in no set order.
+
+    The cells of R are the columns of the linear system.  Its integral kernel
+    has scale d and one vector per free cell, d there and 0 past it, so each
+    other cell is final once the free cells past it are set.  The walk sets
+    the free cells from the last back and drops a branch at the first final
+    cell that is not d times a value in 0..entry_max.  A finished row of R is
+    compared on R*S with itself and the rows past it, keeping the lags whose
+    A^k still fits, and a whole R on S*R with B^k.  More than ``budget``
+    candidates are refused before the walk.
     """
-    if lag_max < 1 or entry_max < 0:
-        raise ValueError("need lag_max >= 1 and entry_max >= 0")
     na, nb = src.size, dst.size
     ncell = na * nb
-    if ncell == 0:
-        return []
-    rows = []
+    system = []
     for i in range(na):
         for b in range(nb):
             row = [0] * ncell
@@ -337,31 +272,90 @@ def sfe_bounded_search(src: FlipPair, dst: FlipPair, lag_max: int, entry_max: in
                 row[j * nb + b] += src.A.entries[i][j]
             for c in range(nb):
                 row[i * nb + c] -= dst.A.entries[c][b]
-            rows.append(row)
-    d, basis = _integral_kernel(rows, ncell)
-    dim = len(basis)
-    if (entry_max + 1) ** dim > budget:
+            system.append(row)
+    d, basis = _integral_kernel(system, ncell)
+    if (entry_max + 1) ** len(basis) > budget:
         raise BudgetError(
-            f"kernel dimension {dim} with entries <= {entry_max} exceeds budget {budget}")
-    nonzeros = [[(k, x) for k, x in enumerate(bvec) if x] for bvec in basis]
-    powers = [(lag, mat_pow(src.A, lag), mat_pow(dst.A, lag))
+            f"kernel dimension {len(basis)} with entries <= {entry_max} exceeds budget {budget}")
+    free = [max(k for k, x in enumerate(v) if x) for v in basis]
+    # d times cell k is the sum of r[f] * w over its terms (f, w)
+    terms = [[(f, v[k]) for f, v in zip(free, basis) if v[k]] for k in range(ncell)]
+    steps = []  # the cells from the last back, each row checked once it is finished
+    for t in reversed(range(na)):
+        steps += [("free" if k in free else "settle", k)
+                  for k in reversed(range(t * nb, (t + 1) * nb))]
+        steps.append(("row", t))
+    powers = [(lag, mat_pow(src.A, lag).entries, mat_pow(dst.A, lag))
               for lag in range(1, lag_max + 1)]
-    found: list[ShiftFlipCert] = []
-    for coeffs in product(range(entry_max + 1), repeat=dim):
-        vec = [0] * ncell
-        for c, bvec in zip(coeffs, nonzeros):
-            if c:
-                for k, x in bvec:
-                    vec[k] += c * x
-        if any(x % d or not 0 <= x // d <= entry_max for x in vec):
-            continue
-        r = IntMatrix._trusted(src.alphabet, dst.alphabet, tuple(
-            tuple(vec[i * nb + b] // d for b in range(nb)) for i in range(na)))
-        s = _companion(src, dst, r)
-        rs = mat_mul(r, s)
-        lags = [(lag, b_k) for lag, a_k, b_k in powers if rs == a_k]
-        if lags:
-            sr = mat_mul(s, r)
-            found.extend(ShiftFlipCert(source=src, target=dst, R=r, S=s, lag=lag)
-                         for lag, b_k in lags if sr == b_k)
+    tau_j, tau_k = src.tau_index, dst.tau_index
+    r, found = [0] * ncell, []
+    # (next step, a free cell and its value, lags): the branches still to take;
+    # a branch sets only the cells before its own, so the cells past it stay set
+    branches = [(0, None, 0, powers)]
+    while branches:
+        start, cell, value, alive = branches.pop()
+        if cell is not None:
+            r[cell] = value
+        for pos, (kind, i) in enumerate(steps[start:], start + 1):
+            if kind == "row":
+                # (R*S)(i, tau_J u) == (R*S)(u, tau_J i), and so are A^k's
+                # entries by the flip symmetry: one comparison decides both
+                row = r[i * nb:(i + 1) * nb]
+                for u in range(i, na):
+                    rs = sum(x * r[u * nb + tb] for x, tb in zip(row, tau_k) if x)
+                    alive = [p for p in alive if p[1][i][tau_j[u]] == rs]
+                if not alive:
+                    break
+            elif kind == "free":
+                branches.extend((pos, i, c, alive) for c in range(1, entry_max + 1))
+                r[i] = 0
+            else:
+                q, rem = divmod(sum(r[f] * w for f, w in terms[i]), d)
+                if rem or not 0 <= q <= entry_max:
+                    break
+                r[i] = q
+        else:
+            rm = IntMatrix._trusted(src.alphabet, dst.alphabet, tuple(
+                tuple(r[t * nb:(t + 1) * nb]) for t in range(na)))
+            s = _companion(src, dst, rm)
+            sr = mat_mul(s, rm)
+            lags = [lag for lag, _, b_k in alive if sr == b_k]
+            if lags:
+                found.append((tuple(r[f] for f in free), rm, s, lags))
     return found
+
+
+def he_search(src: FlipPair, dst: FlipPair, max_solutions: int = DEFAULT_MAX_SOLUTIONS,
+              cell_budget: int = DEFAULT_CELL_BUDGET) -> list[HalfElemCert]:
+    """The first ``max_solutions`` splitting steps from src to dst by R's rows.
+
+    A step is a lag-1 witness whose R is zero-one (A*R == R*S*R == R*B), so
+    the steps are ``_kernel_walk``'s at lag 1 with entries <= 1, each made by
+    ``he_check``.  The cell budget refuses before the kernel is built.
+    """
+    na, nb = src.size, dst.size
+    if na * nb > cell_budget:
+        raise BudgetError(f"{na}x{nb} exceeds the search budget of {cell_budget} cells")
+    # the kernel has at most na*nb dimensions, so no budget refuses it
+    found = sorted(_kernel_walk(src, dst, 1, 1, 2 ** (na * nb)), key=lambda w: w[1].entries)
+    return [he_check(src, dst, r) for _, r, _, _ in found[:max(max_solutions, 0)]]
+
+
+def sfe_bounded_search(src: FlipPair, dst: FlipPair, lag_max: int, entry_max: int,
+                       budget: int = DEFAULT_SEARCH_BUDGET) -> list[ShiftFlipCert]:
+    """All lag-k certificates with entries of R bounded by entry_max, k <= lag_max.
+
+    The intertwining condition A*R == R*B is linear in R, so the candidates
+    are the points of its integral kernel with entries in 0..entry_max, which
+    ``_kernel_walk`` visits with pruning, testing only A^k == R*S and
+    B^k == S*R; ``sfe_check`` stays the full checker for certificates from
+    outside.  This is complete within the stated bounds; an empty result
+    means "none within bounds", never a non-existence proof.  Certificates
+    come in the order of R at the kernel's free cells, the first free cell
+    first, then lags ascending.
+    """
+    if lag_max < 1 or entry_max < 0:
+        raise ValueError("need lag_max >= 1 and entry_max >= 0")
+    found = sorted(_kernel_walk(src, dst, lag_max, entry_max, budget), key=lambda w: w[0])
+    return [ShiftFlipCert(source=src, target=dst, R=r, S=s, lag=lag)
+            for _, r, s, lags in found for lag in lags]

@@ -428,6 +428,8 @@ def test_links_with_an_empty_side_are_written_as_json_writes_them(write, capsys)
     cases = [
         (["he-search", "--from", empty, "--to", one], {"solutions": [up], "count": 1}),
         (["he-search", "--from", one, "--to", empty], {"solutions": [down], "count": 1}),
+        (["sfe-search", "--from", empty, "--to", one, "--lag-max", "2", "--entry-max", "1"],
+         {"solutions": [{**up, "kind": "sfe"}, {**up, "kind": "sfe", "lag": 2}], "count": 2}),
         (["he-check", "--from", empty, "--to", one, "--R", write("up.json", [])],
          {"valid": True, "certificate": up}),
         (["he-check", "--from", one, "--to", empty, "--R", write("down.json", [[]])],
@@ -643,6 +645,9 @@ def _error_cases(tmp_path):
         "BudgetError": (["sfe-search", "--from", ex1, "--to", ex1, "--lag-max", "1",
                          "--entry-max", "3", "--budget", "10"], 2,
                         "error: kernel dimension "),
+        "BudgetError (cells)": (["he-search", "--from", str(DATA / "example2_AJ.json"),
+                                 "--to", str(DATA / "example2_CJ.json")], 2,
+                                "error: 7x7 exceeds the search budget of 30 cells\n"),
         "MatrixShapeError": (["charpoly", put("rect.json", {
             "row_labels": ["a"], "col_labels": ["a", "b"], "rows": [[1, 0]]})], 2,
             "error: characteristic polynomial needs a square matrix\n"),
@@ -654,9 +659,15 @@ def _error_cases(tmp_path):
 
 @pytest.mark.parametrize("kind", ["JSONDecodeError", "FlipPairError", "SpecError",
                                   "FileNotFoundError", "IsADirectoryError", "SchemaError",
-                                  "BudgetError", "MatrixShapeError", "ValueError"])
-def test_error_exit_code_and_message(kind, tmp_path, capsys):
+                                  "BudgetError", "BudgetError (cells)", "MatrixShapeError",
+                                  "ValueError"])
+def test_error_exit_code_and_message(kind, tmp_path, capsys, monkeypatch):
     argv, code, prefix = _error_cases(tmp_path)[kind]
+    if kind != "BudgetError":  # the other refusals come before any search kernel
+
+        def unbuilt(*args):
+            raise AssertionError("a search kernel was built")
+        monkeypatch.setattr(equivalence, "_integral_kernel", unbuilt)
     assert run_cli(argv) == code
     captured = capsys.readouterr()
     assert captured.out == ""

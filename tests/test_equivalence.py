@@ -429,6 +429,11 @@ def test_sfe_search_matches_naive_on_small_cases():
         p = random_flip_pair(rng, max_size=2)
         q = random_flip_pair(rng, max_size=2)
         cases.append((p, q))
+    # the empty R is a witness at every lag between the empty pair and a
+    # 1-symbol pair with no transition, and from the empty pair to itself
+    empty = _identity_pair(())
+    stuck = FlipPair(IntMatrix.square(("a",), [[0]]), IntMatrix.identity(("a",)))
+    cases += [(empty, stuck), (stuck, empty), (empty, empty)]
     for src, dst in cases:
         fast = sorted(((c.lag, c.R) for c in sfe_bounded_search(src, dst, 2, 1)),
                       key=lambda t: (t[0], t[1].to_rows()))
