@@ -4,7 +4,7 @@ Every command takes --format (json, csv or plain) and --timing.  No command
 draws at random or samples periodic points, so none takes a seed or a period.
 Exit codes: 0 success / all checks passed, 1 a mathematical check failed,
 2 usage or input error (unreadable path, malformed or too deeply nested
-JSON, schema violation, a range option below 1, exceeded budget).
+JSON, schema violation, a range option below 1, exceeded budget, out of memory).
 Reports are deterministic byte for byte for fixed inputs and flags; timing is
 only included when --timing is given.
 """
@@ -21,8 +21,8 @@ from pathlib import Path
 from . import jsonio
 from .constructions import _verification_blocks, build_flip_pair, decompose_conjugacy, \
     higher_block, verify_decomposition
-from .equivalence import DEFAULT_CELL_BUDGET, DEFAULT_MAX_SOLUTIONS, DEFAULT_SEARCH_BUDGET, \
-    he_check, he_search, sfe_bounded_search, sfe_check, sse_verify
+from .equivalence import DEFAULT_MAX_SOLUTIONS, DEFAULT_SEARCH_BUDGET, he_check, \
+    he_search, sfe_bounded_search, sfe_check, sse_verify
 from .errors import CertificateError, FlipPairError, SchemaError, SpecError
 from .matrices import _rank_profile, char_poly
 from .refchecks import REFERENCE_ORDER, run_reference_checks
@@ -166,8 +166,7 @@ def _cmd_he_search(args, inputs):
     if args.max_solutions < 1:
         raise ValueError("--max-solutions must be >= 1")
     src, dst = _load_endpoints(args, inputs)
-    sols = he_search(src, dst, max_solutions=args.max_solutions,
-                     cell_budget=args.cell_budget)
+    sols = he_search(src, dst, max_solutions=args.max_solutions)
     payload = {"solutions": sols, "count": len(sols)}
     plain = f"{len(sols)} solution(s)" + "".join(
         f"\nR = {c.R.to_rows()}" for c in sols)
@@ -287,7 +286,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="src", required=True)
     p.add_argument("--to", dest="dst", required=True)
     p.add_argument("--max-solutions", type=int, default=DEFAULT_MAX_SOLUTIONS)
-    p.add_argument("--cell-budget", type=int, default=DEFAULT_CELL_BUDGET)
 
     p = sub.add_parser("sse-verify", help="verify a chain of splitting steps")
     p.add_argument("chain")
@@ -369,6 +367,9 @@ def run_cli(argv: list[str]) -> int:
     except (OSError, ValueError) as e:
         # also SchemaError, BudgetError and MatrixShapeError, which are ValueErrors
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
     return code
 

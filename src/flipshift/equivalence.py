@@ -9,7 +9,7 @@ integral R are verified identity by identity with the first violation
 reported by name; identities implied by the earlier ones are not re-checked.
 Both bounded searches are one pruned walk over the integral kernel of the
 linear condition A*R == R*B: a splitting step is a lag-1 witness whose R is
-zero-one.
+zero-one.  The walk is where either search refuses, under its one budget.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .matrices import IntMatrix, _integral_kernel, _Ones, mat_mul, mat_pow
 from .report import Report
 from .shifts import blocks
 
-DEFAULT_CELL_BUDGET = 30
 DEFAULT_SEARCH_BUDGET = 1_000_000
 DEFAULT_MAX_SOLUTIONS = 16
 
@@ -259,11 +258,14 @@ def _kernel_walk(src: FlipPair, dst: FlipPair, lag_max: int, entry_max: int, bud
     the free cells from the last back and drops a branch at the first final
     cell that is not d times a value in 0..entry_max.  A finished row of R is
     compared on R*S with itself and the rows past it, keeping the lags whose
-    A^k still fits, and a whole R on S*R with B^k.  More than ``budget``
-    candidates are refused before the walk.
+    A^k still fits, and a whole R on S*R with B^k.  ``BudgetError`` refuses a
+    system of over ``budget`` entries unbuilt, and the branch past ``budget``
+    untaken; the walk takes fewer than (entry_max+1)^dimension branches.
     """
     na, nb = src.size, dst.size
     ncell = na * nb
+    if ncell * ncell > budget:
+        raise BudgetError(f"{na}x{nb} needs {ncell ** 2} system entries, over budget {budget}")
     system = []
     for i in range(na):
         for b in range(nb):
@@ -274,9 +276,6 @@ def _kernel_walk(src: FlipPair, dst: FlipPair, lag_max: int, entry_max: int, bud
                 row[i * nb + c] -= dst.A.entries[c][b]
             system.append(row)
     d, basis = _integral_kernel(system, ncell)
-    if (entry_max + 1) ** len(basis) > budget:
-        raise BudgetError(
-            f"kernel dimension {len(basis)} with entries <= {entry_max} exceeds budget {budget}")
     free = [max(k for k, x in enumerate(v) if x) for v in basis]
     # d times cell k is the sum of r[f] * w over its terms (f, w)
     terms = [[(f, v[k]) for f, v in zip(free, basis) if v[k]] for k in range(ncell)]
@@ -288,7 +287,7 @@ def _kernel_walk(src: FlipPair, dst: FlipPair, lag_max: int, entry_max: int, bud
     powers = [(lag, mat_pow(src.A, lag).entries, mat_pow(dst.A, lag))
               for lag in range(1, lag_max + 1)]
     tau_j, tau_k = src.tau_index, dst.tau_index
-    r, found = [0] * ncell, []
+    r, found, taken = [0] * ncell, [], 0
     # (next step, a free cell and its value, lags): the branches still to take;
     # a branch sets only the cells before its own, so the cells past it stay set
     branches = [(0, None, 0, powers)]
@@ -307,6 +306,9 @@ def _kernel_walk(src: FlipPair, dst: FlipPair, lag_max: int, entry_max: int, bud
                 if not alive:
                     break
             elif kind == "free":
+                if (taken := taken + entry_max) > budget:
+                    raise BudgetError(f"kernel dimension {len(basis)} with entries <= "
+                                      f"{entry_max} needs more than {budget} branches")
                 branches.extend((pos, i, c, alive) for c in range(1, entry_max + 1))
                 r[i] = 0
             else:
@@ -325,19 +327,16 @@ def _kernel_walk(src: FlipPair, dst: FlipPair, lag_max: int, entry_max: int, bud
     return found
 
 
-def he_search(src: FlipPair, dst: FlipPair, max_solutions: int = DEFAULT_MAX_SOLUTIONS,
-              cell_budget: int = DEFAULT_CELL_BUDGET) -> list[HalfElemCert]:
+def he_search(src: FlipPair, dst: FlipPair, max_solutions: int = DEFAULT_MAX_SOLUTIONS
+              ) -> list[HalfElemCert]:
     """The first ``max_solutions`` splitting steps from src to dst by R's rows.
 
     A step is a lag-1 witness whose R is zero-one (A*R == R*S*R == R*B), so
     the steps are ``_kernel_walk``'s at lag 1 with entries <= 1, each made by
-    ``he_check``.  The cell budget refuses before the kernel is built.
+    ``he_check``.  ``sfe_bounded_search(src, dst, 1, 1, budget)`` widens the budget.
     """
-    na, nb = src.size, dst.size
-    if na * nb > cell_budget:
-        raise BudgetError(f"{na}x{nb} exceeds the search budget of {cell_budget} cells")
-    # the kernel has at most na*nb dimensions, so no budget refuses it
-    found = sorted(_kernel_walk(src, dst, 1, 1, 2 ** (na * nb)), key=lambda w: w[1].entries)
+    found = sorted(_kernel_walk(src, dst, 1, 1, DEFAULT_SEARCH_BUDGET),
+                   key=lambda w: w[1].entries)
     return [he_check(src, dst, r) for _, r, _, _ in found[:max(max_solutions, 0)]]
 
 
@@ -349,10 +348,10 @@ def sfe_bounded_search(src: FlipPair, dst: FlipPair, lag_max: int, entry_max: in
     are the points of its integral kernel with entries in 0..entry_max, which
     ``_kernel_walk`` visits with pruning, testing only A^k == R*S and
     B^k == S*R; ``sfe_check`` stays the full checker for certificates from
-    outside.  This is complete within the stated bounds; an empty result
-    means "none within bounds", never a non-existence proof.  Certificates
-    come in the order of R at the kernel's free cells, the first free cell
-    first, then lags ascending.
+    outside.  This is complete within the stated bounds; an empty result means
+    "none within bounds", never a non-existence proof.  ``budget`` bounds the
+    walk's system entries and branches.  Certificates come in the order of R at
+    the kernel's free cells, the first free cell first, then lags ascending.
     """
     if lag_max < 1 or entry_max < 0:
         raise ValueError("need lag_max >= 1 and entry_max >= 0")

@@ -628,6 +628,11 @@ def _error_cases(tmp_path):
     gm = golden_mean_pair()
     bad_rule = [{"block": " ".join(w), "image": "1"} for w in blocks(gm.A, 3)]
     missing = str(tmp_path / "missing.json")
+    i5 = IntMatrix.identity(tuple("abcde"))
+    eye = put("eye.json", jsonio.pair_to_doc(FlipPair(i5, i5)))
+    a = example2_pair("A")
+    blocks2 = put("a2.json", jsonio.pair_to_doc(higher_block(a, 1)[0]))
+    blocks3 = put("a3.json", jsonio.pair_to_doc(higher_block(a, 2)[0]))
     return {
         "JSONDecodeError": (["validate", put("bad.json", "{")], 2,
                             "error: malformed JSON at line 1, column 2: "),
@@ -642,12 +647,14 @@ def _error_cases(tmp_path):
                               f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"),
         "SchemaError": (["validate", put("schema.json", {"alphabet": 3})], 2,
                         "error: pair.alphabet: expected list, got int\n"),
-        "BudgetError": (["sfe-search", "--from", ex1, "--to", ex1, "--lag-max", "1",
-                         "--entry-max", "3", "--budget", "10"], 2,
-                        "error: kernel dimension "),
-        "BudgetError (cells)": (["he-search", "--from", str(DATA / "example2_AJ.json"),
-                                 "--to", str(DATA / "example2_CJ.json")], 2,
-                                "error: 7x7 exceeds the search budget of 30 cells\n"),
+        # 625 system entries pass the budget, the walk's 6,386 branches do not
+        "BudgetError": (["sfe-search", "--from", eye, "--to", eye, "--lag-max", "1",
+                         "--entry-max", "1", "--budget", "1000"], 2,
+                        "error: kernel dimension 25 with entries <= 1 needs more than "
+                        "1000 branches\n"),
+        "BudgetError (system)": (["he-search", "--from", blocks2, "--to", blocks3], 2,
+                                 "error: 20x53 needs 1123600 system entries, "
+                                 "over budget 1000000\n"),
         "MatrixShapeError": (["charpoly", put("rect.json", {
             "row_labels": ["a"], "col_labels": ["a", "b"], "rows": [[1, 0]]})], 2,
             "error: characteristic polynomial needs a square matrix\n"),
@@ -659,7 +666,7 @@ def _error_cases(tmp_path):
 
 @pytest.mark.parametrize("kind", ["JSONDecodeError", "FlipPairError", "SpecError",
                                   "FileNotFoundError", "IsADirectoryError", "SchemaError",
-                                  "BudgetError", "BudgetError (cells)", "MatrixShapeError",
+                                  "BudgetError", "BudgetError (system)", "MatrixShapeError",
                                   "ValueError"])
 def test_error_exit_code_and_message(kind, tmp_path, capsys, monkeypatch):
     argv, code, prefix = _error_cases(tmp_path)[kind]
@@ -672,6 +679,35 @@ def test_error_exit_code_and_message(kind, tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(prefix)
+
+
+def test_he_search_answers_between_example2_pairs(capsys):
+    assert run_cli(["he-search", "--from", str(DATA / "example2_AJ.json"),
+                    "--to", str(DATA / "example2_CJ.json"), "--format", "plain"]) == 0
+    assert capsys.readouterr().out == "0 solution(s)\n"
+
+
+@pytest.mark.parametrize("command", [["he-search"],
+                                     ["sfe-search", "--lag-max", "1", "--entry-max", "1"]],
+                         ids=["he-search", "sfe-search"])
+def test_both_searches_refuse_the_53_symbol_system_unbuilt(command, write, capsys, monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("a search kernel was built")
+    monkeypatch.setattr(equivalence, "_integral_kernel", unbuilt)
+    path = write("a3.json", jsonio.pair_to_doc(higher_block(example2_pair("A"), 2)[0]))
+    assert run_cli([*command, "--from", path, "--to", path]) == 2
+    assert capsys.readouterr() == (
+        "", "error: 53x53 needs 7890481 system entries, over budget 1000000\n")
+
+
+def test_running_out_of_memory_is_an_input_error(monkeypatch, capsys):
+    import flipshift.cli as cli
+
+    def exhausted(args, inputs):
+        raise MemoryError
+    monkeypatch.setitem(cli._HANDLERS, "validate", exhausted)
+    assert run_cli(["validate", str(DATA / "example1_AJ.json")]) == 2
+    assert capsys.readouterr() == ("", "error: out of memory\n")
 
 
 def test_certificate_error_escaping_a_handler_is_a_failed_check(monkeypatch, capsys):

@@ -1,14 +1,13 @@
 import random
-from itertools import product
+from itertools import compress, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpus import corpus, random_flip_pair, zero_one_flip_pairs
-from flipshift import jsonio
+from flipshift import equivalence, jsonio
 from flipshift.constructions import decompose_conjugacy, higher_block
-from flipshift.equivalence import (DEFAULT_CELL_BUDGET, HalfElemCert,
-                                   ShiftFlipCert, StrongChain, _companion,
+from flipshift.equivalence import (HalfElemCert, ShiftFlipCert, StrongChain, _companion,
                                    gamma_block, he_check, he_search,
                                    sfe_bounded_search, sfe_check, sse_verify,
                                    verify_prop22)
@@ -205,12 +204,13 @@ def test_every_remaining_identity_can_fail(checker, args, kwargs, identity):
 
 
 def naive_he_search(src, dst):
-    found = []
+    """he_check on every zero-one R, passed as its ones, in the order of R's rows."""
+    found, cols = [], range(dst.size)
     for bits in product((0, 1), repeat=src.size * dst.size):
-        rows = [list(bits[i * dst.size:(i + 1) * dst.size]) for i in range(src.size)]
-        r = IntMatrix.rect(src.alphabet, dst.alphabet, rows)
+        ones = tuple(tuple(compress(cols, bits[i * dst.size:(i + 1) * dst.size]))
+                     for i in range(src.size))
         try:
-            found.append(he_check(src, dst, r).R)
+            found.append(he_check(src, dst, ones).R)
         except CertificateError:
             pass
     return found
@@ -225,6 +225,12 @@ def test_he_search_complete_on_small_alphabets():
         if p.size * q.size <= 9:
             cases.append((p, q))
     cases.append((one_point_pair(), one_point_pair()))
+    # block pairs put a free cell and a settled cell that depends on it in one
+    # row, so a walk that settles a row in the wrong order or compares a row
+    # with an unfinished one misses their step (at most 15 cells: 2^15 checks)
+    gm = golden_mean_pair()
+    hb2, hb3 = higher_block(gm, 1)[0], higher_block(gm, 2)[0]
+    cases += [(gm, hb2), (hb2, gm), (hb2, hb3), (hb3, hb2)]
     for src, dst in cases:
         pruned = [c.R for c in he_search(src, dst, max_solutions=600)]
         assert pruned == naive_he_search(src, dst)
@@ -241,10 +247,46 @@ def test_he_search_example1_empty():
     assert he_search(example1_pair(), example1_symmetric_pair()) == []
 
 
-def test_he_search_budget():
-    p = example2_pair("A")
-    with pytest.raises(BudgetError):
-        he_search(p, p, cell_budget=30)
+def test_he_search_budget(monkeypatch):
+    # the 20x53 system's 1,123,600 entries pass the budget, before it is built
+    a = example2_pair("A")
+    src, dst = higher_block(a, 1)[0], higher_block(a, 2)[0]
+
+    def unbuilt(*args):
+        raise AssertionError("a search kernel was built")
+    monkeypatch.setattr(equivalence, "_integral_kernel", unbuilt)
+    with pytest.raises(BudgetError, match="^20x53 needs 1123600 system entries, "
+                                          "over budget 1000000$"):
+        he_search(src, dst)
+
+
+def test_he_search_answers_on_example2():
+    # 49 cells: the kernel walk decides them within the default budget
+    a, b, c = (example2_pair(x) for x in "ABC")
+    assert he_search(a, b) == he_search(a, c) == he_search(b, c) == []
+
+
+def _steps_as_lag_one_witnesses(src, dst):
+    """All of he_search(src, dst), once it and sfe_bounded_search(src, dst, 1, 1)
+    are seen to refuse together or find the same set of R."""
+    try:
+        # no walk within the budget ends in more than a million leaves
+        steps = he_search(src, dst, max_solutions=10 ** 7)
+    except BudgetError:
+        with pytest.raises(BudgetError):
+            sfe_bounded_search(src, dst, 1, 1)
+        return []
+    assert {c.R for c in steps} == {c.R for c in sfe_bounded_search(src, dst, 1, 1)}
+    return steps
+
+
+def test_steps_are_the_zero_one_lag_one_witnesses_on_the_corpus():
+    pairs = corpus(count=15)
+    found = sum(bool(_steps_as_lag_one_witnesses(p, q)) for p in pairs for q in pairs)
+    assert found > 0
+    # and both refuse the 20x53 system of example 2's block pairs
+    a = example2_pair("A")
+    assert _steps_as_lag_one_witnesses(higher_block(a, 1)[0], higher_block(a, 2)[0]) == []
 
 
 def test_gamma_block_identity_style_cert():
@@ -303,8 +345,8 @@ def test_accepted_steps_intertwine_the_flips(pair, other, n):
     _, chain = higher_block(pair, n)
     certs = list(chain.links)
     for src, dst in ((pair, other), (other, pair)):
-        if src.size * dst.size <= DEFAULT_CELL_BUDGET:
-            certs += he_search(src, dst)
+        if src.size * dst.size <= 30:  # larger walks would slow the suite
+            certs += _steps_as_lag_one_witnesses(src, dst)
     for cert in certs:
         assert verify_prop22(cert).passed
 
@@ -456,6 +498,20 @@ def test_sfe_search_budget():
     p = example2_pair("A")
     with pytest.raises(BudgetError):
         sfe_bounded_search(p, p, lag_max=1, entry_max=3, budget=100)
+
+
+@pytest.mark.parametrize("dst, lag_max, entry_max, branches",
+                         [("C", 4, 16, 10_976), ("B", 3, 7, 19_061)])
+def test_sfe_search_example2_none_where_the_candidate_box_passed_the_budget(
+        dst, lag_max, entry_max, branches):
+    # the box (entry_max+1)^7 of candidates passes the default budget, but the
+    # walk takes only these branches: it refuses one short of them
+    src, dst = example2_pair("A"), example2_pair(dst)
+    assert sfe_bounded_search(src, dst, lag_max, entry_max) == []
+    assert sfe_bounded_search(src, dst, lag_max, entry_max, budget=branches) == []
+    with pytest.raises(BudgetError, match=f"^kernel dimension 7 with entries <= {entry_max} "
+                                          f"needs more than {branches - 1} branches$"):
+        sfe_bounded_search(src, dst, lag_max, entry_max, budget=branches - 1)
 
 
 def test_verify_prop22_reports_the_first_transition_without_an_image():

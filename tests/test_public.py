@@ -51,10 +51,10 @@ def readme_commands(text: str) -> list[list[str]]:
     return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines() if line]
 
 
-def readme_table_commands(text: str) -> set[str]:
-    """The subcommands the "Command line" table names, one per row."""
+def readme_table_rows(text: str) -> dict[str, str]:
+    """Each row of the "Command line" table, under the subcommand it names."""
     table = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
-    return set(re.findall(r"^\| `([a-z-]+)", table, re.M))
+    return {command: row for row, command in re.findall(r"^(\| `([a-z-]+).*)$", table, re.M)}
 
 
 def test_the_readme_reference_commands_exit_0(monkeypatch):
@@ -66,10 +66,26 @@ def test_the_readme_reference_commands_exit_0(monkeypatch):
             assert run_cli(argv[1:]) == 0, argv
 
 
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in _PARSER._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def test_the_readme_table_names_every_subcommand():
-    sub = next(a for a in _PARSER._actions if isinstance(a, argparse._SubParsersAction))
-    table = readme_table_commands((ROOT / "README.md").read_text(encoding="utf-8"))
-    assert table == set(sub.choices)
+    table = readme_table_rows((ROOT / "README.md").read_text(encoding="utf-8"))
+    assert set(table) == set(_subparsers())
+
+
+def test_the_readme_table_row_of_each_command_names_its_options():
+    # every command takes --format and --timing, which the table's heading shows
+    rows = readme_table_rows((ROOT / "README.md").read_text(encoding="utf-8"))
+    unnamed = [(command, action.option_strings[-1])
+               for command, parser in _subparsers().items() for action in parser._actions
+               if action.option_strings
+               and not {"--help", "--format", "--timing"} & set(action.option_strings)
+               and not any(re.search(re.escape(opt) + r"(?![\w-])", rows[command])
+                           for opt in action.option_strings)]
+    assert unnamed == []
 
 
 # -- the shipped matrix files repeat matrices of the pair files -----------------------
