@@ -14,6 +14,11 @@ no probability involved.  The rank and the integral kernel come from one
 fraction-free (Bareiss) elimination that touches only the rows a step
 eliminates; its entries are minors of the input, so they stay as small as
 those minors are.  Rank profiles form no matrix power; see ``rank_profile``.
+The polynomial and the profiles at a nonzero shift run on the matrix with its
+identical rows and columns merged (``_amalgamated``): Sylvester's identity
+keeps the polynomial up to a power of t, and every nullity at s != 0 is kept.
+A block pair merges back to about its base.  The rank and the profile at
+shift 0 change under merging, so they stay on the matrix itself.
 
 Each input rule lives once, here: integer entries in ``_first_non_int``,
 distinct labels in ``_as_labels``, the shape in ``_shape_fault``, squareness
@@ -411,21 +416,53 @@ def _char_poly_modular(rows: Sequence[Sequence[int]], primes: Sequence[int]) -> 
     return [c - modulus if c > half else c for c in coeffs]
 
 
+def _amalgamated(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """The square matrix B left once A's identical rows and columns are merged.
+
+    Identical rows give A = D*E, with E one row per class and D zero-one with one
+    1 per row; E*D keeps one row per class and sums the columns of each class.
+    Identical columns are merged the same way in the transpose, and both repeat
+    until none are left.  By Sylvester's identity det(tI - D*E) =
+    t^(n-m) * det(tI - E*D) for E*D of size m, and for s != 0, E and D carry
+    ker(D*E - sI)^j and ker(E*D - sI)^j onto each other, since D*E and E*D are
+    invertible there.  Neither holds at s = 0, where each merge adds a kernel
+    dimension.
+    """
+    a, size = [tuple(row) for row in rows], -1
+    while len(a) != size:
+        size = len(a)
+        for _ in range(2):  # rows, then columns as the rows of the transpose
+            classes: dict[tuple[int, ...], int] = {}
+            cls = [classes.setdefault(row, len(classes)) for row in a]
+            merged = []
+            for row in classes:
+                acc = [0] * len(classes)
+                for j, x in enumerate(row):
+                    if x:
+                        acc[cls[j]] += x
+                merged.append(acc)
+            a = list(zip(*merged))
+    return a
+
+
 def char_poly(a: IntMatrix) -> IntPolynomial:
     """Characteristic polynomial det(tI - A) with exact integer coefficients.
 
-    One Hessenberg pass modulo Mersenne primes whose product M passes
-    2 * 2^n * H, where H is the product over the rows of max(1, row 2-norm).
-    The coefficient of t^(n-k) is, up to sign, the sum of the C(n, k) <= 2^n
-    principal k x k minors, and each of them is at most H by Hadamard's
-    inequality.  So every coefficient lies strictly inside (-M/2, M/2), where
-    the symmetric lift is exact.
+    A's identical rows and columns are merged first: by Sylvester's identity the
+    merged m x m matrix B of ``_amalgamated`` has det(tI - A) = t^(n-m) *
+    det(tI - B), so B's coefficients are A's.  Then one Hessenberg pass on B
+    modulo Mersenne primes whose product M passes 2 * 2^m * H, where H is the
+    product over B's rows of max(1, row 2-norm).  The coefficient of t^(m-k) is,
+    up to sign, the sum of the C(m, k) <= 2^m principal k x k minors, and each
+    of them is at most H by Hadamard's inequality.  So every coefficient lies
+    strictly inside (-M/2, M/2), where the symmetric lift is exact.
     """
     if a.row_labels != a.col_labels:
         raise MatrixShapeError("characteristic polynomial needs a square matrix")
-    rows = a.entries
+    rows = _amalgamated(a.entries)
     primes = _mersenne_primes_past(_hadamard_squared(rows) << (2 * len(rows) + 2))
-    return IntPolynomial.from_coeffs(_char_poly_modular(rows, primes))
+    return IntPolynomial.from_coeffs([0] * (a.nrows - len(rows))
+                                     + _char_poly_modular(rows, primes))
 
 
 # -- the fraction-free elimination ---------------------------------------------
@@ -563,16 +600,22 @@ def _rank_profile(m: IntMatrix, shift: int, max_power: int) -> tuple[int, list[i
     eigenvector of a nonzero eigenvalue lies there, and M - sI is invertible on
     the other n - d dimensions, K = {x : x*M^n = 0}, which M keeps.  So
     rank((M - sI)^j) = n - d + rank(R*(M - sI)^j), the chain started at R.
-    The rank of M is the count of M's echelon rows, where every chain starts.
+
+    At s != 0 the chain runs on the merged matrix B of ``_amalgamated``, since
+    the nullities of (M - sI)^j and (B - sI)^j are equal there and so is d; its
+    offset is still n - d.  The rank of M is the count of M's echelon rows, and
+    the chain at s = 0 starts there: merging changes both, so neither leaves M.
     """
     if m.row_labels != m.col_labels:  # the error of forming M - shift*I
         raise MatrixShapeError("matrix subtraction requires identical labels")
-    nz = [[(j, y) for j, y in enumerate(row) if y] for row in m.entries]
     rows = _bareiss(m.entries, m.ncols)[0]
+    b = m.entries if shift == 0 else _amalgamated(m.entries)
+    nz = [[(j, y) for j, y in enumerate(row) if y] for row in b]
     if shift == 0:
         offset, ranks = 0, [len(rows)] + _row_chain(rows, nz, 0, max_power - 1)[0]
-    else:  # the rank falls at most n times, so the chain from M ends on its own
-        core = _row_chain(rows, nz, 0, m.nrows + 1)[1]
+    else:  # the rank falls at most n times, so the chain from B ends on its own
+        start = rows if len(b) == m.nrows else _bareiss(b, len(b))[0]  # unmerged, B is M
+        core = _row_chain(start, nz, 0, len(b) + 1)[1]
         offset, ranks = m.nrows - len(core), _row_chain(core, nz, shift, max_power)[0]
     ranks += [ranks[-1]] * (max_power - len(ranks))
     return len(rows), [offset + r for r in ranks]

@@ -124,3 +124,30 @@ def integer_matrices(draw, square: bool = True):
     row_labels = [f"x{i}" for i in range(nr)]
     col_labels = row_labels if square else [f"y{j}" for j in range(nc)]
     return IntMatrix.rect(row_labels, col_labels, rows)
+
+
+@st.composite
+def amalgamable_matrices(draw):
+    """Square integer matrices on 1-8 symbols whose rows and columns repeat.
+
+    Entry (i, j) is base[r(i)][c(j)] for drawn class maps r and c, times a sign
+    per column, so rows and columns repeat.  When c = r, two equal rows whose
+    columns have opposite signs merge into a class whose column sum is 0.  Then
+    some rows are zeroed and some entries moved by one step, which leaves rows
+    that differ from their class in one entry, often with the same support.
+    """
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, n))
+    classes = st.lists(st.integers(0, k - 1), min_size=n, max_size=n)
+    r = draw(classes)
+    c = r if draw(st.booleans()) else draw(classes)
+    sign = draw(st.lists(st.sampled_from([1, 1, -1]), min_size=n, max_size=n))
+    base = draw(st.lists(st.lists(st.integers(-2, 3), min_size=k, max_size=k),
+                         min_size=k, max_size=k))
+    rows = [[sign[j] * base[r[i]][c[j]] for j in range(n)] for i in range(n)]
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        rows[i] = [0] * n
+    for i, j, d in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                           st.sampled_from([-1, 1])), max_size=2)):
+        rows[i][j] += d
+    return IntMatrix.square([f"x{i}" for i in range(n)], rows)

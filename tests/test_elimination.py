@@ -16,13 +16,13 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpus import corpus, integer_matrices
+from corpus import amalgamable_matrices, corpus, integer_matrices
 from flipshift.constructions import higher_block
 from flipshift.equivalence import sfe_bounded_search, sfe_check
 from flipshift.errors import CertificateError
 from flipshift.fixtures import example2_matrix, example2_pair
-from flipshift.matrices import (IntMatrix, _bareiss, _integral_kernel, char_poly, mat_mul,
-                                mat_pow, rank_over_rationals, rank_profile)
+from flipshift.matrices import (IntMatrix, _bareiss, _integral_kernel, _rank_profile, char_poly,
+                                mat_mul, mat_pow, rank_over_rationals, rank_profile)
 
 
 def dense_bareiss(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
@@ -207,6 +207,15 @@ def test_rank_profiles_of_corpus_pairs_equal_the_dense_elimination(a, shift, pow
 @given(a=integer_matrices(), shift=st.integers(-2, 2), power=st.integers(1, 8))
 def test_rank_profiles_of_integer_matrices_equal_the_power_loop(a, shift, power):
     assert rank_profile(a, shift, power) == power_loop_profile(a, shift, power)
+
+
+# at s != 0 the chain runs on the merged rows and columns, while the rank the
+# CLI reports stays M's own
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(a=amalgamable_matrices(), shift=st.sampled_from([1, -1, 2, -2]), power=st.integers(1, 6))
+def test_rank_profiles_of_repeated_rows_and_columns_equal_the_power_loop(a, shift, power):
+    assert _rank_profile(a, shift, power) == (rank_over_rationals(a),
+                                              power_loop_profile(a, shift, power))
 
 
 # The 3- and 4-block matrices of example 2's A, B and C (A's have 53 and 138

@@ -10,7 +10,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpus import corpus, integer_matrices
+from corpus import amalgamable_matrices, corpus, integer_matrices
+from flipshift import matrices
 from flipshift.constructions import higher_block
 from flipshift.errors import BudgetError
 from flipshift.fixtures import example2_pair
@@ -18,7 +19,8 @@ from flipshift.flips import FlipPair
 from flipshift.matrices import (_MERSENNE_PRIMES, IntMatrix, IntPolynomial,
                                 _char_poly_modular, _hadamard_squared,
                                 _mersenne_primes_past, char_poly, mat_mul,
-                                rank_over_rationals, trace)
+                                rank_over_rationals, rank_profile, trace)
+from flipshift.refchecks import expected_char_poly
 from flipshift.series import TruncatedSeries, series_add, series_exp
 from flipshift.zeta import artin_mazur_zeta, generating_function, lind_zeta
 
@@ -80,6 +82,12 @@ def test_char_poly_equals_faddeev_leverrier(a):
     assert char_poly(a) == faddeev_leverrier(a)
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(a=amalgamable_matrices())
+def test_char_poly_of_repeated_rows_and_columns_equals_faddeev_leverrier(a):
+    assert char_poly(a) == faddeev_leverrier(a)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(a=integer_matrices(), order=st.integers(1, 10))
 def test_artin_zeta_equals_the_power_loop(a, order):
@@ -90,6 +98,10 @@ def test_artin_zeta_equals_the_power_loop(a, order):
 @given(pair=pairs, order=st.integers(1, 16))
 def test_corpus_zetas_and_char_poly_equal_the_oracles(pair, order):
     assert char_poly(pair.A) == faddeev_leverrier(pair.A)
+    # the Hessenberg pass on A itself, unmerged, under A's own bound
+    raw = pair.A.entries
+    primes = _mersenne_primes_past(_hadamard_squared(raw) << (2 * len(raw) + 2))
+    assert IntPolynomial.from_coeffs(_char_poly_modular(raw, primes)) == char_poly(pair.A)
     assert artin_mazur_zeta(pair.A, order) == power_loop_artin(pair.A, order)
     assert lind_zeta(pair, order) == power_loop_lind(pair, order)
 
@@ -169,3 +181,22 @@ def test_the_359_symbol_block_pair_keeps_its_polynomial_and_rank():
     # t^353 * (t - 1)^4 * (t^2 - 3t + 1), the base polynomial times t^(N - 7)
     assert char_poly(a).coeffs == (0,) * 353 + (1, -7, 19, -26, 19, -7, 1)
     assert rank_over_rationals(a) == 138
+
+
+# Every block pair of example 2 merges back to 7 symbols, so the Hessenberg
+# pass never sees more, and the nullities of (M - I)^j are the base's at every
+# size: a Jordan block of size 4 at 1 for A and B, two of size 2 for C.
+@pytest.mark.parametrize("word, nullities", [("A", (1, 2, 3, 4, 4)), ("B", (1, 2, 3, 4, 4)),
+                                             ("C", (2, 4, 4, 4, 4))])
+def test_block_pairs_of_example_2_run_their_kernels_on_seven_symbols(word, nullities,
+                                                                     monkeypatch):
+    sizes, hessenberg = [], matrices._hessenberg_char_poly
+    monkeypatch.setattr(matrices, "_hessenberg_char_poly",
+                        lambda rows, p: sizes.append(len(rows)) or hessenberg(rows, p))
+    base = example2_pair(word)
+    chi = expected_char_poly().coeffs
+    for a in [base.A] + [higher_block(base, n)[0].A for n in (1, 2, 3, 4)]:
+        size = a.nrows
+        assert char_poly(a).coeffs == (0,) * (size - 7) + chi
+        assert tuple(size - r for r in rank_profile(a, 1, 5)) == nullities
+    assert max(sizes) == 7
