@@ -97,6 +97,8 @@ def _cmd_count(args, inputs):
     if args.m_max < 1:
         raise ValueError("--m-max must be >= 1")
     pair = jsonio.pair_from_doc(_load_json(args.pair, inputs))
+    # the top period first, so a walk over budget is refused before any level is built
+    count_pmn_bruteforce(pair, args.m_max, 0)
     rows = []
     for m in range(1, args.m_max + 1):
         for n in args.n:

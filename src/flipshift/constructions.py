@@ -19,14 +19,15 @@ pairs take theirs from ``blocks``, the labelled view of the same walk), the
 public values ``blocks``, ``OneBlockConjugacySpec.map_word``,
 ``BlockFlipSpec.rule`` and ``BlockCode.mapping``, and refusal messages.
 
-All three build their pairs with one word-pair builder, ``_word_pair``, on
-successor lists read by one matcher, ``_matches`` (the higher-block and
-state-splitting presentations of Lind & Marcus, 1995, sections 1.4 and 2.4):
-word x is followed by y when their overlaps agree and one more adjacency
-holds.  The successors of x are looked up in a dict under keys that each
-name one allowed adjacency, never found by comparing all pairs of words, and
-the links between pairs are read the same way.  Flip rules, conjugacies and
-decompositions are decided on admissible blocks, not points.
+All three build their pairs with one word-pair builder, ``_word_pair`` (the
+higher-block and state-splitting presentations of Lind & Marcus, 1995,
+sections 1.4 and 2.4): word x is followed by y when their overlaps agree and
+one more adjacency holds.  Block pairs read their successor lists and links
+off the block walk of ``shifts``.  The other two read theirs with one
+matcher, ``_matches``: the successors of x are looked up in a dict under keys
+that each name one allowed adjacency, never found by comparing all pairs of
+words, and the links between pairs are read the same way.  Flip rules,
+conjugacies and decompositions are decided on admissible blocks, not points.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ from .errors import BudgetError, CertificateError, MatrixShapeError, SpecError
 from .flips import FlipPair, Word
 from .matrices import IntMatrix, _Ones
 from .report import Report
-from .shifts import _index_blocks, _index_successors, block_count, blocks, is_essential
+from .shifts import _block_walk, _index_blocks, _index_successors, block_count, blocks, \
+    is_essential
 
 BLOCK_CELL_BUDGET = 1 << 21  # most cells of the top pair's N x N matrices in higher_block
 
@@ -112,10 +114,11 @@ def higher_block(pair: FlipPair, n: int) -> tuple[FlipPair, StrongChain]:
     v[:-1] and the base allows u[-1] -> v[-1], that is, when u + v[-1] is a
     (k+1)-block.  The chain has one link per block-length increase; link k
     goes from the k-block pair to the (k+1)-block pair, with R reading "drop
-    the last symbol" and S reading "drop the first symbol".  Each level's
-    successor lists and its link's R come from one dict of the (k+1)-blocks
-    by prefix.  ``BudgetError`` refuses, before any building, a top pair
-    whose N x N matrices pass ``BLOCK_CELL_BUDGET`` cells.
+    the last symbol" and S reading "drop the first symbol".  Both are read
+    off the base's ``_BlockWalk``: R(u, w) == 1 iff w is a child of u, and u
+    is followed by the suffixes of its children, so no word is compared.
+    ``BudgetError`` refuses, before any building, a top pair whose N x N
+    matrices pass ``BLOCK_CELL_BUDGET`` cells, or a walk over the budget.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -124,22 +127,15 @@ def higher_block(pair: FlipPair, n: int) -> tuple[FlipPair, StrongChain]:
         raise BudgetError(f"the {n + 1}-block pair has {size} symbols; its {size * size} "
                           f"matrix cells pass the budget of {BLOCK_CELL_BUDGET}")
     tau = pair.tau_index
-    pairs: list[FlipPair] = []
-    rs: list[_Ones] = []
-    us = _index_blocks(pair.A, 1)
-    for k in range(1, n + 2):
-        ws = _index_blocks(pair.A, k + 1)
-        # R(u, w) == 1 iff w[:-1] == u, and u is followed by each such w[1:]
-        r = _matches(us, ws, lambda u: (u,), lambda w: w[:-1])
-        at = {u: i for i, u in enumerate(us)}
-        drop = [at[w[1:]] for w in ws]
-        pairs.append(_word_pair(us, [_join(w) for w in blocks(pair.A, k)],
-                                tuple(tuple(map(drop.__getitem__, js)) for js in r),
-                                mate=lambda u: u[::-1].translate(tau),
-                                show=lambda u: _word(pair.alphabet, u)))
-        rs.append(r)
-        us = ws
-    links = [he_check(pairs[k], pairs[k + 1], rs[k]) for k in range(n)]
+    walk = _block_walk(pair.A)
+    walk.level(n + 2)
+    pairs = [_word_pair(walk.words[k - 1], [_join(w) for w in blocks(pair.A, k)],
+                        tuple(map(walk.suffix[k].__getitem__, map(slice, first, first[1:]))),
+                        mate=lambda u: u[::-1].translate(tau),
+                        show=lambda u: _word(pair.alphabet, u))
+             for k, first in enumerate(walk.first[:n + 1], start=1)]
+    links = [he_check(pairs[k - 1], pairs[k], tuple(map(tuple, map(range, first, first[1:]))))
+             for k, first in enumerate(walk.first[:n], start=1)]
     return pairs[-1], StrongChain(pairs[0], tuple(links))
 
 

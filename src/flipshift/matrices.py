@@ -17,8 +17,9 @@ those minors are.  Rank profiles form no matrix power; see ``rank_profile``.
 The polynomial and the profiles at a nonzero shift run on the matrix with its
 identical rows and columns merged (``_amalgamated``): Sylvester's identity
 keeps the polynomial up to a power of t, and every nullity at s != 0 is kept.
-A block pair merges back to about its base.  The rank and the profile at
-shift 0 change under merging, so they stay on the matrix itself.
+A block pair merges back to about its base.  The profile at shift 0 changes
+under merging, so it stays on the matrix itself; the rank is read off the
+distinct rows and columns, since deleting a repeat, unlike merging, keeps it.
 
 Each input rule lives once, here: integer entries in ``_first_non_int``,
 distinct labels in ``_as_labels``, the shape in ``_shape_fault``, squareness
@@ -603,19 +604,26 @@ def _rank_profile(m: IntMatrix, shift: int, max_power: int) -> tuple[int, list[i
 
     At s != 0 the chain runs on the merged matrix B of ``_amalgamated``, since
     the nullities of (M - sI)^j and (B - sI)^j are equal there and so is d; its
-    offset is still n - d.  The rank of M is the count of M's echelon rows, and
-    the chain at s = 0 starts there: merging changes both, so neither leaves M.
+    offset is still n - d.  Summing changes the rank of M, but deleting repeated
+    rows and columns does not, so when B merged anything the rank comes from M's
+    distinct rows restricted to their distinct columns.  The chain at s = 0
+    starts from M's echelon rows, whose count is the rank.
     """
     if m.row_labels != m.col_labels:  # the error of forming M - shift*I
         raise MatrixShapeError("matrix subtraction requires identical labels")
-    rows = _bareiss(m.entries, m.ncols)[0]
     b = m.entries if shift == 0 else _amalgamated(m.entries)
     nz = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    if len(b) == m.nrows:  # unmerged, B is M
+        rows = _bareiss(m.entries, m.ncols)[0]
+        rank = len(rows)
+    else:
+        distinct = list(dict.fromkeys(map(tuple, m.entries)))
+        rank = len(_bareiss(list(dict.fromkeys(zip(*distinct))), len(distinct))[1])
+        rows = _bareiss(b, len(b))[0]
     if shift == 0:
-        offset, ranks = 0, [len(rows)] + _row_chain(rows, nz, 0, max_power - 1)[0]
+        offset, ranks = 0, [rank] + _row_chain(rows, nz, 0, max_power - 1)[0]
     else:  # the rank falls at most n times, so the chain from B ends on its own
-        start = rows if len(b) == m.nrows else _bareiss(b, len(b))[0]  # unmerged, B is M
-        core = _row_chain(start, nz, 0, len(b) + 1)[1]
+        core = _row_chain(rows, nz, 0, len(b) + 1)[1]
         offset, ranks = m.nrows - len(core), _row_chain(core, nz, shift, max_power)[0]
     ranks += [ranks[-1]] * (max_power - len(ranks))
-    return len(rows), [offset + r for r in ranks]
+    return rank, [offset + r for r in ranks]

@@ -5,17 +5,20 @@ fixed jointly by a shift power and a shifted flip.  The enumerations are
 deliberately naive, every word and every point built, because they are the
 oracle the closed-form counts are tested against.  Inside the package a word
 is an index string, a ``str`` of ``chr(index)``; labels are spelled out only
-at the boundary.  Two walks build the paths.  ``_index_blocks`` grows the
-paths from the symbols with an infinite past one symbol at a time, in lex
-order (``_walks``), and caches the blocks as index strings, which the
-builders of ``constructions`` work on; ``blocks`` is its cached labelled
-view, the same words as tuples of labels.  ``_CycleWalk`` grows the paths
-from every symbol grouped by first and last symbol, a whole group at a time,
-and its paths of m symbols that close are the period-m points:
-``enumerate_periodic`` sorts those of a fresh walk, and the counter resumes
-one walk per pair and tests each period against every shifted flip at once,
-in whole-list passes.  A walk's work is counted in advance by vector
-iteration and refused above ``WALK_BUDGET``.  The essential symbols, those on
+at the boundary.  Two walks build the paths.  ``_BlockWalk``, one per matrix
+and cached, grows the blocks on the essential symbols a width at a time, in
+lex order, each width from the last, and keeps every width as index strings
+with where each block's children start and where its suffix lies:
+``_index_blocks`` reads a width off it for the builders of ``constructions``,
+and ``blocks`` is its cached labelled view, the same words as tuples of
+labels.  ``_CycleWalk`` grows the paths from every symbol grouped by first
+and last symbol, a whole group at a time, and its paths of m symbols that
+close are the period-m points: ``enumerate_periodic`` sorts those of a fresh
+walk, and the counter resumes one walk per pair and tests each period
+against every shifted flip at once, in whole-list passes.  Each walk counts
+its levels ahead by vector iteration (``_Tally``), one step per new level,
+and is refused before it grows past ``WALK_BUDGET`` characters over all its
+levels, the memory its words take.  The essential symbols, those on
 bi-infinite paths, are what is left after pruning sinks and sources, in time
 linear in the transitions.
 """
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import compress, repeat
+from itertools import accumulate, chain, compress, repeat
 from operator import add
 from typing import Iterator, Sequence
 
@@ -32,7 +35,7 @@ from .errors import BudgetError, MatrixShapeError
 from .flips import FlipPair, Word
 from .matrices import IntMatrix, _Ones
 
-WALK_BUDGET = 1_000_000  # most walk prefixes one enumeration may visit
+WALK_BUDGET = 1_000_000  # most characters one walk may hold over all its levels
 
 
 # -- word utilities -----------------------------------------------------------
@@ -106,21 +109,6 @@ def _index_successors(succ: Sequence[Sequence[int]]) -> list[str]:
     return ["".join(map(chr, js)) for js in succ]
 
 
-def _walks(succ: list[str], starts: str, length: int) -> list[str]:
-    """Every path of ``length`` symbol indices from ``starts``, in lex order.
-
-    A path is a ``str`` of ``chr(index)``, and ``succ[i]`` holds the successors
-    of symbol i the same way, in index order.  All paths grow together, one
-    length at a time, so the walk builds exactly the prefixes that
-    ``_check_walk_budget`` counts.  Extending each path by its successors in
-    index order keeps every level in lex order.
-    """
-    paths = list(starts)
-    for _ in range(length - 1):
-        paths = [w + c for w in paths for c in succ[ord(w[-1])]]
-    return paths
-
-
 def _step(succ: Sequence[tuple[int, ...]], v: list[int]) -> list[int]:
     """The row vector v*A, for the zero-one matrix A with successor lists succ."""
     out = [0] * len(v)
@@ -131,23 +119,36 @@ def _step(succ: Sequence[tuple[int, ...]], v: list[int]) -> list[int]:
     return out
 
 
-def _check_walk_budget(succ: Sequence[tuple[int, ...]], starts: list[int],
-                       length: int) -> None:
-    """Refuse a walk to ``length`` symbols from ``starts`` above WALK_BUDGET prefixes.
+class _Tally:
+    """The paths of each length that a walk from the start vector v builds, counted
+    by vector iteration, one ``_step`` per new length, and kept: the paths of k
+    symbols number v*A^(k-1)*1.  ``chars[k - 1]`` is the characters of the paths
+    of at most k symbols, which a walk holds once it has reached length k."""
 
-    ``_walks`` for blocks starts at the symbols with an infinite past, and
-    ``_CycleWalk`` for periodic points at every symbol, counted from its first
-    level even when resumed.  Each builds every prefix of every path once; the
-    paths of k symbols from the start vector v number v*A^(k-1)*1, summed by
-    vector iteration, so the error comes before any walking.
-    """
-    v, total = starts, 0
-    for _ in range(length):
-        total += sum(v)
-        if total > WALK_BUDGET:
+    def __init__(self, succ: _Ones, starts: list[int]):
+        self.succ, self.v = succ, starts
+        self.counts = [sum(starts)]
+        self.chars = self.counts[:]
+
+    def _next(self) -> None:
+        self.v = _step(self.succ, self.v)
+        self.counts.append(sum(self.v))
+        self.chars.append(self.chars[-1] + len(self.counts) * self.counts[-1])
+
+    def count(self, length: int) -> int:
+        """The paths of ``length`` symbols, walking none."""
+        while len(self.counts) < length:
+            self._next()
+        return self.counts[length - 1]
+
+    def charge(self, length: int) -> None:
+        """Refuse a walk to ``length`` symbols whose levels hold over WALK_BUDGET
+        characters, counting no further than the first level past it."""
+        while len(self.chars) < length and self.chars[-1] <= WALK_BUDGET:
+            self._next()
+        if self.chars[min(length, len(self.chars)) - 1] > WALK_BUDGET:
             raise BudgetError(f"words of length {length} need more than "
-                              f"{WALK_BUDGET} walk prefixes")
-        v = _step(succ, v)
+                              f"{WALK_BUDGET} walk characters")
 
 
 def _labelled(a: IntMatrix, paths) -> tuple[Word, ...]:
@@ -156,21 +157,75 @@ def _labelled(a: IntMatrix, paths) -> tuple[Word, ...]:
     return tuple(tuple(map(label.__getitem__, w)) for w in paths)
 
 
-@lru_cache(maxsize=256)
+class _BlockWalk:
+    """The blocks of a matrix, one width at a time, each width grown from the last.
+
+    A word is a block exactly when all its symbols are essential, so the walk
+    runs on the essential symbols alone and every word it makes is a block.
+    ``words[k - 1]`` holds the k-blocks in lex order.  A block u grows into u + c
+    for the successors c of its last symbol in index order, so its children are
+    contiguous among the (k+1)-blocks: those of ``words[k - 1][i]`` lie from
+    ``first[k - 1][i]`` to ``first[k - 1][i + 1]``.  ``suffix[k]`` gives, for
+    each (k+1)-block w, the position of w[1:] among the k-blocks.  The
+    (k+1)-blocks that start with symbol s are s + v for the k-blocks v that
+    start with a successor of s, in order, and the k-blocks that start with one
+    symbol are contiguous, so ``suffix[k]`` is those runs laid end to end, one
+    run per transition, with no word compared.
+    """
+
+    def __init__(self, a: IntMatrix):
+        past, future = _essential_flags(a)
+        alive = list(map(bool.__and__, past, future))
+        ones = tuple(tuple(compress(js, map(alive.__getitem__, js))) if ok else ()
+                     for js, ok in zip(a._support, alive))
+        symbols = "".join(compress(map(chr, range(a.nrows)), alive))
+        self.tally = _Tally(ones, list(map(int, alive)))
+        self.succ = dict(zip(map(chr, range(a.nrows)), _index_successors(ones)))
+        self.words: list[tuple[str, ...]] = [tuple(symbols)]
+        self.first: list[list[int]] = []
+        self.suffix: list[tuple[int, ...]] = [()]  # a 1-block has no suffix to place
+        self._lasts = symbols  # the last symbol of each word of the widest level
+        # where the words of the widest level with each first symbol start
+        self._heads = list(range(len(symbols) + 1))
+        rank = list(accumulate(alive, initial=0))  # an essential symbol's position among them
+        # per transition i -> j, in lex order, the position of j: the runs of suffix
+        self._targets = [rank[j] for i in compress(range(a.nrows), alive) for j in ones[i]]
+
+    def level(self, n: int) -> tuple[str, ...]:
+        """The n-blocks, grown to width n if need be; refused above ``WALK_BUDGET``
+        characters before any width is grown."""
+        self.tally.charge(n)
+        while len(self.words) < n:
+            self._extend()
+        return self.words[n - 1]
+
+    def _extend(self) -> None:
+        """Grow the blocks one symbol wider, with their children and suffixes."""
+        tails = list(map(self.succ.__getitem__, self._lasts))
+        first = list(accumulate(map(len, tails), initial=0))
+        heads, targets = self._heads, self._targets
+        self.words.append(tuple([u + c for u, cs in zip(self.words[-1], tails) for c in cs]))
+        self.first.append(first)
+        self.suffix.append(tuple(chain.from_iterable(map(
+            range, map(heads.__getitem__, targets), map(heads[1:].__getitem__, targets)))))
+        self._lasts, self._heads = "".join(tails), list(map(first.__getitem__, heads))
+
+
+@lru_cache(maxsize=64)  # each walk keeps all its widths, up to the budget
+def _block_walk(a: IntMatrix) -> _BlockWalk:
+    return _BlockWalk(a)
+
+
 def _index_blocks(a: IntMatrix, n: int) -> tuple[str, ...]:
     """The length-n words on bi-infinite points as index strings, in lex order.
 
-    These are the words the builders work on; ``blocks`` is their labelled view.
+    These are the words the builders work on; ``blocks`` is their labelled
+    view.  They are level n of the matrix's one cached ``_BlockWalk``.
     """
-    past, future = _essential_flags(a)
+    walk = _block_walk(a)
     if n < 1:
         raise ValueError("block length must be >= 1")
-    _check_walk_budget(a._support, list(map(int, past)), n)
-    starts = "".join(compress(map(chr, range(a.nrows)), past))
-    paths = _walks(_index_successors(a._support), starts, n)
-    if all(future):
-        return tuple(paths)
-    return tuple(w for w in paths if future[ord(w[-1])])
+    return walk.level(n)
 
 
 @lru_cache(maxsize=256)
@@ -185,12 +240,11 @@ def blocks(a: IntMatrix, n: int) -> tuple[Word, ...]:
 
 
 def block_count(a: IntMatrix, n: int) -> int:
-    """len(blocks(a, n)), by vector iteration and without walking."""
-    past, future = _essential_flags(a)
-    succ, v = a._support, [int(p) for p in past]
-    for _ in range(n - 1):
-        v = _step(succ, v)
-    return sum(x for x, f in zip(v, future) if f)
+    """len(blocks(a, n)), read off the block walk's tally: no word is built."""
+    walk = _block_walk(a)
+    if n < 1:
+        raise ValueError("block length must be >= 1")
+    return walk.tally.count(n)
 
 
 # -- periodic points ----------------------------------------------------------
@@ -220,7 +274,7 @@ class _CycleWalk:
     leads back to s close, and are the points of period ``length``."""
 
     def __init__(self, succ: _Ones):
-        self.ones, self.succ = succ, _index_successors(succ)
+        self.succ, self.tally = _index_successors(succ), _Tally(succ, [1] * len(succ))
         self.ends: list[dict[str, list[str]]] = []
         self.length = 0
 
@@ -235,9 +289,8 @@ class _CycleWalk:
 
     def levels(self, length: int) -> Iterator[list[str]]:
         """Grow the walk to ``length`` symbols, yielding the closed paths of each
-        new level; refused above ``WALK_BUDGET`` prefixes before it grows."""
-        if length > self.length:
-            _check_walk_budget(self.ones, [1] * len(self.ones), length)
+        new level; refused above ``WALK_BUDGET`` characters before it grows."""
+        self.tally.charge(length)
         while self.length < length:
             self.ends = _extend(self.ends, self.succ) if self.length else \
                 [{c: [c]} for c in map(chr, range(len(self.succ)))]
@@ -250,7 +303,7 @@ def enumerate_periodic(a: IntMatrix, m: int) -> tuple[Word, ...]:
     """All points fixed by the m-th shift power, as cyclic words, in lex order.
 
     The count always equals trace(A^m).  Enumeration is exponential, so a
-    period whose walk exceeds ``WALK_BUDGET`` prefixes is refused.
+    period whose walk exceeds ``WALK_BUDGET`` characters is refused.
     """
     _check_graph_matrix(a)
     if m < 1:
@@ -303,7 +356,7 @@ def count_pmn_bruteforce(pair: FlipPair, m: int, n: int) -> int:
     counts for every n at once; n is taken modulo m, so negative n is fine.
     The points come from one walk per pair, kept and extended as longer
     periods are asked for.  A period whose walk exceeds ``WALK_BUDGET``
-    prefixes is refused before the walk is extended.
+    characters is refused before the walk is extended.
     """
     if m < 1:
         raise ValueError("m must be >= 1")

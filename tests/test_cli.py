@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import flipshift
-from flipshift import constructions, equivalence, jsonio
+from flipshift import constructions, equivalence, jsonio, shifts
 from flipshift.cli import run_cli
 from flipshift.constructions import higher_block
 from flipshift.equivalence import he_check
@@ -212,7 +212,7 @@ def test_decompose_refuses_the_full_three_shift_in_little_memory(write):
                          env={"PYTHONPATH": src}, capture_output=True, text=True,
                          timeout=120)
     assert run.stdout == ""
-    assert run.stderr == "error: words of length 9 need more than 1000000 walk prefixes\n"
+    assert run.stderr == "error: words of length 9 need more than 1000000 walk characters\n"
     assert run.returncode == 2
 
 
@@ -233,7 +233,7 @@ def test_decompose_refuses_over_budget_before_building_a_stage(write, capsys, mo
     assert run_cli(["decompose", conj]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: words of length 9 need more than 1000000 walk prefixes\n"
+    assert err == "error: words of length 9 need more than 1000000 walk characters\n"
 
 
 def test_stranded_symbols_leave_stderr_empty(write):
@@ -537,13 +537,32 @@ def test_count_runs_cheap_long_periods(capsys):
 
 
 def test_count_refuses_a_walk_over_budget(write, capsys):
-    # the full 16-symbol shift walks 16 + 16^2 + ... + 16^5 = 1,118,480 prefixes at period 5
+    # the full 16-symbol shift's paths of at most 5 symbols hold 16 + 2*16^2 + ...
+    # + 5*16^5 = 5,517,840 characters; the top period is charged first
     full = {"alphabet": [f"s{i}" for i in range(16)], "A": [[1] * 16] * 16,
             "J": [[int(i == j) for j in range(16)] for i in range(16)]}
     assert run_cli(["count", "--pair", write("full.json", full), "--m-max", "8"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: words of length 5 need more than 1000000 walk prefixes\n"
+    assert captured.err == "error: words of length 8 need more than 1000000 walk characters\n"
+
+
+@pytest.mark.parametrize("command, message", [
+    (["count", "--m-max", "4000"], "words of length 4000 need more than 1000000 walk characters"),
+    (["higher-block", "--n", "4000"],
+     "words of length 4002 need more than 1000000 walk characters")])
+def test_long_words_on_one_point_are_refused_before_building(write, capsys, monkeypatch,
+                                                             command, message):
+    # 1 + 2 + ... + 1414 characters pass the budget, so no level past it is built
+    def build(*args, **kwargs):
+        raise AssertionError("a level was built")
+    monkeypatch.setattr(shifts, "_extend", build)
+    monkeypatch.setattr(shifts._BlockWalk, "_extend", build)
+    shifts._count_walk.cache_clear()
+    shifts._block_walk.cache_clear()
+    argv = [command[0], "--pair", write("one.json", ONE_SYMBOL), *command[1:]]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_colliding_block_labels_name_their_words(write, capsys):

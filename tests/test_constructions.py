@@ -122,6 +122,65 @@ def test_higher_block_equals_the_all_pairs_oracle(pair, n):
     assert hb == chain.pairs[-1]
 
 
+def _matched_links(a: IntMatrix, n: int):
+    """Per block length k = 1..n+1: the ones of R from the k- to the (k+1)-blocks,
+    the position of each (k+1)-block's suffix among the k-blocks and the
+    k-blocks' successor lists, found by matching the (k+1)-blocks' prefixes and
+    suffixes against the k-blocks, one dict each."""
+    out = []
+    for k in range(1, n + 2):
+        us, ws = shifts._index_blocks(a, k), shifts._index_blocks(a, k + 1)
+        by_prefix: dict[str, list[int]] = {}
+        for j, w in enumerate(ws):
+            by_prefix.setdefault(w[:-1], []).append(j)
+        at = {u: i for i, u in enumerate(us)}
+        r = tuple(tuple(by_prefix.get(u, ())) for u in us)
+        drop = tuple(at[w[1:]] for w in ws)
+        out.append((r, drop, tuple(tuple(map(drop.__getitem__, js)) for js in r)))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_higher_block_links_equal_the_prefix_suffix_oracle(n):
+    # stranded symbols, and cycles whose block pairs do not grow
+    pairs = corpus(count=20, max_size=4) + [
+        _stranded_golden_mean(), one_point_pair(), _cycle_pair(7),
+        _cycle_pair(13, chords=[(6, 0), (0, 7)])]
+    for pair in pairs:
+        matched = _matched_links(pair.A, n)
+        # the children and suffixes the walk recorded, before any pair is built
+        walk = shifts._block_walk(pair.A)
+        for k, (r, drop, _) in enumerate(matched, start=1):
+            first = walk.first[k - 1]
+            assert tuple(map(tuple, map(range, first, first[1:]))) == r
+            assert walk.suffix[k] == drop
+        _, chain = higher_block(pair, n)
+        assert [link.r_ones for link in chain.links] == [r for r, _, _ in matched[:n]]
+        assert [p._succ for p in chain.pairs] == [succ for _, _, succ in matched]
+
+
+def test_higher_block_walks_each_width_once(monkeypatch):
+    widths, steps = [], []
+    extend, step = shifts._BlockWalk._extend, shifts._step
+    monkeypatch.setattr(shifts._BlockWalk, "_extend",
+                        lambda walk: widths.append(len(walk.words) + 1) or extend(walk))
+    monkeypatch.setattr(shifts, "_step", lambda *args: steps.append(1) or step(*args))
+    for pair, n in ((example1_pair(), 3), (golden_mean_pair(), 4), (_stranded_golden_mean(), 2)):
+        shifts._block_walk.cache_clear()
+        blocks.cache_clear()
+        widths.clear()
+        steps.clear()
+        higher_block(pair, n)
+        # widths 1..n+2, the first in place; one vector step per width after it
+        assert widths == list(range(2, n + 3))
+        assert len(steps) == n + 1
+        higher_block(pair, n - 1)
+        count = shifts.block_count(pair.A, n + 5)
+        assert widths == list(range(2, n + 3))  # block_count builds no word
+        assert len(steps) == n + 4
+        assert count == len(blocks(pair.A, n + 5))
+
+
 def test_higher_block_random_pairs():
     import random
 
@@ -528,10 +587,10 @@ def test_verify_decomposition_refuses_over_budget_before_any_link(monkeypatch):
     spec = _center_read_spec(golden_mean_pair(), 1)
     dec = decompose_conjugacy(spec)
     a = spec.source.A
-    # the prefixes of a walk to the lag's width: every narrower walk fits
-    budget = sum(len(blocks(a, k)) for k in range(1, dec.chain.lag + 1))
+    # the characters of a walk to the lag's width: every narrower walk fits
+    budget = sum(k * len(blocks(a, k)) for k in range(1, dec.chain.lag + 1))
     blocks.cache_clear()
-    shifts._index_blocks.cache_clear()
+    shifts._block_walk.cache_clear()
     monkeypatch.setattr(shifts, "WALK_BUDGET", budget)
     calls = []
     monkeypatch.setattr(constructions, "gamma_block", lambda *args: calls.append(args))

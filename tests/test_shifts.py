@@ -70,56 +70,47 @@ def test_walk_budget_refuses_before_walking(monkeypatch):
     def no_walk(*args):
         raise AssertionError("walked past the budget")
 
-    for enumerate_words, builder in _BUILDERS.items():
+    for enumerate_words, (owner, builder) in _BUILDERS.items():
         with monkeypatch.context() as m:
-            m.setattr(shifts, builder, no_walk)
+            m.setattr(owner, builder, no_walk)
             with pytest.raises(BudgetError):
                 enumerate_words(full, 40)
 
 
-def _counting_walks(tally: list[int]):
-    """shifts._walks, adding one to tally[0] per prefix it builds."""
-    walks = shifts._walks
+def _counting_block_walk(tally: list[int]):
+    """_BlockWalk._extend, adding to tally[0] the characters of each width it builds."""
+    extend = shifts._BlockWalk._extend
 
-    class Successors:
-        def __init__(self, js):
-            self.js = js
-
-        def __iter__(self):
-            for j in self.js:
-                tally[0] += 1
-                yield j
-
-    def counting(succ, starts, length):
-        tally[0] += len(starts)
-        return walks([Successors(js) for js in succ], starts, length)
+    def counting(walk):
+        extend(walk)
+        tally[0] += sum(map(len, walk.words[-1]))
 
     return counting
 
 
 def _counting_extend(tally: list[int]):
-    """shifts._extend, adding to tally[0] the paths of each level it builds."""
+    """shifts._extend, adding to tally[0] the characters of each level it builds."""
     extend = shifts._extend
 
     def counting(ends, succ):
         grown = extend(ends, succ)
-        tally[0] += sum(len(paths) for groups in grown for paths in groups.values())
+        tally[0] += sum(len(p) for groups in grown for paths in groups.values() for p in paths)
         return grown
 
     return counting
 
 
-# the function each enumeration builds its paths with: the lex walk for blocks,
-# the grouped walk, which builds its first level in place, for periodic points
-_BUILDERS = {blocks: "_walks", enumerate_periodic: "_extend"}
+# the function each enumeration builds its paths with past its first level: the
+# block walk's widths for blocks, the grouped walk for periodic points
+_BUILDERS = {blocks: (shifts._BlockWalk, "_extend"), enumerate_periodic: (shifts, "_extend")}
 
 
 def _enumerate_within(budget, enumerate_words, a, length, counting=None):
     enumerate_words.cache_clear()
-    shifts._index_blocks.cache_clear()  # the walk behind blocks, cached on its own
-    builder = _BUILDERS[enumerate_words]
+    shifts._block_walk.cache_clear()  # the walk behind blocks, cached on its own
+    owner, builder = _BUILDERS[enumerate_words]
     with patch.object(shifts, "WALK_BUDGET", budget), \
-            patch.object(shifts, builder, counting or getattr(shifts, builder)):
+            patch.object(owner, builder, counting or getattr(owner, builder)):
         return enumerate_words(a, length)
 
 
@@ -132,9 +123,11 @@ def zero_one_matrices(draw):
 
 @settings(derandomize=True, database=None, deadline=None)
 @given(a=zero_one_matrices(), length=st.integers(1, 8))
-def test_walk_budget_is_the_prefix_count(a, length):
-    for enumerate_words, tally, counting in ((blocks, [0], _counting_walks),
-                                             (enumerate_periodic, [a.nrows], _counting_extend)):
+def test_walk_budget_is_the_character_count(a, length):
+    # the first level, one character per start, is built in place
+    for enumerate_words, tally, counting in (
+            (blocks, [len(essential_symbols(a))], _counting_block_walk),
+            (enumerate_periodic, [a.nrows], _counting_extend)):
         _enumerate_within(10 ** 9, enumerate_words, a, length, counting(tally))
         _enumerate_within(tally[0], enumerate_words, a, length)
         with pytest.raises(BudgetError):
@@ -262,9 +255,10 @@ def test_counts_do_not_depend_on_the_order_of_periods(pair, order):
             assert ascending[m, n] == count_fixed(points, flipped.get, n)
 
 
-def _prefixes(a: IntMatrix, length: int) -> int:
-    """The paths of at most ``length`` symbols: the sum of 1*A^(k-1)*1, k <= length."""
-    return sum(sum(map(sum, mat_pow(a, k).entries)) for k in range(length))
+def _characters(a: IntMatrix, length: int) -> int:
+    """The characters of the paths of at most ``length`` symbols: the sum of
+    k*1*A^(k-1)*1, k <= length."""
+    return sum((k + 1) * sum(map(sum, mat_pow(a, k).entries)) for k in range(length))
 
 
 @settings(derandomize=True, database=None, deadline=None)
@@ -272,15 +266,20 @@ def _prefixes(a: IntMatrix, length: int) -> int:
 def test_count_walks_once_up_to_its_highest_period(pair, top):
     # as the CLI's count asks: every period in ascending order, each for several n
     tally = [pair.size]  # the walk's first level, the symbols, is built in place
+    steps = []
+    step = shifts._step
     shifts._count_walk.cache_clear()
-    with patch.object(shifts, "_extend", _counting_extend(tally)):
+    with patch.object(shifts, "_extend", _counting_extend(tally)), \
+            patch.object(shifts, "_step", lambda *args: steps.append(1) or step(*args)):
         for m in range(1, top + 1):
             for n in range(4):
                 count_pmn_bruteforce(pair, m, n)
-    one_walk = _prefixes(pair.A, top)
+    one_walk = _characters(pair.A, top)
     # a walk restarted for each period builds more, so this test can fail
-    assert sum(_prefixes(pair.A, m) for m in range(1, top + 1)) > one_walk
+    assert sum(_characters(pair.A, m) for m in range(1, top + 1)) > one_walk
     assert tally[0] == one_walk
+    # and its budget counts each new level once, not every level per period
+    assert len(steps) == top - 1
 
 
 def test_count_budget_refuses_before_walking():
@@ -294,13 +293,13 @@ def test_count_budget_refuses_before_walking():
     shifts._count_walk.cache_clear()
     with patch.object(shifts, "_extend", no_walk):
         with pytest.raises(BudgetError, match="^words of length 8 need more than 1000000 "
-                                              "walk prefixes$"):
+                                              "walk characters$"):
             count_pmn_bruteforce(pair16, 8, 0)
         with pytest.raises(BudgetError, match="^words of length 40 "):
             count_pmn_bruteforce(pair4, 40, 0)
-    # 4 + 16 + 64 prefixes reach period 3, and 256 more would reach period 4
+    # 4 + 2*16 + 3*64 = 228 characters reach period 3, and 4*256 more would reach period 4
     shifts._count_walk.cache_clear()
-    with patch.object(shifts, "WALK_BUDGET", 100):
+    with patch.object(shifts, "WALK_BUDGET", 228):
         assert count_pmn_bruteforce(pair4, 2, 0) == 16
         with patch.object(shifts, "_extend", no_walk):
             with pytest.raises(BudgetError, match="^words of length 4 "):
