@@ -41,8 +41,7 @@ from .errors import BudgetError, CertificateError, MatrixShapeError, SpecError
 from .flips import FlipPair, Word
 from .matrices import IntMatrix, _Ones
 from .report import Report
-from .shifts import _block_walk, _index_blocks, _index_successors, block_count, blocks, \
-    is_essential
+from .shifts import _block_walk, _index_blocks, block_count, blocks, is_essential
 
 BLOCK_CELL_BUDGET = 1 << 21  # most cells of the top pair's N x N matrices in higher_block
 
@@ -222,11 +221,11 @@ def build_flip_pair(spec: BlockFlipSpec) -> tuple[FlipPair, BlockCode]:
     ordered = sorted(set(theta))
     spell = _speller(a.row_labels)
     labels = [f"{spell(u)}|{spell(v)}" for u, v in ordered]
-    succ = _index_successors(a._support)
+    succ = _block_walk(a).succ
     edges = set(_index_blocks(a, 2))
     # u2 runs on from u along a transition; the new adjacency of v is checked
     follows = _matches(ordered, ordered,
-                       lambda x: [(x[0][1:] + c, x[1][1:]) for c in succ[ord(x[0][-1])]],
+                       lambda x: [(x[0][1:] + c, x[1][1:]) for c in succ[x[0][-1]]],
                        lambda y: (y[0], y[1][:-1]),
                        joins=lambda x, y: y[1][-1] + x[1][-1] in edges)
     pair = _word_pair(ordered, labels, follows, mate=lambda uv: (uv[1][::-1], uv[0][::-1]),
@@ -340,7 +339,7 @@ def decompose_conjugacy(spec: OneBlockConjugacySpec) -> ConjugacyDecomposition:
 
     kmax = 2 * m + 1
     src_tau, dst_tau = src.tau_index, dst.tau_index
-    src_succ = _index_successors(src._succ)
+    src_succ = _block_walk(src.A).succ
     spell_src, spell_dst = _speller(src.alphabet), _speller(dst.alphabet)
 
     def show(t: tuple[str, str, str]) -> tuple[Word, Word, Word]:
@@ -371,7 +370,7 @@ def decompose_conjugacy(spec: OneBlockConjugacySpec) -> ConjugacyDecomposition:
         # of the flipped source block
         succ = _matches(cand, cand,
                         lambda t: [(word_of[t][1:], t[1][1:] + d)
-                                   for d in src_succ[ord(t[1][-1])]],
+                                   for d in src_succ[t[1][-1]]],
                         lambda t: (word_of[t][:-1], t[1]))
         pairs.append(_word_pair(
             cand, [f"{spell_dst(u)}|{spell_src(w)}|{spell_dst(v)}" for u, w, v in cand], succ,

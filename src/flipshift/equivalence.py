@@ -17,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import BudgetError, CertificateError
+from .errors import BudgetError, CertificateError, MatrixShapeError
 from .flips import FlipPair
 from .matrices import IntMatrix, _integral_kernel, _Ones, mat_mul, mat_pow
 from .report import Report
-from .shifts import blocks
+from .shifts import _index_blocks
 
 DEFAULT_SEARCH_BUDGET = 1_000_000
 DEFAULT_MAX_SOLUTIONS = 16
@@ -61,13 +61,6 @@ class HalfElemCert:
                     if k in allowed:
                         hits.setdefault(chr(i) + chr(k), []).append(b)
         return {key: chr(bs[0]) for key, bs in hits.items() if len(bs) == 1}
-
-    @cached_property
-    def _gamma_table(self) -> dict[tuple[str, str], str]:
-        """``_gamma_codes`` in the labels: (a1, a2) -> b."""
-        src, dst = self.source.alphabet, self.target.alphabet
-        return {(src[ord(i)], src[ord(k)]): dst[ord(b)]
-                for (i, k), b in self._gamma_codes.items()}
 
 
 @dataclass(frozen=True)
@@ -163,14 +156,17 @@ def he_check(src: FlipPair, dst: FlipPair, R: IntMatrix | _Ones,
 
 def gamma_block(cert: HalfElemCert, a1: str, a2: str) -> str:
     """The unique target symbol b with R(a1, b) == S(b, a2) == 1."""
-    try:
-        return cert._gamma_table[(a1, a2)]
-    except KeyError:
-        if cert.source.A.entry(a1, a2) != 1:
-            raise CertificateError("admissible",
-                                   f"({a1!r}, {a2!r}) is not an allowed transition") from None
-        raise CertificateError("unique b",
-                               f"no unique image symbol for ({a1!r}, {a2!r})") from None
+    alphabet = cert.source.alphabet
+    for label, side in ((a1, "row"), (a2, "column")):
+        if label not in alphabet:
+            raise MatrixShapeError(f"unknown {side} label {label!r}")
+    i, k = alphabet.index(a1), alphabet.index(a2)
+    b = cert._gamma_codes.get(chr(i) + chr(k))
+    if b is not None:
+        return cert.target.alphabet[ord(b)]
+    if k not in cert.source._succ[i]:
+        raise CertificateError("admissible", f"({a1!r}, {a2!r}) is not an allowed transition")
+    raise CertificateError("unique b", f"no unique image symbol for ({a1!r}, {a2!r})")
 
 
 def verify_prop22(cert: HalfElemCert) -> Report:
@@ -178,20 +174,22 @@ def verify_prop22(cert: HalfElemCert) -> Report:
 
     The image of a flipped point must be the once-shifted flip of the image
     point.  Both sides are two-block codes, so the identity is decided as
-    Gamma(tau b, tau a) == tau'(Gamma(a, b)) on every source transition (a, b).
+    Gamma(tau b, tau a) == tau'(Gamma(a, b)) on every source transition (a, b),
+    read off ``HalfElemCert._gamma_codes`` on index strings; labels are spelled
+    only for the first transition that fails.
     """
     report = Report(title="flip intertwining of the induced conjugacy")
-    src_tau, dst_tau = cert.source.tau, cert.target.tau
+    src, codes, dst_tau = cert.source, cert._gamma_codes, cert.target.tau_index
     bad = ""
-    for a, b in blocks(cert.source.A, 2):
-        try:
-            lhs = gamma_block(cert, src_tau[b], src_tau[a])
-            rhs = dst_tau[gamma_block(cert, a, b)]
-        except CertificateError as e:
-            bad = f"transition ({a}, {b}): {e}"
-            break
-        if lhs != rhs:
-            bad = f"transition ({a}, {b}): {lhs} != {rhs}"
+    for e in _index_blocks(src.A, 2):
+        rhs = codes.get(e)
+        if rhs is None or codes.get(e[::-1].translate(src.tau_index)) != rhs.translate(dst_tau):
+            a, b = (src.alphabet[ord(c)] for c in e)
+            try:
+                lhs = gamma_block(cert, src.tau[b], src.tau[a])
+                bad = f"transition ({a}, {b}): {lhs} != {cert.target.tau[gamma_block(cert, a, b)]}"
+            except CertificateError as err:
+                bad = f"transition ({a}, {b}): {err}"
             break
     report.add("source transitions", not bad, bad)
     return report

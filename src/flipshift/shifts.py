@@ -5,22 +5,22 @@ fixed jointly by a shift power and a shifted flip.  The enumerations are
 deliberately naive, every word and every point built, because they are the
 oracle the closed-form counts are tested against.  Inside the package a word
 is an index string, a ``str`` of ``chr(index)``; labels are spelled out only
-at the boundary.  Two walks build the paths.  ``_BlockWalk``, one per matrix
-and cached, grows the blocks on the essential symbols a width at a time, in
-lex order, each width from the last, and keeps every width as index strings
-with where each block's children start and where its suffix lies:
-``_index_blocks`` reads a width off it for the builders of ``constructions``,
-and ``blocks`` is its cached labelled view, the same words as tuples of
-labels.  ``_CycleWalk`` grows the paths from every symbol grouped by first
-and last symbol, a whole group at a time, and its paths of m symbols that
-close are the period-m points: ``enumerate_periodic`` sorts those of a fresh
-walk, and the counter resumes one walk per pair and tests each period
-against every shifted flip at once, in whole-list passes.  Each walk counts
-its levels ahead by vector iteration (``_Tally``), one step per new level,
-and is refused before it grows past ``WALK_BUDGET`` characters over all its
-levels, the memory its words take.  The essential symbols, those on
-bi-infinite paths, are what is left after pruning sinks and sources, in time
-linear in the transitions.
+at the boundary.  Both enumerate paths on the essential graph, the symbols on
+bi-infinite paths (what pruning sinks and sources leaves, in time linear in
+the transitions): a block is a word on it, and a periodic point lies on a
+cycle.  ``_BlockWalk``, one per matrix and cached, holds that graph's one
+state, its symbols, successor strings and ``_Tally``, and grows the blocks a
+width at a time in lex order, each from the last, keeping every width with
+where each block's children start and where its suffix lies:
+``_index_blocks`` reads a width for ``constructions``, and ``blocks`` is its
+cached labelled view.  ``_CycleWalk`` reads the same state and keeps its own
+levels, the paths grouped by first and last symbol and grown a group at a
+time; those of m symbols that close are the period-m points.
+``enumerate_periodic`` sorts those of a fresh walk, and the counter resumes
+one walk per pair and tests each period against every shifted flip at once.
+The tally counts each level ahead by vector iteration, one step per new
+level, and refuses a walk before it grows past ``WALK_BUDGET`` characters,
+a level of k symbols costing k * max(1, its paths).
 """
 
 from __future__ import annotations
@@ -76,14 +76,14 @@ def _reaches_cycle(succ: Sequence[Sequence[int]],
     return tuple(alive)
 
 
-@lru_cache(maxsize=256)
 def _essential_flags(a: IntMatrix) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
     """(has infinite past, has infinite future) per symbol.
 
     A symbol has an infinite future iff it reaches a cycle, and an infinite
     past iff it is reachable from a cycle: the survivors of pruning sinks,
     and of pruning sources, which are the sinks of the reversed graph.  The
-    matrix is checked here, so once per matrix for every caller.
+    matrix is checked here, so once per matrix for every caller: only the
+    cached ``_BlockWalk`` calls this.
     """
     _check_graph_matrix(a)
     succ = a._support
@@ -96,17 +96,11 @@ def _essential_flags(a: IntMatrix) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
 
 def essential_symbols(a: IntMatrix) -> tuple[str, ...]:
     """Symbols lying on some bi-infinite path, in label order."""
-    past, future = _essential_flags(a)
-    return tuple(lab for i, lab in enumerate(a.row_labels) if past[i] and future[i])
+    return tuple(a.row_labels[ord(c)] for c in _block_walk(a).words[0])
 
 
 def is_essential(a: IntMatrix) -> bool:
     return essential_symbols(a) == a.row_labels
-
-
-def _index_successors(succ: Sequence[Sequence[int]]) -> list[str]:
-    """Per symbol, its successors as one index string, in index order."""
-    return ["".join(map(chr, js)) for js in succ]
 
 
 def _step(succ: Sequence[tuple[int, ...]], v: list[int]) -> list[int]:
@@ -120,20 +114,21 @@ def _step(succ: Sequence[tuple[int, ...]], v: list[int]) -> list[int]:
 
 
 class _Tally:
-    """The paths of each length that a walk from the start vector v builds, counted
+    """The paths of each length on the essential graph, both walks' levels, counted
     by vector iteration, one ``_step`` per new length, and kept: the paths of k
-    symbols number v*A^(k-1)*1.  ``chars[k - 1]`` is the characters of the paths
-    of at most k symbols, which a walk holds once it has reached length k."""
+    symbols number v*A^(k-1)*1, v the essential symbols.  A level of k symbols
+    costs k * max(1, its paths) characters, and ``chars[k - 1]`` is the cost of
+    the levels of at most k symbols, which a walk holds once it reaches k."""
 
     def __init__(self, succ: _Ones, starts: list[int]):
         self.succ, self.v = succ, starts
         self.counts = [sum(starts)]
-        self.chars = self.counts[:]
+        self.chars = [max(1, self.counts[0])]
 
     def _next(self) -> None:
         self.v = _step(self.succ, self.v)
         self.counts.append(sum(self.v))
-        self.chars.append(self.chars[-1] + len(self.counts) * self.counts[-1])
+        self.chars.append(self.chars[-1] + len(self.counts) * max(1, self.counts[-1]))
 
     def count(self, length: int) -> int:
         """The paths of ``length`` symbols, walking none."""
@@ -171,6 +166,8 @@ class _BlockWalk:
     start with a successor of s, in order, and the k-blocks that start with one
     symbol are contiguous, so ``suffix[k]`` is those runs laid end to end, one
     run per transition, with no word compared.
+    Its essential symbols ``words[0]``, their successor strings ``succ`` and its
+    ``tally`` are the one state of the essential graph that every walk reads.
     """
 
     def __init__(self, a: IntMatrix):
@@ -180,7 +177,7 @@ class _BlockWalk:
                      for js, ok in zip(a._support, alive))
         symbols = "".join(compress(map(chr, range(a.nrows)), alive))
         self.tally = _Tally(ones, list(map(int, alive)))
-        self.succ = dict(zip(map(chr, range(a.nrows)), _index_successors(ones)))
+        self.succ = {chr(i): "".join(map(chr, js)) for i, js in enumerate(ones)}
         self.words: list[tuple[str, ...]] = [tuple(symbols)]
         self.first: list[list[int]] = []
         self.suffix: list[tuple[int, ...]] = [()]  # a 1-block has no suffix to place
@@ -249,10 +246,11 @@ def block_count(a: IntMatrix, n: int) -> int:
 
 # -- periodic points ----------------------------------------------------------
 
-def _extend(ends: list[dict[str, list[str]]], succ: list[str]) -> list[dict[str, list[str]]]:
+def _extend(ends: list[dict[str, list[str]]], succ: dict[str, str]
+            ) -> list[dict[str, list[str]]]:
     """The paths one symbol longer than those of ``ends``, grouped the same way.
 
-    ``ends[s]`` maps each last symbol j to the paths from symbol s to j, and
+    ``ends[s]`` maps each last symbol j to the paths from start s to j, and
     ``succ[i]`` holds the successors of i, all as strings of ``chr(index)``.
     The paths from s to j grow from the group of each predecessor i of j,
     a whole group per ``map``.
@@ -261,29 +259,30 @@ def _extend(ends: list[dict[str, list[str]]], succ: list[str]) -> list[dict[str,
     for groups in ends:
         out: dict[str, list[str]] = {}
         for i, paths in groups.items():
-            for j in succ[ord(i)]:
+            for j in succ[i]:
                 out.setdefault(j, []).extend(map(add, paths, repeat(j)))
         grown.append(out)
     return grown
 
 
 class _CycleWalk:
-    """The paths from every symbol, a level at a time: the one source of periodic
-    points.  ``ends[s]`` maps each last symbol j to the paths of ``length``
-    symbols from s to j, as ``_extend`` takes them; those whose last symbol
-    leads back to s close, and are the points of period ``length``."""
+    """The paths from the essential symbols, a level at a time: the one source of
+    periodic points.  It reads a ``_BlockWalk``'s state and keeps its own levels:
+    ``ends[s]`` maps each last symbol j to the paths of ``length`` symbols from
+    start s to j, as ``_extend`` takes them; those whose last symbol leads back
+    to s close, and are the points of period ``length``."""
 
-    def __init__(self, succ: _Ones):
-        self.succ, self.tally = _index_successors(succ), _Tally(succ, [1] * len(succ))
+    def __init__(self, walk: _BlockWalk):
+        self.starts, self.succ, self.tally = walk.words[0], walk.succ, walk.tally
         self.ends: list[dict[str, list[str]]] = []
         self.length = 0
 
     def closed(self) -> list[str]:
         """The paths of the current level that close, by first symbol."""
         words: list[str] = []
-        for s, groups in zip(map(chr, range(len(self.succ))), self.ends):
+        for s, groups in zip(self.starts, self.ends):
             for j, paths in groups.items():
-                if s in self.succ[ord(j)]:
+                if s in self.succ[j]:
                     words += paths
         return words
 
@@ -293,7 +292,7 @@ class _CycleWalk:
         self.tally.charge(length)
         while self.length < length:
             self.ends = _extend(self.ends, self.succ) if self.length else \
-                [{c: [c]} for c in map(chr, range(len(self.succ)))]
+                [{c: [c]} for c in self.starts]
             self.length += 1
             yield self.closed()
 
@@ -302,13 +301,14 @@ class _CycleWalk:
 def enumerate_periodic(a: IntMatrix, m: int) -> tuple[Word, ...]:
     """All points fixed by the m-th shift power, as cyclic words, in lex order.
 
-    The count always equals trace(A^m).  Enumeration is exponential, so a
-    period whose walk exceeds ``WALK_BUDGET`` characters is refused.
+    The count always equals trace(A^m).  A fresh ``_CycleWalk`` on the cached
+    block walk builds them; enumeration is exponential, so a period whose walk
+    exceeds ``WALK_BUDGET`` characters is refused.
     """
-    _check_graph_matrix(a)
+    walk = _block_walk(a)
     if m < 1:
         raise ValueError("period must be >= 1")
-    *_, words = _CycleWalk(a._support).levels(m)
+    *_, words = _CycleWalk(walk).levels(m)
     return _labelled(a, sorted(words))
 
 
@@ -343,7 +343,7 @@ def _flip_table(words: list[str], tau: tuple[int, ...], m: int) -> tuple[int, ..
 
 @lru_cache(maxsize=4)  # few: each walk keeps its longest paths, up to the budget
 def _count_walk(pair: FlipPair) -> tuple[_CycleWalk, list[tuple[int, ...]]]:
-    return _CycleWalk(pair._succ), []  # the walk and its counts, period by period
+    return _CycleWalk(_block_walk(pair.A)), []  # the walk and its counts, period by period
 
 
 def count_pmn_bruteforce(pair: FlipPair, m: int, n: int) -> int:
@@ -354,9 +354,9 @@ def count_pmn_bruteforce(pair: FlipPair, m: int, n: int) -> int:
     counts.  ``tests/points.count_fixed`` checks it coordinate by coordinate,
     x_i == tau(x_(-i-n)).  One test of the points of period m gives the
     counts for every n at once; n is taken modulo m, so negative n is fine.
-    The points come from one walk per pair, kept and extended as longer
-    periods are asked for.  A period whose walk exceeds ``WALK_BUDGET``
-    characters is refused before the walk is extended.
+    The points come from one cycle walk per pair on its matrix's block walk,
+    kept and extended as longer periods are asked for.  A period whose walk
+    exceeds ``WALK_BUDGET`` characters is refused before the walk is extended.
     """
     if m < 1:
         raise ValueError("m must be >= 1")

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from flipshift.flips import FlipPair
 from flipshift.matrices import IntMatrix
 from flipshift.shifts import blocks, word_center
 from flipshift.zeta import p_flip_counts
+from points import count_fixed, flip_point, is_periodic_point
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "flipshift" / "data"
 
@@ -554,15 +556,54 @@ def test_count_refuses_a_walk_over_budget(write, capsys):
 def test_long_words_on_one_point_are_refused_before_building(write, capsys, monkeypatch,
                                                              command, message):
     # 1 + 2 + ... + 1414 characters pass the budget, so no level past it is built
+    _refused_before_building(ONE_SYMBOL, command, message, write, capsys, monkeypatch)
+
+
+def _refused_before_building(doc, command, message, write, capsys, monkeypatch):
     def build(*args, **kwargs):
         raise AssertionError("a level was built")
     monkeypatch.setattr(shifts, "_extend", build)
     monkeypatch.setattr(shifts._BlockWalk, "_extend", build)
     shifts._count_walk.cache_clear()
     shifts._block_walk.cache_clear()
-    argv = [command[0], "--pair", write("one.json", ONE_SYMBOL), *command[1:]]
+    argv = [command[0], "--pair", write("pair.json", doc), *command[1:]]
     assert run_cli(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command, message", [
+    (["count", "--m-max", "2000"], "words of length 2000 need more than 1000000 walk characters"),
+    (["higher-block", "--n", "2000"],
+     "words of length 2002 need more than 1000000 walk characters")])
+def test_long_words_without_an_essential_symbol_are_refused_before_building(
+        write, capsys, monkeypatch, command, message):
+    # every level is empty and costs its width, as on the one-point pair
+    _refused_before_building({"alphabet": ["a"], "A": [[0]], "J": [[1]]}, command, message,
+                             write, capsys, monkeypatch)
+
+
+def test_count_and_blocks_are_refused_at_one_length_on_a_stranded_tail(write, capsys):
+    # c -> a -> d with a loop at a, and J swapping c and d: only a is essential,
+    # so both walks charge 1 + 2 + ... + k characters, the tally they share
+    doc = {"alphabet": ["c", "a", "d"], "A": [[0, 1, 0], [0, 1, 1], [0, 0, 0]],
+           "J": [[0, 0, 1], [0, 1, 0], [1, 0, 0]]}
+    path = write("tail.json", doc)
+    shifts._count_walk.cache_clear()
+    shifts._block_walk.cache_clear()
+    for command in (["count", "--m-max", "1414"], ["higher-block", "--n", "1412"]):
+        assert run_cli([command[0], "--pair", path, *command[1:]]) == 2
+        assert capsys.readouterr() == (
+            "", "error: words of length 1414 need more than 1000000 walk characters\n")
+    pair = jsonio.pair_from_doc(doc)
+    shifts._block_walk(pair.A).tally.charge(1413)  # and both admit length 1413
+    assert run_cli(["count", "--pair", path, "--m-max", "1000"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    # a's loop is the only cycle, so a^m is the only point of period m
+    assert all(is_periodic_point(pair.A, w) == (w == ("a",) * m)
+               for m in range(1, 7) for w in product(doc["alphabet"], repeat=m))
+    assert [r["count"] for r in rows] == [
+        count_fixed([("a",) * m], lambda x: flip_point(pair, x), n)
+        for m in range(1, 1001) for n in (0, 1)]
 
 
 def test_colliding_block_labels_name_their_words(write, capsys):

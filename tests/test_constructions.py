@@ -181,6 +181,21 @@ def test_higher_block_walks_each_width_once(monkeypatch):
         assert count == len(blocks(pair.A, n + 5))
 
 
+def test_count_and_higher_block_step_once_per_level_across_both_walks(monkeypatch):
+    steps = []
+    step = shifts._step
+    monkeypatch.setattr(shifts, "_step", lambda *args: steps.append(1) or step(*args))
+    for pair in (example1_pair(), golden_mean_pair(), _stranded_golden_mean()):
+        shifts._count_walk.cache_clear()
+        shifts._block_walk.cache_clear()
+        steps.clear()
+        for m in range(1, 6):  # as the CLI's count asks, to length 5
+            count_pmn_bruteforce(pair, m, 0)
+        assert len(steps) == 4
+        higher_block(pair, 5)  # to length 7, on the tally the count walk left at 5
+        assert len(steps) == 6
+
+
 def test_higher_block_random_pairs():
     import random
 

@@ -11,7 +11,7 @@ from flipshift.equivalence import (HalfElemCert, ShiftFlipCert, StrongChain, _co
                                    gamma_block, he_check, he_search,
                                    sfe_bounded_search, sfe_check, sse_verify,
                                    verify_prop22)
-from flipshift.errors import BudgetError, CertificateError
+from flipshift.errors import BudgetError, CertificateError, MatrixShapeError
 from flipshift.fixtures import (example1_pair, example1_symmetric_pair,
                                 example2_pair, golden_mean_pair,
                                 one_point_pair)
@@ -364,6 +364,17 @@ def test_verify_prop22_localizes_on_doctored_cert():
     assert report.first_failure().detail == "transition (1, 1): 1 2 != 2 1"
 
 
+@pytest.mark.parametrize("pair", [golden_mean_pair(), example1_pair()], ids=["gm", "ex1"])
+def test_verify_prop22_fails_on_any_one_doctored_s_row(pair):
+    # a planted defect: one row of S with its one moved to the next source symbol
+    for n in (1, 2):
+        for link in higher_block(pair, n)[1].links:
+            for b, (k,) in enumerate(link.s_ones):
+                s = (*link.s_ones[:b], ((k + 1) % link.source.size,), *link.s_ones[b + 1:])
+                doctored = HalfElemCert(link.source, link.target, link.r_ones, s)
+                assert not verify_prop22(doctored).passed
+
+
 def _naive_gamma(cert: HalfElemCert, a1: str, a2: str):
     """gamma_block read entry by entry: the identity of its error, or b."""
     if cert.source.A.entry(a1, a2) != 1:
@@ -382,12 +393,19 @@ def test_gamma_block_equals_the_entrywise_oracle():
     # with S all ones, (2, 2) has a unique b but is not a transition of gm
     loose = HalfElemCert(source=gm, target=gm, r_ones=((0,), (1,)), s_ones=((0, 1), (0, 1)))
     for cert in (*chain.links, doctored, loose):
-        for a1, a2 in product(cert.source.alphabet, repeat=2):
+        # and a label outside the alphabet, refused as the dense entry refuses it
+        for a1, a2 in product((*cert.source.alphabet, "z"), repeat=2):
             try:
                 got = gamma_block(cert, a1, a2)
             except CertificateError as e:
                 got = e.identity
-            assert got == _naive_gamma(cert, a1, a2)
+            except MatrixShapeError as e:
+                got = str(e)
+            try:
+                want = _naive_gamma(cert, a1, a2)
+            except MatrixShapeError as e:
+                want = str(e)
+            assert got == want
 
 
 def test_sse_verify_empty_chain():

@@ -78,23 +78,28 @@ def test_walk_budget_refuses_before_walking(monkeypatch):
 
 
 def _counting_block_walk(tally: list[int]):
-    """_BlockWalk._extend, adding to tally[0] the characters of each width it builds."""
+    """_BlockWalk._extend, adding to tally[0] the characters of each width it
+    builds, or the width itself if it holds no block."""
     extend = shifts._BlockWalk._extend
 
     def counting(walk):
         extend(walk)
-        tally[0] += sum(map(len, walk.words[-1]))
+        tally[0] += max(len(walk.words), sum(map(len, walk.words[-1])))
 
     return counting
 
 
 def _counting_extend(tally: list[int]):
-    """shifts._extend, adding to tally[0] the characters of each level it builds."""
-    extend = shifts._extend
+    """shifts._extend, adding to tally[0] the characters of each level it builds,
+    or the level's width if it holds no path; the levels of one walk, from the
+    second on."""
+    extend, width = shifts._extend, [1]
 
     def counting(ends, succ):
         grown = extend(ends, succ)
-        tally[0] += sum(len(p) for groups in grown for paths in groups.values() for p in paths)
+        width[0] += 1
+        tally[0] += max(width[0], sum(len(p) for groups in grown
+                                      for paths in groups.values() for p in paths))
         return grown
 
     return counting
@@ -124,10 +129,11 @@ def zero_one_matrices(draw):
 @settings(derandomize=True, database=None, deadline=None)
 @given(a=zero_one_matrices(), length=st.integers(1, 8))
 def test_walk_budget_is_the_character_count(a, length):
-    # the first level, one character per start, is built in place
-    for enumerate_words, tally, counting in (
-            (blocks, [len(essential_symbols(a))], _counting_block_walk),
-            (enumerate_periodic, [a.nrows], _counting_extend)):
+    # both walks start on the essential symbols, and the first level, one
+    # character per start, is built in place; an empty level costs its width
+    for enumerate_words, counting in ((blocks, _counting_block_walk),
+                                      (enumerate_periodic, _counting_extend)):
+        tally = [max(1, len(essential_symbols(a)))]
         _enumerate_within(10 ** 9, enumerate_words, a, length, counting(tally))
         _enumerate_within(tally[0], enumerate_words, a, length)
         with pytest.raises(BudgetError):
@@ -256,19 +262,23 @@ def test_counts_do_not_depend_on_the_order_of_periods(pair, order):
 
 
 def _characters(a: IntMatrix, length: int) -> int:
-    """The characters of the paths of at most ``length`` symbols: the sum of
-    k*1*A^(k-1)*1, k <= length."""
-    return sum((k + 1) * sum(map(sum, mat_pow(a, k).entries)) for k in range(length))
+    """The characters of the paths of at most ``length`` symbols on the essential
+    graph E of ``a``: the sum of k*max(1, 1*E^(k-1)*1), k <= length."""
+    ess = [a.row_labels.index(s) for s in essential_symbols(a)]
+    e = IntMatrix.square(map(str, ess), [[a.entries[i][j] for j in ess] for i in ess])
+    return sum((k + 1) * max(1, sum(map(sum, mat_pow(e, k).entries))) for k in range(length))
 
 
 @settings(derandomize=True, database=None, deadline=None)
 @given(pair=zero_one_flip_pairs(), top=st.integers(2, 8))
 def test_count_walks_once_up_to_its_highest_period(pair, top):
     # as the CLI's count asks: every period in ascending order, each for several n
-    tally = [pair.size]  # the walk's first level, the symbols, is built in place
+    # the walk's first level, the essential symbols, is built in place
+    tally = [max(1, len(essential_symbols(pair.A)))]
     steps = []
     step = shifts._step
     shifts._count_walk.cache_clear()
+    shifts._block_walk.cache_clear()  # whose tally the count walk charges
     with patch.object(shifts, "_extend", _counting_extend(tally)), \
             patch.object(shifts, "_step", lambda *args: steps.append(1) or step(*args)):
         for m in range(1, top + 1):
