@@ -41,7 +41,7 @@ from .errors import BudgetError, CertificateError, MatrixShapeError, SpecError
 from .flips import FlipPair, Word
 from .matrices import IntMatrix, _Ones
 from .report import Report
-from .shifts import _block_walk, _index_blocks, block_count, blocks, is_essential
+from .shifts import _block_walk, _index_blocks, blocks, is_essential
 
 BLOCK_CELL_BUDGET = 1 << 21  # most cells of the top pair's N x N matrices in higher_block
 
@@ -116,17 +116,19 @@ def higher_block(pair: FlipPair, n: int) -> tuple[FlipPair, StrongChain]:
     the last symbol" and S reading "drop the first symbol".  Both are read
     off the base's ``_BlockWalk``: R(u, w) == 1 iff w is a child of u, and u
     is followed by the suffixes of its children, so no word is compared.
-    ``BudgetError`` refuses, before any building, a top pair whose N x N
-    matrices pass ``BLOCK_CELL_BUDGET`` cells, or a walk over the budget.
+    ``BudgetError`` refuses, before any word is built, a walk to width n+2
+    over the walk budget, then a top pair whose N x N matrices pass
+    ``BLOCK_CELL_BUDGET`` cells, N read off the charged walk's path counts.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    size = block_count(pair.A, n + 1)
+    walk = _block_walk(pair.A)
+    walk.charge(n + 2)
+    size = walk.counts[n]
     if size * size > BLOCK_CELL_BUDGET:
         raise BudgetError(f"the {n + 1}-block pair has {size} symbols; its {size * size} "
                           f"matrix cells pass the budget of {BLOCK_CELL_BUDGET}")
     tau = pair.tau_index
-    walk = _block_walk(pair.A)
     walk.level(n + 2)
     pairs = [_word_pair(walk.words[k - 1], [_join(w) for w in blocks(pair.A, k)],
                         tuple(map(walk.suffix[k].__getitem__, map(slice, first, first[1:]))),
@@ -152,6 +154,8 @@ class BlockFlipSpec:
     adjacent image symbols read one block of width 2*window+2, and the centre
     of phi(phi(x)) reads one block of width 4*window+1.  ``rule`` is the rule
     in labels; the checks and ``build_flip_pair`` read it on index strings.
+    ``_images`` keeps the images the involution check reads, one string per
+    block of width 4*window+1 in order; ``build_flip_pair`` reads them too.
     """
 
     def __init__(self, A: IntMatrix, window: int, rule: dict[Word, str]):
@@ -181,9 +185,11 @@ class BlockFlipSpec:
             if self._rule[b[1:]] + self._rule[b[:-1]] not in edges:
                 raise SpecError("phi_into", f"image of block {_word(A.row_labels, b)} "
                                             f"leaves the shift")
-        for b in _index_blocks(A, 4 * window + 1):
-            # the images read by phi(phi(x))_0, which must be the centre x_0
-            images = "".join([self._rule[b[d:d + width]] for d in range(width)])
+        wide = _index_blocks(A, 4 * window + 1)
+        # per block, the images read by phi(phi(x))_0, which must be the centre x_0
+        self._images = ["".join([self._rule[b[d:d + width]] for d in range(width)])
+                        for b in wide]
+        for b, images in zip(wide, self._images):
             if self._rule[images[::-1]] != b[2 * window]:
                 raise SpecError("phi_involution", f"rule does not square to id on block "
                                                   f"{_word(A.row_labels, b)}")
@@ -213,11 +219,7 @@ def build_flip_pair(spec: BlockFlipSpec) -> tuple[FlipPair, BlockCode]:
     """
     n = spec.window
     a = spec.A
-    width = 2 * n + 1
-    rule = spec._rule
-    words = _index_blocks(a, 4 * n + 1)
-    theta = [(w[n:3 * n + 1], "".join([rule[w[d:d + width]] for d in range(width)]))
-             for w in words]
+    theta = [(w[n:3 * n + 1], v) for w, v in zip(_index_blocks(a, 4 * n + 1), spec._images)]
     ordered = sorted(set(theta))
     spell = _speller(a.row_labels)
     labels = [f"{spell(u)}|{spell(v)}" for u, v in ordered]

@@ -9,18 +9,19 @@ at the boundary.  Both enumerate paths on the essential graph, the symbols on
 bi-infinite paths (what pruning sinks and sources leaves, in time linear in
 the transitions): a block is a word on it, and a periodic point lies on a
 cycle.  ``_BlockWalk``, one per matrix and cached, holds that graph's one
-state, its symbols, successor strings and ``_Tally``, and grows the blocks a
-width at a time in lex order, each from the last, keeping every width with
-where each block's children start and where its suffix lies:
+state, its symbols, successor strings and path count per length, and grows
+the blocks a width at a time in lex order, each from the last, keeping every
+width with where each block's children start and where its suffix lies:
 ``_index_blocks`` reads a width for ``constructions``, and ``blocks`` is its
 cached labelled view.  ``_CycleWalk`` reads the same state and keeps its own
 levels, the paths grouped by first and last symbol and grown a group at a
 time; those of m symbols that close are the period-m points.
 ``enumerate_periodic`` sorts those of a fresh walk, and the counter resumes
 one walk per pair and tests each period against every shifted flip at once.
-The tally counts each level ahead by vector iteration, one step per new
-level, and refuses a walk before it grows past ``WALK_BUDGET`` characters,
-a level of k symbols costing k * max(1, its paths).
+Every walk asks the block walk's ``charge`` first, which counts each level
+ahead by vector iteration, one step per new length, and refuses a walk
+before it grows past ``WALK_BUDGET`` characters, a level of k symbols
+costing k * max(1, its paths); it counts no level past the first over it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Iterator, Sequence
 
 from .errors import BudgetError, MatrixShapeError
 from .flips import FlipPair, Word
-from .matrices import IntMatrix, _Ones
+from .matrices import IntMatrix
 
 WALK_BUDGET = 1_000_000  # most characters one walk may hold over all its levels
 
@@ -113,39 +114,6 @@ def _step(succ: Sequence[tuple[int, ...]], v: list[int]) -> list[int]:
     return out
 
 
-class _Tally:
-    """The paths of each length on the essential graph, both walks' levels, counted
-    by vector iteration, one ``_step`` per new length, and kept: the paths of k
-    symbols number v*A^(k-1)*1, v the essential symbols.  A level of k symbols
-    costs k * max(1, its paths) characters, and ``chars[k - 1]`` is the cost of
-    the levels of at most k symbols, which a walk holds once it reaches k."""
-
-    def __init__(self, succ: _Ones, starts: list[int]):
-        self.succ, self.v = succ, starts
-        self.counts = [sum(starts)]
-        self.chars = [max(1, self.counts[0])]
-
-    def _next(self) -> None:
-        self.v = _step(self.succ, self.v)
-        self.counts.append(sum(self.v))
-        self.chars.append(self.chars[-1] + len(self.counts) * max(1, self.counts[-1]))
-
-    def count(self, length: int) -> int:
-        """The paths of ``length`` symbols, walking none."""
-        while len(self.counts) < length:
-            self._next()
-        return self.counts[length - 1]
-
-    def charge(self, length: int) -> None:
-        """Refuse a walk to ``length`` symbols whose levels hold over WALK_BUDGET
-        characters, counting no further than the first level past it."""
-        while len(self.chars) < length and self.chars[-1] <= WALK_BUDGET:
-            self._next()
-        if self.chars[min(length, len(self.chars)) - 1] > WALK_BUDGET:
-            raise BudgetError(f"words of length {length} need more than "
-                              f"{WALK_BUDGET} walk characters")
-
-
 def _labelled(a: IntMatrix, paths) -> tuple[Word, ...]:
     """Index strings as words of the labels of ``a``."""
     label = dict(zip(map(chr, range(a.nrows)), a.row_labels))
@@ -167,7 +135,12 @@ class _BlockWalk:
     symbol are contiguous, so ``suffix[k]`` is those runs laid end to end, one
     run per transition, with no word compared.
     Its essential symbols ``words[0]``, their successor strings ``succ`` and its
-    ``tally`` are the one state of the essential graph that every walk reads.
+    path counts ``counts`` are the one state of the essential graph that every
+    walk reads, and ``charge`` its one budget.  The paths of k symbols number
+    v*A^(k-1)*1, v the essential symbols, and are counted ahead of any level by
+    vector iteration, one ``_step`` per new length.  A level of k symbols costs
+    k * max(1, its paths) characters; ``chars[k - 1]`` is the cost of the levels
+    of at most k symbols, which a walk holds once it reaches k.
     """
 
     def __init__(self, a: IntMatrix):
@@ -176,7 +149,9 @@ class _BlockWalk:
         ones = tuple(tuple(compress(js, map(alive.__getitem__, js))) if ok else ()
                      for js, ok in zip(a._support, alive))
         symbols = "".join(compress(map(chr, range(a.nrows)), alive))
-        self.tally = _Tally(ones, list(map(int, alive)))
+        self._ones, self._v = ones, list(map(int, alive))
+        self.counts = [sum(alive)]
+        self.chars = [max(1, self.counts[0])]
         self.succ = {chr(i): "".join(map(chr, js)) for i, js in enumerate(ones)}
         self.words: list[tuple[str, ...]] = [tuple(symbols)]
         self.first: list[list[int]] = []
@@ -188,10 +163,21 @@ class _BlockWalk:
         # per transition i -> j, in lex order, the position of j: the runs of suffix
         self._targets = [rank[j] for i in compress(range(a.nrows), alive) for j in ones[i]]
 
+    def charge(self, length: int) -> None:
+        """Refuse a walk to ``length`` symbols whose levels hold over WALK_BUDGET
+        characters, counting no further than the first level past it."""
+        while len(self.chars) < length and self.chars[-1] <= WALK_BUDGET:
+            self._v = _step(self._ones, self._v)
+            self.counts.append(sum(self._v))
+            self.chars.append(self.chars[-1] + len(self.counts) * max(1, self.counts[-1]))
+        if self.chars[min(length, len(self.chars)) - 1] > WALK_BUDGET:
+            raise BudgetError(f"words of length {length} need more than "
+                              f"{WALK_BUDGET} walk characters")
+
     def level(self, n: int) -> tuple[str, ...]:
         """The n-blocks, grown to width n if need be; refused above ``WALK_BUDGET``
         characters before any width is grown."""
-        self.tally.charge(n)
+        self.charge(n)
         while len(self.words) < n:
             self._extend()
         return self.words[n - 1]
@@ -236,14 +222,6 @@ def blocks(a: IntMatrix, n: int) -> tuple[Word, ...]:
     return _labelled(a, _index_blocks(a, n))
 
 
-def block_count(a: IntMatrix, n: int) -> int:
-    """len(blocks(a, n)), read off the block walk's tally: no word is built."""
-    walk = _block_walk(a)
-    if n < 1:
-        raise ValueError("block length must be >= 1")
-    return walk.tally.count(n)
-
-
 # -- periodic points ----------------------------------------------------------
 
 def _extend(ends: list[dict[str, list[str]]], succ: dict[str, str]
@@ -267,13 +245,14 @@ def _extend(ends: list[dict[str, list[str]]], succ: dict[str, str]
 
 class _CycleWalk:
     """The paths from the essential symbols, a level at a time: the one source of
-    periodic points.  It reads a ``_BlockWalk``'s state and keeps its own levels:
-    ``ends[s]`` maps each last symbol j to the paths of ``length`` symbols from
-    start s to j, as ``_extend`` takes them; those whose last symbol leads back
-    to s close, and are the points of period ``length``."""
+    periodic points.  It reads a ``_BlockWalk``'s state, asks its ``charge``
+    and keeps its own levels: ``ends[s]`` maps each last symbol j to the paths
+    of ``length`` symbols from start s to j, as ``_extend`` takes them; those
+    whose last symbol leads back to s close, and are the points of period
+    ``length``."""
 
     def __init__(self, walk: _BlockWalk):
-        self.starts, self.succ, self.tally = walk.words[0], walk.succ, walk.tally
+        self.starts, self.succ, self.charge = walk.words[0], walk.succ, walk.charge
         self.ends: list[dict[str, list[str]]] = []
         self.length = 0
 
@@ -289,7 +268,7 @@ class _CycleWalk:
     def levels(self, length: int) -> Iterator[list[str]]:
         """Grow the walk to ``length`` symbols, yielding the closed paths of each
         new level; refused above ``WALK_BUDGET`` characters before it grows."""
-        self.tally.charge(length)
+        self.charge(length)
         while self.length < length:
             self.ends = _extend(self.ends, self.succ) if self.length else \
                 [{c: [c]} for c in self.starts]

@@ -504,6 +504,20 @@ def test_higher_block_refuses_past_its_budget_before_building(write):
     assert run.returncode == 2
 
 
+@pytest.mark.parametrize("n, message", [
+    (5, "the 6-block pair has 4096 symbols; its 16777216 matrix cells pass the budget "
+        "of 2097152"),
+    (6, "the 7-block pair has 16384 symbols; its 268435456 matrix cells pass the budget "
+        "of 2097152"),
+    (7, "words of length 9 need more than 1000000 walk characters")], ids=["5", "6", "7"])
+def test_higher_block_on_the_full_four_shift_is_refused_before_building(
+        write, capsys, monkeypatch, n, message):
+    # 4 + 2*16 + ... + 8*4^8 = 669,924 characters reach width 8, and width 9 passes
+    # the walk budget; the top pair is sized off the charged walk, building no word
+    _refused_before_building(_full_shift_doc(4), ["higher-block", "--n", str(n)], message,
+                             write, capsys, monkeypatch)
+
+
 def test_csv_without_rows_is_usage_error(capsys):
     code = run_cli(["higher-block", "--pair", str(DATA / "golden_mean.json"),
                     "--n", "1", "--format", "csv"])
@@ -584,7 +598,7 @@ def test_long_words_without_an_essential_symbol_are_refused_before_building(
 
 def test_count_and_blocks_are_refused_at_one_length_on_a_stranded_tail(write, capsys):
     # c -> a -> d with a loop at a, and J swapping c and d: only a is essential,
-    # so both walks charge 1 + 2 + ... + k characters, the tally they share
+    # so both walks charge 1 + 2 + ... + k characters, on the walk they share
     doc = {"alphabet": ["c", "a", "d"], "A": [[0, 1, 0], [0, 1, 1], [0, 0, 0]],
            "J": [[0, 0, 1], [0, 1, 0], [1, 0, 0]]}
     path = write("tail.json", doc)
@@ -595,7 +609,7 @@ def test_count_and_blocks_are_refused_at_one_length_on_a_stranded_tail(write, ca
         assert capsys.readouterr() == (
             "", "error: words of length 1414 need more than 1000000 walk characters\n")
     pair = jsonio.pair_from_doc(doc)
-    shifts._block_walk(pair.A).tally.charge(1413)  # and both admit length 1413
+    shifts._block_walk(pair.A).charge(1413)  # and both admit length 1413
     assert run_cli(["count", "--pair", path, "--m-max", "1000"]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
     # a's loop is the only cycle, so a^m is the only point of period m

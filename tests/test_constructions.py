@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from itertools import permutations
+from operator import mul
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -175,10 +176,9 @@ def test_higher_block_walks_each_width_once(monkeypatch):
         assert widths == list(range(2, n + 3))
         assert len(steps) == n + 1
         higher_block(pair, n - 1)
-        count = shifts.block_count(pair.A, n + 5)
-        assert widths == list(range(2, n + 3))  # block_count builds no word
+        shifts._block_walk(pair.A).charge(n + 5)
+        assert widths == list(range(2, n + 3))  # charging builds no word
         assert len(steps) == n + 4
-        assert count == len(blocks(pair.A, n + 5))
 
 
 def test_count_and_higher_block_step_once_per_level_across_both_walks(monkeypatch):
@@ -192,7 +192,7 @@ def test_count_and_higher_block_step_once_per_level_across_both_walks(monkeypatc
         for m in range(1, 6):  # as the CLI's count asks, to length 5
             count_pmn_bruteforce(pair, m, 0)
         assert len(steps) == 4
-        higher_block(pair, 5)  # to length 7, on the tally the count walk left at 5
+        higher_block(pair, 5)  # to length 7, on the counts the count walk left at 5
         assert len(steps) == 6
 
 
@@ -530,12 +530,20 @@ def test_drawn_decompositions_round_trip_and_every_link_checks_again(pair):
         he_check(link.source, link.target, link.R, supplied_S=link.S)  # raises if bad
 
 
+def _block_number(a: IntMatrix, k: int) -> int:
+    """The k-blocks of an essential ``a``, 1*A^(k-1)*1 by vector iteration."""
+    v = [1] * a.nrows
+    for _ in range(k - 1):
+        v = [sum(map(mul, v, column)) for column in zip(*a.entries)]
+    return sum(v)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(pair=zero_one_flip_pairs())
 def test_drawn_window_two_decompositions_round_trip(pair):
     # window 1 builds only stage 2, whose outer words are empty; window 2
     # also builds stages 3 and 4, whose flips read psi on both outer words
-    assume(is_essential(pair.A) and shifts.block_count(pair.A, 13) <= 400)
+    assume(is_essential(pair.A) and _block_number(pair.A, 13) <= 400)
     spec = _center_read_spec(pair, 2)
     dec = decompose_conjugacy(spec)
     assert dec.chain.lag == 8
@@ -614,6 +622,71 @@ def test_verify_decomposition_refuses_over_budget_before_any_link(monkeypatch):
     with pytest.raises(BudgetError):
         verify_decomposition(dec, spec)
     assert calls == []
+
+
+def _identity_spec(pair: FlipPair, window: int) -> OneBlockConjugacySpec:
+    return OneBlockConjugacySpec(pair, pair, {s: s for s in pair.alphabet}, window)
+
+
+def _decompose_and_verify(pair: FlipPair):
+    spec = _identity_spec(pair, 1)  # blocks of width 4, then lag 4 verifies on width 5
+    return verify_decomposition(decompose_conjugacy(spec), spec)
+
+
+@pytest.mark.parametrize("build", [
+    lambda p: blocks(p.A, 5),
+    lambda p: enumerate_periodic(p.A, 5),
+    lambda p: count_pmn_bruteforce(p, 5, 0),
+    lambda p: higher_block(p, 3),
+    lambda p: BlockFlipSpec(p.A, 1, {w: w[1] for w in blocks(p.A, 3)}),
+    lambda p: _identity_spec(p, 2),
+    _decompose_and_verify,
+], ids=["blocks", "enumerate_periodic", "count_pmn_bruteforce", "higher_block",
+        "BlockFlipSpec", "OneBlockConjugacySpec", "decompose_conjugacy"])
+def test_every_walk_is_refused_before_a_level_past_the_budget(monkeypatch, build):
+    # the golden mean's levels of at most 4 symbols hold 2 + 6 + 15 + 32 = 55
+    # characters, exactly the budget, and width 5 would hold 55 + 5*13 = 120
+    pair = golden_mean_pair()
+    monkeypatch.setattr(shifts, "WALK_BUDGET", 55)
+    for cached in (blocks, enumerate_periodic, shifts._block_walk, shifts._count_walk):
+        cached.cache_clear()
+
+    def within(width):
+        held = sum(k * max(1, _block_number(pair.A, k)) for k in range(1, width + 1))
+        assert held <= shifts.WALK_BUDGET, f"a level of width {width} was built"
+
+    block_extend, cycle_extend = shifts._BlockWalk._extend, shifts._extend
+
+    def block_walk_within(walk):
+        within(len(walk.words) + 1)
+        block_extend(walk)
+
+    def cycle_walk_within(ends, succ):
+        # every level of the golden mean holds paths from its first symbol
+        within(len(next(iter(ends[0].values()))[0]) + 1)
+        return cycle_extend(ends, succ)
+
+    monkeypatch.setattr(shifts._BlockWalk, "_extend", block_walk_within)
+    monkeypatch.setattr(shifts, "_extend", cycle_walk_within)
+    with pytest.raises(BudgetError):
+        build(pair)
+
+
+def test_higher_block_on_one_point_is_refused_before_counting_past_the_budget(monkeypatch):
+    # 1 + 2 + ... + 1414 characters pass the budget: no vector step past that length
+    steps = []
+    step = shifts._step
+
+    def build(*args):
+        raise AssertionError("a level was built")
+
+    monkeypatch.setattr(shifts, "_step", lambda *args: steps.append(1) or step(*args))
+    monkeypatch.setattr(shifts, "_extend", build)
+    monkeypatch.setattr(shifts._BlockWalk, "_extend", build)
+    shifts._block_walk.cache_clear()
+    with pytest.raises(BudgetError, match="^words of length 1000002 need more than"):
+        higher_block(one_point_pair(), 10 ** 6)
+    assert len(steps) <= 1414
 
 
 def _cycle_pair(n: int, chords=(), centre: int = 0) -> FlipPair:

@@ -133,17 +133,26 @@ def test_walk_budget_is_the_character_count(a, length):
     # character per start, is built in place; an empty level costs its width
     for enumerate_words, counting in ((blocks, _counting_block_walk),
                                       (enumerate_periodic, _counting_extend)):
-        tally = [max(1, len(essential_symbols(a)))]
+        first = max(1, len(essential_symbols(a)))
+        tally, below = [first], [first]
         _enumerate_within(10 ** 9, enumerate_words, a, length, counting(tally))
         _enumerate_within(tally[0], enumerate_words, a, length)
         with pytest.raises(BudgetError):
             _enumerate_within(tally[0] - 1, enumerate_words, a, length)
+        if length > 1:  # a budget holding exactly the shorter levels refuses this one
+            _enumerate_within(10 ** 9, enumerate_words, a, length - 1, counting(below))
+            with pytest.raises(BudgetError):
+                _enumerate_within(below[0], enumerate_words, a, length)
 
 
 @settings(derandomize=True, database=None, deadline=None)
 @given(a=zero_one_matrices(), length=st.integers(1, 6))
-def test_block_count_is_the_number_of_blocks(a, length):
-    assert shifts.block_count(a, length) == len(blocks(a, length))
+def test_walk_counts_are_the_numbers_of_blocks(a, length):
+    shifts._block_walk.cache_clear()
+    walk = shifts._block_walk(a)
+    walk.charge(length)
+    assert len(walk.words) == 1  # counted by vector iteration, no word built
+    assert walk.counts[:length] == [len(blocks(a, k)) for k in range(1, length + 1)]
 
 
 # -- oracle: the essential flags from the transitive closure --------------------
@@ -278,7 +287,7 @@ def test_count_walks_once_up_to_its_highest_period(pair, top):
     steps = []
     step = shifts._step
     shifts._count_walk.cache_clear()
-    shifts._block_walk.cache_clear()  # whose tally the count walk charges
+    shifts._block_walk.cache_clear()  # the walk whose charge the count walk asks
     with patch.object(shifts, "_extend", _counting_extend(tally)), \
             patch.object(shifts, "_step", lambda *args: steps.append(1) or step(*args)):
         for m in range(1, top + 1):
